@@ -11,11 +11,9 @@ are included because they visibly do not.
 
 from .mesh import (
     AngleReport,
-    ElementGeometry,
     Triangulation,
     audit_angles,
     build_structured_mesh,
-    element_geometry,
     read_mesh,
     triangulation_from_arrays,
     write_mesh,
@@ -38,11 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleReport",
-    "ElementGeometry",
     "Triangulation",
     "audit_angles",
     "build_structured_mesh",
-    "element_geometry",
     "read_mesh",
     "triangulation_from_arrays",
     "write_mesh",

@@ -21,6 +21,7 @@ import os
 import sys
 
 from . import config as config_mod
+from . import diagnostics
 from . import output as output_mod
 from .linalg import CgError
 from .mesh import audit_angles, read_mesh
@@ -138,14 +139,22 @@ def _with_output(cfg: RunConfig, directory: str, snapshot_every: int | None) -> 
 
 
 def _run_and_summarize(cfg: RunConfig):
-    report = run(cfg)
-    if cfg.output.directory:
-        from .diagnostics import run_summary_lines
+    """Run one config and write its CSV, summary and VTK snapshots."""
+    out = cfg.output
+    on_step = None
+    if out.snapshot_every > 0:
+        os.makedirs(out.directory, exist_ok=True)
 
-        output_mod.append_summary(
-            os.path.join(cfg.output.directory, cfg.output.summary_name),
-            run_summary_lines(report),
-        )
+        def on_step(mesh, state):
+            if state.step % out.snapshot_every == 0 or state.step == cfg.n_steps:
+                output_mod.write_snapshot(out.directory, out.vtk_prefix, mesh, state)
+
+    report = run(cfg, on_step=on_step)
+    output_mod.write_run_outputs(report)
+    output_mod.append_summary(
+        os.path.join(out.directory, out.summary_name),
+        diagnostics.run_summary_lines(report),
+    )
     return report
 
 
@@ -235,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write a VTK snapshot every N steps (0 disables)")
     common.add_argument("--threads", type=int, default=1, metavar="N",
                         help="worker processes for preset bundles (default 1)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; the model is deterministic and ignores it")
 
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")
     p_run.add_argument("config", nargs="?", default="", help="config file path")

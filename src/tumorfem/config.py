@@ -119,11 +119,10 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
             f"{[v.value for v in SchemeVariant]}, got {variant_raw!r}"
         ) from exc
 
-    initial = InitialConditions(
-        T=_parse_profile(cp, "T"),
-        N=_parse_profile(cp, "N"),
-        Phi=_parse_profile(cp, "Phi"),
-    )
+    try:
+        initial = InitialConditions(**{name: _parse_profile(cp, name) for name in _FIELDS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     solver = SolverOptions(
         tol=_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol") else 1e-10,
@@ -201,8 +200,8 @@ def serialize_config(config: RunConfig) -> str:
     w(f"debug_checks = {str(config.debug_checks).lower()}\n")
     w(f"label = {config.label}\n")
     w("\n[initial]\n")
-    for name, profile in (("T", config.initial.T), ("N", config.initial.N), ("Phi", config.initial.Phi)):
-        for line in _profile_lines(name, profile):
+    for name in _FIELDS:
+        for line in _profile_lines(name, getattr(config.initial, name)):
             w(line + "\n")
     w("\n[solver]\n")
     w(f"tol = {config.solver.tol!r}\n")

@@ -26,7 +26,6 @@ __all__ = [
     "StiffnessTemplate",
     "build_context",
     "assemble_lumped_mass",
-    "assemble_stiffness",
     "consistent_mass",
     "discrete_laplacian_apply",
     "norms",
@@ -81,7 +80,6 @@ class StiffnessTemplate:
         )
         slots = np.empty(9 * nt, dtype=np.int64)
         slots[order] = slot_of_sorted
-        self._mesh = mesh
         self._slots = slots
         self._geom = geom
         self._indptr = pattern.indptr
@@ -90,7 +88,11 @@ class StiffnessTemplate:
         self.n_triangles = nt
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t."""
+        """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
+
+        On a non-obtuse mesh the result has nonpositive off-diagonal entries
+        and zero row sums.
+        """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (self.n_triangles,):
             raise ValueError(
@@ -103,15 +105,6 @@ class StiffnessTemplate:
         return sp.csr_matrix(
             (data, self._indices.copy(), self._indptr.copy()), shape=(self._n, self._n)
         )
-
-
-def assemble_stiffness(mesh: Triangulation, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for grad-grad terms with one scalar coefficient per element.
-
-    On a non-obtuse mesh with nonnegative coefficients the result has
-    nonpositive off-diagonal entries and zero row sums.
-    """
-    return StiffnessTemplate(mesh).assemble(np.asarray(coeff, dtype=float))
 
 
 def consistent_mass(mesh: Triangulation) -> sp.csr_matrix:
@@ -152,7 +145,6 @@ class FemContext:
     """Everything assemble-once for a fixed mesh, shared by steppers and norms."""
 
     mesh: Triangulation
-    areas: np.ndarray
     lumped: np.ndarray
     unit_stiffness: sp.csr_matrix
     mass: sp.csr_matrix
@@ -164,11 +156,9 @@ class FemContext:
 
 
 def build_context(mesh: Triangulation) -> FemContext:
-    areas, _ = element_areas_and_gradients(mesh)
     template = StiffnessTemplate(mesh)
     return FemContext(
         mesh=mesh,
-        areas=areas,
         lumped=assemble_lumped_mass(mesh),
         unit_stiffness=template.assemble(np.ones(mesh.n_triangles)),
         mass=consistent_mass(mesh),

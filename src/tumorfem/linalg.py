@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CgResult", "spmv", "cg_solve", "csr_is_canonical", "value_symmetry_defect"]
+__all__ = ["CgResult", "cg_solve", "value_symmetry_defect"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class CgError(RuntimeError):
         self.residual = residual
 
 
-def spmv(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """CSR matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {A.shape} times vector {x.shape}")
-    return A @ x
-
-
 def cg_solve(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -58,13 +50,16 @@ def cg_solve(
     Stops when ||b - A x||_2 <= tol * ||b||_2; raises ``CgError`` if that
     does not happen within ``maxit`` iterations (default 10 n). A zero
     right-hand side returns the zero vector, and an empty system returns an
-    empty solution. Deterministic for fixed inputs.
+    empty solution. Raises ``ValueError`` for a non-finite ``b`` or ``x0``.
+    Deterministic for fixed inputs.
     """
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(b)) or (x0 is not None and not np.all(np.isfinite(x0))):
+        raise ValueError("right-hand side and initial guess must be finite")
     if n == 0:
         return CgResult(x=np.empty(0), iterations=0, residual=0.0)
     if maxit is None:
@@ -100,15 +95,6 @@ def cg_solve(
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise CgError(maxit, float(np.linalg.norm(r)) / b_norm)
-
-
-def csr_is_canonical(A: sp.csr_matrix) -> bool:
-    """True when column indices are strictly increasing within each row."""
-    for row in range(A.shape[0]):
-        cols = A.indices[A.indptr[row] : A.indptr[row + 1]]
-        if np.any(np.diff(cols) <= 0):
-            return False
-    return True
 
 
 def value_symmetry_defect(A: sp.csr_matrix) -> float:

@@ -19,11 +19,9 @@ import numpy as np
 __all__ = [
     "Triangulation",
     "AngleReport",
-    "ElementGeometry",
     "triangulation_from_arrays",
     "build_structured_mesh",
     "audit_angles",
-    "element_geometry",
     "element_areas_and_gradients",
     "read_mesh",
     "write_mesh",
@@ -76,14 +74,6 @@ class AngleReport:
     non_obtuse: bool
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Area and constant P1 basis gradients of one element."""
-
-    area: float
-    grad_basis: np.ndarray  # (3, 2), row i is the gradient of basis i
-
-
 def _signed_doubled_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p = nodes[triangles]
     v1 = p[:, 1] - p[:, 0]
@@ -95,9 +85,11 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     """Build a validated ``Triangulation`` from raw coordinate/index arrays.
 
     Vertex order within a triangle is flipped where needed so all elements
-    end up positively oriented. Raises ``ValueError`` for out-of-range
-    indices, repeated vertices, degenerate elements, or an edge shared by
-    more than two elements (non-conforming mesh).
+    end up positively oriented. Raises ``ValueError`` for non-finite
+    coordinates, an empty element list, out-of-range indices, repeated
+    vertices, vertices no element uses (they would get zero lumped mass),
+    degenerate elements, or an edge shared by more than two elements
+    (non-conforming mesh).
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -105,12 +97,20 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         raise ValueError("nodes must be an (n, 2) array")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError("triangles must be an (m, 3) array")
-    if triangles.size:
-        if triangles.min() < 0 or triangles.max() >= len(nodes):
-            raise ValueError("triangle vertex index out of range")
-    for t, (a, b, c) in enumerate(triangles):
-        if a == b or b == c or a == c:
-            raise ValueError(f"element {t} has repeated vertices")
+    finite = np.isfinite(nodes).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"vertex {int(np.argmin(finite))} has non-finite coordinates")
+    if triangles.size == 0:
+        raise ValueError("mesh has no elements")
+    if triangles.min() < 0 or triangles.max() >= len(nodes):
+        raise ValueError("triangle vertex index out of range")
+    ordered = np.sort(triangles, axis=1)
+    repeated = np.nonzero((ordered[:, 0] == ordered[:, 1]) | (ordered[:, 1] == ordered[:, 2]))[0]
+    if repeated.size:
+        raise ValueError(f"element {int(repeated[0])} has repeated vertices")
+    used = np.bincount(triangles.ravel(), minlength=len(nodes)) > 0
+    if not used.all():
+        raise ValueError(f"vertex {int(np.argmin(used))} belongs to no element")
 
     det = _signed_doubled_areas(nodes, triangles)
     flip = det < 0.0
@@ -125,13 +125,12 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         bad = int(np.nonzero(det == 0.0)[0][0])
         raise ValueError(f"element {bad} is degenerate (zero area)")
 
-    edges = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            e = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-            edges[e] = edges.get(e, 0) + 1
-            if edges[e] > 2:
-                raise ValueError(f"edge {e} shared by more than two elements")
+    # Each edge as one key lo * n + hi over its sorted vertex pair.
+    edges = np.concatenate([ordered[:, [0, 1]], ordered[:, [1, 2]], ordered[:, [0, 2]]])
+    keys, counts = np.unique(edges[:, 0] * len(nodes) + edges[:, 1], return_counts=True)
+    if counts.max() > 2:
+        lo, hi = divmod(int(keys[np.argmax(counts > 2)]), len(nodes))
+        raise ValueError(f"edge ({lo}, {hi}) shared by more than two elements")
 
     p = nodes[triangles]
     edge_len = np.stack(
@@ -141,8 +140,7 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
             np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
         ]
     )
-    h = float(edge_len.max()) if triangles.size else 0.0
-    return Triangulation(nodes=nodes, triangles=triangles, h=h)
+    return Triangulation(nodes=nodes, triangles=triangles, h=float(edge_len.max()))
 
 
 def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulation:
@@ -228,23 +226,6 @@ def element_areas_and_gradients(mesh: Triangulation) -> tuple[np.ndarray, np.nda
         grads[:, loc, 0] = -e[:, 1] / det
         grads[:, loc, 1] = e[:, 0] / det
     return 0.5 * np.abs(det), grads
-
-
-def element_geometry(mesh: Triangulation, t: int) -> ElementGeometry:
-    """Area and constant basis gradients of element ``t``."""
-    if not 0 <= t < mesh.n_triangles:
-        raise ValueError(f"element index {t} out of range")
-    p = mesh.nodes[mesh.triangles[t]]
-    v1 = p[1] - p[0]
-    v2 = p[2] - p[0]
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det == 0.0:
-        raise ValueError(f"element {t} is degenerate (zero area)")
-    grads = np.empty((3, 2))
-    for loc in range(3):
-        e = p[(loc + 2) % 3] - p[(loc + 1) % 3]
-        grads[loc] = (-e[1] / det, e[0] / det)
-    return ElementGeometry(area=0.5 * abs(det), grad_basis=grads)
 
 
 def write_mesh(mesh: Triangulation, path) -> None:

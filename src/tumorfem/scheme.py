@@ -4,7 +4,9 @@ One step advances the three fields in a fixed uncoupled order: the tumor
 field is solved from a linear system (diffusion implicit, negative
 reaction coefficients semi-implicit, positive ones explicit), then the
 vasculature is updated nodewise in closed form using the fresh tumor
-values, then necrosis explicitly from both. Three variants exist:
+values, then necrosis explicitly from both. A single ``step`` covers the
+three variants, which are points on two axes, mass (lumped or consistent)
+and reaction treatment (split or explicit):
 
 * ``IMEX_LUMPED`` is the production scheme: lumped mass everywhere. On a
   non-obtuse mesh its tumor system matrix is an M-matrix, so the fields
@@ -17,13 +19,17 @@ values, then necrosis explicitly from both. Three variants exist:
   mass in the time derivative and in the reaction loads. Its system matrix
   gains positive off-diagonals, which is exactly what breaks positivity.
 
-The run loop is sequential in time; within a step all nodewise updates are
-vectorized. Identical configs produce bit-identical reports.
+The run loop is sequential in time and writes no files; within a step all
+nodewise updates are vectorized. Identical configs produce bit-identical
+reports.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +54,7 @@ __all__ = [
     "RunReport",
     "SchemeError",
     "element_diffusivity",
-    "step_imex_lumped",
-    "step_explicit_lumped",
-    "step_imex_consistent",
+    "step",
     "run",
 ]
 
@@ -78,6 +82,12 @@ class GaussianProfile:
     center: tuple[float, float] = (0.5, 0.5)
     width: float = 0.1
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.base, self.amplitude, *self.center, self.width))):
+            raise ValueError("Gaussian profile parameters must be finite")
+        if self.width <= 0.0:
+            raise ValueError("Gaussian profile width must be positive")
+
     def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
         r2 = (nodes[:, 0] - self.center[0]) ** 2 + (nodes[:, 1] - self.center[1]) ** 2
         v = self.base + self.amplitude * np.exp(-r2 / self.width**2)
@@ -87,6 +97,10 @@ class GaussianProfile:
 @dataclass(frozen=True)
 class ConstantProfile:
     value: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("constant profile value must be finite")
 
     def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
         return np.full(nodes.shape[0], min(max(self.value, 0.0), K))
@@ -269,103 +283,74 @@ def _solve_spd(B, rhs, x0, solver: SolverOptions, step: int):
         raise SchemeError(step, str(exc)) from exc
 
 
-def step_imex_lumped(
+def step(
     state: State,
     ctx: FemContext,
     p: ModelParams,
     dt: float,
     solver: SolverOptions = SolverOptions(),
     debug_checks: bool = False,
+    *,
+    lumped: bool,
+    split: bool,
 ) -> tuple[State, StepDiagnostics]:
-    """One step of the mass-lumped semi-implicit scheme (the bound-preserving one)."""
-    m = ctx.lumped
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
-    source, decay = model.imex_coefficients_T(state.T, state.N, state.Phi, p)
-    B = (sp.diags(m / dt) + A + sp.diags(m * decay)).tocsr()
-    if debug_checks:
-        _assert_m_matrix(B, state.step + 1)
-    rhs = m * (state.T / dt + source)
-    res = _solve_spd(B, rhs, state.T, solver, state.step + 1)
-    t_new = res.x
-    phi_new = model.update_phi_node(state.T, t_new, state.N, state.Phi, dt, p)
-    n_new = model.update_n_node(state.T, t_new, state.N, state.Phi, phi_new, dt, p)
-    new = State(T=t_new, N=n_new, Phi=phi_new, step=state.step + 1, time=state.time + dt)
-    _check_finite(new)
-    return new, _field_diag(new, res.iterations, res.residual)
+    """One step with lumped (else consistent) mass and split (else explicit) reactions.
 
-
-def step_explicit_lumped(
-    state: State,
-    ctx: FemContext,
-    p: ModelParams,
-    dt: float,
-    solver: SolverOptions = SolverOptions(),
-    debug_checks: bool = False,
-) -> tuple[State, StepDiagnostics]:
-    """One step of the comparison scheme with fully explicit reactions.
-
-    Diffusion stays implicit with lumped mass, so any bound violation is
-    attributable to the reaction treatment alone. The unsplit reactions are
-    evaluated at the old state and enter as consistent-mass load vectors;
-    nothing in the right-hand side is tailored to preserve signs, and it
-    indeed does not.
+    Explicit reactions are the unsplit ones at the old state, entering as
+    consistent-mass loads; consistent mass with them is no scheme and
+    raises ``ValueError``. The consistent-mass tumor system has positive
+    off-diagonals and a mild asymmetry, so it is solved by CG on its normal
+    equations and the residual reported is that of the original system.
+    Its nodal updates equal the lumped ones: the mass matrix acts on both
+    sides of their nodewise-defined interpolants and cancels.
     """
-    m = ctx.lumped
-    M = ctx.mass
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
-    f1, f2, f3 = model.reactions(state.T, state.N, state.Phi, p)
-    B = (sp.diags(m / dt) + A).tocsr()
-    rhs = m * (state.T / dt) + M @ f1
-    res = _solve_spd(B, rhs, state.T, solver, state.step + 1)
-    t_new = res.x
-    phi_new = state.Phi + dt * (M @ f3) / m
-    n_new = state.N + dt * (M @ f2) / m
-    new = State(T=t_new, N=n_new, Phi=phi_new, step=state.step + 1, time=state.time + dt)
+    if not (lumped or split):
+        raise ValueError("no scheme combines consistent mass with explicit reactions")
+    k = state.step + 1
+    T, N, Phi = state.T, state.N, state.Phi
+    m, M = ctx.lumped, ctx.mass
+    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, T, Phi, p))
+    if split:
+        source, decay = model.imex_coefficients_T(T, N, Phi, p)
+        if lumped:
+            B = (sp.diags(m / dt) + A + sp.diags(m * decay)).tocsr()
+            rhs = m * (T / dt + source)
+        else:
+            B = (M.multiply(1.0 / dt) + A + (M @ sp.diags(decay))).tocsr()
+            rhs = M @ (T / dt + source)
+    else:
+        f1, f2, f3 = model.reactions(T, N, Phi, p)
+        B = (sp.diags(m / dt) + A).tocsr()
+        rhs = m * (T / dt) + M @ f1
+
+    if lumped:
+        if debug_checks:
+            _assert_m_matrix(B, k)
+        res = _solve_spd(B, rhs, T, solver, k)
+        residual = res.residual
+    else:
+        Bt = B.T.tocsr()
+        res = _solve_spd((Bt @ B).tocsr(), Bt @ rhs, T, solver, k)
+        rhs_norm = float(np.linalg.norm(rhs))
+        residual = float(np.linalg.norm(rhs - B @ res.x)) / rhs_norm if rhs_norm else 0.0
+
+    if split:
+        phi_new = model.update_phi_node(T, res.x, N, Phi, dt, p)
+        n_new = model.update_n_node(T, res.x, N, Phi, phi_new, dt, p)
+    else:
+        phi_new = Phi + dt * (M @ f3) / m
+        n_new = N + dt * (M @ f2) / m
+    new = State(T=res.x, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
     _check_finite(new)
-    return new, _field_diag(new, res.iterations, res.residual)
+    return new, _field_diag(new, res.iterations, residual)
 
 
-def step_imex_consistent(
-    state: State,
-    ctx: FemContext,
-    p: ModelParams,
-    dt: float,
-    solver: SolverOptions = SolverOptions(),
-    debug_checks: bool = False,
-) -> tuple[State, StepDiagnostics]:
-    """One step of the semi-implicit splitting without mass lumping.
-
-    The tumor system matrix M/dt + A + M diag(decay) picks up positive
-    off-diagonals from the consistent mass and a mild asymmetry from the
-    nodal decay coefficients, so it is solved by conjugate gradients on its
-    normal equations. The reported residual is for the original system.
-
-    The vasculature and necrosis equations with consistent mass reduce to
-    the same nodal updates as the lumped scheme: the mass matrix applies to
-    both sides of their nodewise-defined interpolants and cancels.
-    """
-    M = ctx.mass
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
-    source, decay = model.imex_coefficients_T(state.T, state.N, state.Phi, p)
-    B = (M.multiply(1.0 / dt) + A + (M @ sp.diags(decay))).tocsr()
-    rhs = M @ (state.T / dt + source)
-    Bt = B.T.tocsr()
-    normal = (Bt @ B).tocsr()
-    res = _solve_spd(normal, Bt @ rhs, state.T, solver, state.step + 1)
-    t_new = res.x
-    rhs_norm = float(np.linalg.norm(rhs))
-    true_res = float(np.linalg.norm(rhs - B @ t_new)) / rhs_norm if rhs_norm else 0.0
-    phi_new = model.update_phi_node(state.T, t_new, state.N, state.Phi, dt, p)
-    n_new = model.update_n_node(state.T, t_new, state.N, state.Phi, phi_new, dt, p)
-    new = State(T=t_new, N=n_new, Phi=phi_new, step=state.step + 1, time=state.time + dt)
-    _check_finite(new)
-    return new, _field_diag(new, res.iterations, true_res)
-
-
+# run() looks its stepper up here on every call, so a caller may swap an entry
+# (to time or count steps) without touching the scheme.
 _STEPPERS = {
-    SchemeVariant.IMEX_LUMPED: step_imex_lumped,
-    SchemeVariant.EXPLICIT_LUMPED: step_explicit_lumped,
-    SchemeVariant.IMEX_CONSISTENT: step_imex_consistent,
+    SchemeVariant.IMEX_LUMPED: functools.partial(step, lumped=True, split=True),
+    SchemeVariant.EXPLICIT_LUMPED: functools.partial(step, lumped=True, split=False),
+    SchemeVariant.IMEX_CONSISTENT: functools.partial(step, lumped=False, split=True),
 }
 
 
@@ -374,17 +359,18 @@ def initial_state(config: RunConfig, mesh: Triangulation) -> State:
     return State(T=T0, N=N0, Phi=Phi0, step=0, time=0.0)
 
 
-def run(config: RunConfig, write_outputs: bool | None = None) -> RunReport:
+def run(
+    config: RunConfig, on_step: Callable[[Triangulation, State], None] | None = None
+) -> RunReport:
     """Execute the configured number of steps and collect per-step diagnostics.
 
     The accumulated energy is dt * sum_k ||T^k||_{H1}^2 over the computed
     steps. Lumped variants refuse meshes that fail the non-obtuse audit.
-    Outputs (CSV, optional VTK snapshots, summary) are written when the
-    config names an output directory, unless ``write_outputs`` overrides.
+    ``on_step(mesh, state)``, when given, sees the initial state and the
+    state after every step. No file is written here; the output options are
+    for the caller, e.g. ``output.write_run_outputs(report)``.
     """
     mesh = config.mesh.build()
-    if mesh.n_triangles == 0:
-        raise ValueError("mesh has no elements")
     report_angles = audit_angles(mesh)
     if config.variant in (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED):
         if not report_angles.non_obtuse:
@@ -396,19 +382,8 @@ def run(config: RunConfig, write_outputs: bool | None = None) -> RunReport:
     ctx = build_context(mesh)
     state = initial_state(config, mesh)
     state.check_lengths(mesh.n_vertices)
-
-    if write_outputs is None:
-        write_outputs = bool(config.output.directory)
-    snap_every = config.output.snapshot_every if write_outputs else 0
-    if snap_every > 0:
-        import os
-
-        from . import output as output_mod
-
-        os.makedirs(config.output.directory, exist_ok=True)
-        output_mod.write_snapshot(
-            config.output.directory, config.output.vtk_prefix, mesh, state
-        )
+    if on_step is not None:
+        on_step(mesh, state)
 
     stepper = _STEPPERS[config.variant]
     diags = [_field_diag(state, 0, 0.0)]
@@ -422,12 +397,10 @@ def run(config: RunConfig, write_outputs: bool | None = None) -> RunReport:
         energy += config.dt * (l2 * l2 + h1 * h1)
         d.energy_acc = energy
         diags.append(d)
-        if snap_every > 0 and (state.step % snap_every == 0 or state.step == config.n_steps):
-            output_mod.write_snapshot(
-                config.output.directory, config.output.vtk_prefix, mesh, state
-            )
+        if on_step is not None:
+            on_step(mesh, state)
 
-    report = RunReport(
+    return RunReport(
         config=config,
         mesh=mesh,
         steps=diags,
@@ -435,8 +408,3 @@ def run(config: RunConfig, write_outputs: bool | None = None) -> RunReport:
         energy=energy,
         non_obtuse=report_angles.non_obtuse,
     )
-    if write_outputs and config.output.directory:
-        from . import output as output_mod
-
-        output_mod.write_run_outputs(report)
-    return report

@@ -24,8 +24,8 @@ from tumorfem.diagnostics import (
     scalar_comparison_oracle,
 )
 from tumorfem.fem import (
+    StiffnessTemplate,
     assemble_lumped_mass,
-    assemble_stiffness,
     build_context,
     consistent_mass,
     discrete_laplacian_apply,
@@ -45,7 +45,7 @@ from tumorfem.scheme import (
     SolverOptions,
     initial_state,
     run,
-    step_imex_lumped,
+    step,
 )
 
 
@@ -128,7 +128,7 @@ def test_criterion_4_necrosis_monotone_with_gronwall_ceiling():
     assert c2 == pytest.approx(cfg.params.alpha * cfg.params.K + cfg.params.delta * cfg.params.K**2)
     for k in range(1, cfg.n_steps + 1):
         prev_n = state.N
-        state, _ = step_imex_lumped(state, ctx, cfg.params, cfg.dt, solver=cfg.solver)
+        state, _ = step(state, ctx, cfg.params, cfg.dt, cfg.solver, lumped=True, split=True)
         assert np.all(state.N >= prev_n)
         growth = np.exp(c1 * k * cfg.dt)
         ceiling = n0 * growth + c2 * (growth - 1.0) / c1
@@ -281,13 +281,13 @@ def test_criterion_7_fem_invariants_on_twenty_meshes():
         assert np.abs(rows - lumped).max() <= 1e-12 * domain_area
 
         coeff = rng.uniform(0.0, 2.0, size=mesh.n_triangles)
-        A = assemble_stiffness(mesh, coeff)
+        A = StiffnessTemplate(mesh).assemble(coeff)
         scale = max(1.0, np.abs(A.data).max())
         assert np.abs(np.asarray(A.sum(axis=1)).ravel()).max() <= 1e-12 * scale
         coo = A.tocoo()
         assert coo.data[coo.row != coo.col].max() <= 0.0
 
-        unit = assemble_stiffness(mesh, np.ones(mesh.n_triangles))
+        unit = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
         ctx = build_context(mesh)
         for _ in range(5):
             f = rng.standard_normal(mesh.n_vertices)
@@ -317,7 +317,7 @@ def test_criterion_8_oracle_equivalences():
     expected = 1.0
     worst = 0.0
     for _ in range(100):
-        state, _ = step_imex_lumped(state, ctx, p, 1e-2, solver=solver)
+        state, _ = step(state, ctx, p, 1e-2, solver, lumped=True, split=True)
         expected /= 1.0 + p.alpha * 1e-2
         worst = max(worst, float(np.abs(state.T - expected).max()))
     assert worst <= 1e-10

@@ -1,5 +1,7 @@
+import pytest
+
 from tumorfem.cli import build_preset, main
-from tumorfem.config import write_config_file
+from tumorfem.config import serialize_config, write_config_file
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 from tumorfem.scheme import SchemeVariant
 
@@ -41,6 +43,54 @@ def test_run_config_file(tmp_path, capsys):
     assert (out_dir / "summary.txt").exists()
 
 
+def test_snapshots_written(tmp_path):
+    from tumorfem.scheme import OutputOptions
+
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(tf=0.04, output=OutputOptions(snapshot_every=2)), str(cfg_path))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    names = sorted(p.name for p in out_dir.glob("*.vtk"))
+    assert names == ["snapshot_000000.vtk", "snapshot_000002.vtk", "snapshot_000004.vtk"]
+    assert (out_dir / "per_step.csv").exists()
+    assert (out_dir / "summary.txt").exists()
+
+
+def test_run_seed_flag_is_gone(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(), str(cfg_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(cfg_path), "--seed", "1", "--output-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_run_bad_profile_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(tiny_config()).replace("T_width = 0.2", "T_width = 0.0"))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "width must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh_text, message", [
+    ("3 1\n0.0 0.0\nnan 0.0\n0.0 1.0\n0 1 2\n", "non-finite"),
+    ("4 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n5.0 5.0\n0 1 2\n", "belongs to no element"),
+], ids=["nan-coordinate", "unused-vertex"])
+def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
+    from dataclasses import replace
+
+    from tumorfem.scheme import MeshSpec
+
+    mesh_path = tmp_path / "bad.txt"
+    mesh_path.write_text(mesh_text)
+    assert main(["check-mesh", str(mesh_path)]) == 2
+    assert message in capsys.readouterr().err
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(replace(tiny_config(), mesh=MeshSpec(path=str(mesh_path))), str(cfg_path))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_missing_config_is_error(capsys):
     assert main(["run"]) == 2
     assert "config" in capsys.readouterr().err
@@ -66,9 +116,10 @@ def test_preset_round_trip_bit_identical_csv(tmp_path):
     direct_dir = tmp_path / "direct"
     from dataclasses import replace
 
+    from tumorfem.output import write_run_outputs
     from tumorfem.scheme import OutputOptions, run
 
-    run(replace(cfg, output=OutputOptions(directory=str(direct_dir))))
+    write_run_outputs(run(replace(cfg, output=OutputOptions(directory=str(direct_dir)))))
     cfg_path = tmp_path / "preset.cfg"
     write_config_file(cfg, str(cfg_path))
     file_dir = tmp_path / "fromfile"

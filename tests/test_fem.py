@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tumorfem.fem import (
+    StiffnessTemplate,
     assemble_lumped_mass,
-    assemble_stiffness,
     build_context,
     consistent_mass,
     discrete_laplacian_apply,
@@ -42,19 +42,19 @@ def test_lumped_mass_partition_of_unity():
 
 def test_stiffness_zero_coefficient():
     mesh = build_structured_mesh(3, 3, 1.0, 1.0)
-    A = assemble_stiffness(mesh, np.zeros(mesh.n_triangles))
+    A = StiffnessTemplate(mesh).assemble(np.zeros(mesh.n_triangles))
     assert A.nnz == 0 or np.abs(A.data).max() == 0.0
 
 
 def test_stiffness_reference_local_matrix():
-    A = assemble_stiffness(reference_triangle(), [1.0]).toarray()
+    A = StiffnessTemplate(reference_triangle()).assemble([1.0]).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(A, expected, rtol=0, atol=1e-15)
 
 
 def test_stiffness_constants_in_kernel_and_row_sums():
     mesh = build_structured_mesh(6, 5, 1.3, 0.9)
-    A = assemble_stiffness(mesh, np.ones(mesh.n_triangles))
+    A = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
     ones = np.ones(mesh.n_vertices)
     scale = np.abs(A.data).max()
     assert np.abs(A @ ones).max() <= 1e-12 * scale
@@ -66,9 +66,9 @@ def test_stiffness_rejects_negative_coefficients_and_bad_length():
     coeff = np.ones(mesh.n_triangles)
     coeff[0] = -1e-12
     with pytest.raises(ValueError, match="nonnegative"):
-        assemble_stiffness(mesh, coeff)
+        StiffnessTemplate(mesh).assemble(coeff)
     with pytest.raises(ValueError, match="shape"):
-        assemble_stiffness(mesh, np.ones(3))
+        StiffnessTemplate(mesh).assemble(np.ones(3))
 
 
 def test_stiffness_m_matrix_sign_pattern():
@@ -77,7 +77,7 @@ def test_stiffness_m_matrix_sign_pattern():
         nx, ny = rng.integers(2, 9, size=2)
         mesh = build_structured_mesh(int(nx), int(ny), 1.0, 1.4)
         coeff = rng.uniform(0.0, 3.0, size=mesh.n_triangles)
-        A = assemble_stiffness(mesh, coeff).tocoo()
+        A = StiffnessTemplate(mesh).assemble(coeff).tocoo()
         scale = max(1.0, np.abs(A.data).max())
         off = A.data[A.row != A.col]
         diag = A.data[A.row == A.col]

@@ -5,8 +5,6 @@ import scipy.sparse as sp
 from tumorfem.linalg import (
     CgError,
     cg_solve,
-    csr_is_canonical,
-    spmv,
     value_symmetry_defect,
 )
 
@@ -22,20 +20,20 @@ def random_spd(n, rng, density=0.3):
 def test_spmv_identity_and_zero():
     x = np.array([3.0, -1.0, 2.5])
     I = sp.identity(3, format="csr")
-    assert np.array_equal(spmv(I, x), x)
+    assert np.array_equal(I @ x, x)
     Z = sp.csr_matrix((3, 3))
-    assert np.array_equal(spmv(Z, x), np.zeros(3))
+    assert np.array_equal(Z @ x, np.zeros(3))
 
 
 def test_spmv_hand_example():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert np.array_equal(spmv(A, np.array([1.0, 1.0])), np.array([3.0, 4.0]))
+    assert np.array_equal(A @ np.array([1.0, 1.0]), np.array([3.0, 4.0]))
 
 
 def test_spmv_dimension_mismatch():
     A = sp.identity(3, format="csr")
     with pytest.raises(ValueError, match="dimension"):
-        spmv(A, np.ones(4))
+        A @ np.ones(4)
 
 
 def test_spmv_linearity():
@@ -46,8 +44,8 @@ def test_spmv_linearity():
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         a, b = rng.standard_normal(2)
-        lhs = spmv(A, a * x + b * y)
-        rhs = a * spmv(A, x) + b * spmv(A, y)
+        lhs = A @ (a * x + b * y)
+        rhs = a * (A @ x) + b * (A @ y)
         scale = max(1.0, np.abs(lhs).max())
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -83,8 +81,8 @@ def test_cg_random_spd_within_budget_and_posthoc_residual():
         b = rng.standard_normal(n)
         res = cg_solve(A, b, tol=1e-10, maxit=10 * n)
         assert res.iterations <= 10 * n
-        # independent post-check through spmv
-        assert np.linalg.norm(b - spmv(A, res.x)) <= 1e-10 * np.linalg.norm(b)
+        # independent post-check through the matrix-vector product
+        assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_cg_warm_start_and_jacobi():
@@ -116,6 +114,17 @@ def test_cg_rejects_bad_tol_and_shapes():
         cg_solve(A, np.ones(4))
 
 
+@pytest.mark.parametrize("b, x0", [
+    ([1.0, np.nan, 1.0], None),
+    ([1.0, np.inf, 1.0], None),
+    ([1.0, 1.0, 1.0], [0.0, np.nan, 0.0]),
+], ids=["nan-rhs", "inf-rhs", "nan-x0"])
+def test_cg_rejects_non_finite_input(b, x0):
+    A = sp.identity(3, format="csr")
+    with pytest.raises(ValueError, match="finite"):
+        cg_solve(A, np.array(b), x0=None if x0 is None else np.array(x0))
+
+
 def test_cg_deterministic():
     rng = np.random.default_rng(2)
     A = random_spd(25, rng)
@@ -130,7 +139,7 @@ def test_cg_deterministic():
 def test_csr_canonical_and_symmetry_helpers():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     A.sort_indices()
-    assert csr_is_canonical(A)
+    assert A.has_canonical_format
     assert value_symmetry_defect(A) == 0.0
     B = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))
     assert value_symmetry_defect(B) == pytest.approx(0.5)

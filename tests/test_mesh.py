@@ -7,7 +7,6 @@ from tumorfem.mesh import (
     audit_angles,
     build_structured_mesh,
     element_areas_and_gradients,
-    element_geometry,
     read_mesh,
     triangulation_from_arrays,
     write_mesh,
@@ -79,30 +78,25 @@ def test_structured_meshes_always_non_obtuse():
 
 def test_element_geometry_reference_triangle():
     m = triangulation_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
-    g = element_geometry(m, 0)
-    assert g.area == pytest.approx(0.5)
-    assert np.allclose(g.grad_basis, [(-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
+    areas, grads = element_areas_and_gradients(m)
+    assert areas[0] == pytest.approx(0.5)
+    assert np.allclose(grads[0], [(-1.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
 
 
 def test_element_geometry_scaled_triangle():
     m = triangulation_from_arrays([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], [(0, 1, 2)])
-    g = element_geometry(m, 0)
-    assert g.area == pytest.approx(2.0)
-    assert np.allclose(g.grad_basis, [(-0.5, -0.5), (0.5, 0.0), (0.0, 0.5)])
+    areas, grads = element_areas_and_gradients(m)
+    assert areas[0] == pytest.approx(2.0)
+    assert np.allclose(grads[0], [(-0.5, -0.5), (0.5, 0.0), (0.0, 0.5)])
 
 
 def test_basis_gradients_sum_to_zero():
     m = build_structured_mesh(5, 4, 1.7, 0.9)
     _, grads = element_areas_and_gradients(m)
     assert np.abs(grads.sum(axis=1)).max() < 1e-14
-    g = element_geometry(m, 3)
-    assert np.abs(g.grad_basis.sum(axis=0)).max() < 1e-14
 
 
-def test_element_geometry_index_and_degenerate_errors():
-    m = build_structured_mesh(2, 2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        element_geometry(m, m.n_triangles)
+def test_degenerate_element_errors():
     with pytest.raises(ValueError, match="degenerate"):
         triangulation_from_arrays([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1, 2)])
 
@@ -128,8 +122,8 @@ def test_gradient_pair_products_nonpositive_on_non_obtuse_mesh():
 def test_orientation_normalization():
     # Clockwise input gets flipped to a positive area.
     m = triangulation_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)])
-    g = element_geometry(m, 0)
-    assert g.area == pytest.approx(0.5)
+    areas, _ = element_areas_and_gradients(m)
+    assert areas[0] == pytest.approx(0.5)
 
 
 def test_validation_rejects_bad_connectivity():
@@ -141,6 +135,20 @@ def test_validation_rejects_bad_connectivity():
     tris = [(0, 1, 2), (1, 3, 2), (0, 1, 3), (0, 1, 4)]  # edge (0,1) used three times
     with pytest.raises(ValueError, match="more than two"):
         triangulation_from_arrays(nodes, tris)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validation_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="vertex 1 has non-finite"):
+        triangulation_from_arrays([(0.0, 0.0), (bad, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+
+
+def test_validation_rejects_unused_vertex():
+    nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
+    with pytest.raises(ValueError, match="vertex 3 belongs to no element"):
+        triangulation_from_arrays(nodes, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="no elements"):
+        triangulation_from_arrays(nodes, np.empty((0, 3), dtype=int))
 
 
 def test_mesh_file_round_trip_bit_identical(tmp_path):

@@ -152,6 +152,20 @@ def test_parse_errors_are_informative():
         parse_config_file("/nonexistent/path.cfg")
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ("T_width = 0.2", "T_width = 0.0", "width must be positive"),
+    ("T_width = 0.2", "T_width = -0.2", "width must be positive"),
+    ("T_amplitude = 1.0", "T_amplitude = nan", "must be finite"),
+    ("N_center_x = 0.5", "N_center_x = inf", "must be finite"),
+    ("Phi_value = 0.5", "Phi_value = nan", "must be finite"),
+], ids=["zero-width", "negative-width", "nan-amplitude", "inf-center", "nan-value"])
+def test_parse_rejects_bad_profiles(old, new, match):
+    text = serialize_config(tiny_config())
+    assert old in text
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text.replace(old, new))
+
+
 def test_param_key_case_preserved():
     text = serialize_config(tiny_config())
     assert "\nK = 1.0\n" in text

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+from tumorfem import scheme
 from tumorfem.fem import build_context
-from tumorfem.linalg import spmv
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import (
@@ -10,15 +12,14 @@ from tumorfem.scheme import (
     GaussianProfile,
     InitialConditions,
     MeshSpec,
+    OutputOptions,
     RunConfig,
     SchemeVariant,
     SolverOptions,
     element_diffusivity,
     initial_state,
     run,
-    step_explicit_lumped,
-    step_imex_consistent,
-    step_imex_lumped,
+    step,
 )
 
 PARAMS = ModelParams(
@@ -29,7 +30,9 @@ NO_REACTIONS = ModelParams(
     kappa1=8e-4, kappa0=8e-4, rho=0.0, alpha=0.0, beta1=0.0, beta2=0.0,
     gamma=0.0, delta=0.0, K=1.0,
 )
-STEPPERS = (step_imex_lumped, step_explicit_lumped, step_imex_consistent)
+imex_lumped = functools.partial(step, lumped=True, split=True)
+explicit_lumped = functools.partial(step, lumped=True, split=False)
+imex_consistent = functools.partial(step, lumped=False, split=True)
 
 
 def small_config(variant=SchemeVariant.IMEX_LUMPED, nx=6, dt=1e-2, tf=0.05, **kw):
@@ -63,13 +66,13 @@ def test_config_validation():
     assert cfg.n_steps == 5
 
 
-@pytest.mark.parametrize("stepper", STEPPERS)
-def test_zero_state_is_a_fixed_point(stepper):
+@pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: f"step_{v.name.lower()}")
+def test_zero_state_is_a_fixed_point(variant):
     mesh = build_structured_mesh(5, 5, 1.0, 1.0)
     ctx = build_context(mesh)
     state = zero_state(mesh.n_vertices)
     for _ in range(3):
-        state, diag = stepper(state, ctx, PARAMS, 1e-2)
+        state, diag = scheme._STEPPERS[variant](state, ctx, PARAMS, 1e-2)
         assert np.all(state.T == 0.0)
         assert np.all(state.N == 0.0)
         assert np.all(state.Phi == 0.0)
@@ -93,7 +96,7 @@ def test_uniform_capacity_tumor_follows_closed_recursion():
     solver = SolverOptions(tol=1e-14)
     expected = 1.0
     for _ in range(100):
-        state, _ = step_imex_lumped(state, ctx, params, dt, solver=solver)
+        state, _ = imex_lumped(state, ctx, params, dt, solver=solver)
         expected = expected / (1.0 + params.alpha * dt)
         assert np.abs(state.T - expected).max() <= 1e-10
     assert np.all(state.N > 0.0)
@@ -107,8 +110,8 @@ def test_explicit_equals_imex_without_reactions():
     s_imex = State(T=T0.copy(), N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5), step=0, time=0.0)
     s_expl = State(T=T0.copy(), N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5), step=0, time=0.0)
     for _ in range(5):
-        s_imex, _ = step_imex_lumped(s_imex, ctx, NO_REACTIONS, 1e-2)
-        s_expl, _ = step_explicit_lumped(s_expl, ctx, NO_REACTIONS, 1e-2)
+        s_imex, _ = imex_lumped(s_imex, ctx, NO_REACTIONS, 1e-2)
+        s_expl, _ = explicit_lumped(s_expl, ctx, NO_REACTIONS, 1e-2)
     assert np.array_equal(s_imex.T, s_expl.T)
     assert np.array_equal(s_imex.N, s_expl.N)
     assert np.array_equal(s_imex.Phi, s_expl.Phi)
@@ -121,8 +124,8 @@ def test_consistent_equals_lumped_on_single_element_constant_fields():
         T=np.full(3, 0.4), N=np.full(3, 0.2), Phi=np.full(3, 0.5), step=0, time=0.0
     )
     solver = SolverOptions(tol=1e-14)
-    s_lumped, _ = step_imex_lumped(mk(), ctx, PARAMS, 1e-2, solver=solver)
-    s_cons, _ = step_imex_consistent(mk(), ctx, PARAMS, 1e-2, solver=solver)
+    s_lumped, _ = imex_lumped(mk(), ctx, PARAMS, 1e-2, solver=solver)
+    s_cons, _ = imex_consistent(mk(), ctx, PARAMS, 1e-2, solver=solver)
     assert np.abs(s_lumped.T - s_cons.T).max() <= 1e-12
     assert np.abs(s_lumped.N - s_cons.N).max() <= 1e-12
     assert np.abs(s_lumped.Phi - s_cons.Phi).max() <= 1e-12
@@ -141,8 +144,8 @@ def test_element_diffusivity_range():
 
 
 def test_step_system_residual_self_check():
-    # Post-verify the solved tumor system through spmv, independent of the CG
-    # internals.
+    # Post-verify the solved tumor system through a matrix-vector product,
+    # independent of the CG internals.
     import scipy.sparse as sp
 
     from tumorfem.model import imex_coefficients_T
@@ -151,12 +154,12 @@ def test_step_system_residual_self_check():
     ctx = build_context(mesh)
     cfg = small_config(nx=10)
     state = initial_state(cfg, mesh)
-    new, diag = step_imex_lumped(state, ctx, PARAMS, cfg.dt, solver=cfg.solver)
+    new, diag = imex_lumped(state, ctx, PARAMS, cfg.dt, solver=cfg.solver)
     A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
     src, dec = imex_coefficients_T(state.T, state.N, state.Phi, PARAMS)
     B = (sp.diags(ctx.lumped / cfg.dt) + A + sp.diags(ctx.lumped * dec)).tocsr()
     rhs = ctx.lumped * (state.T / cfg.dt + src)
-    assert np.linalg.norm(rhs - spmv(B, new.T)) <= cfg.solver.tol * np.linalg.norm(rhs)
+    assert np.linalg.norm(rhs - B @ new.T) <= cfg.solver.tol * np.linalg.norm(rhs)
     assert diag.cg_iters <= 10 * mesh.n_vertices
 
 
@@ -230,15 +233,44 @@ def test_nondecreasing_necrosis_in_imex_run():
     assert all(b >= a for a, b in zip(mins, mins[1:]))
 
 
-def test_snapshots_written(tmp_path):
-    from tumorfem.scheme import OutputOptions
+def test_consistent_mass_with_explicit_reactions_is_no_scheme():
+    mesh = build_structured_mesh(2, 2, 1.0, 1.0)
+    state = zero_state(mesh.n_vertices)
+    with pytest.raises(ValueError, match="consistent mass with explicit reactions"):
+        step(state, build_context(mesh), PARAMS, 1e-2, lumped=False, split=False)
 
-    cfg = small_config(
-        tf=0.04,
-        output=OutputOptions(directory=str(tmp_path), snapshot_every=2),
-    )
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_run_dispatches_every_step_through_stepper_table(monkeypatch, variant):
+    assert set(scheme._STEPPERS) == set(SchemeVariant)
+    calls = []
+    original = scheme._STEPPERS[variant]
+
+    def counting(state, *args, **kwargs):
+        calls.append(state.step)
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setitem(scheme._STEPPERS, variant, counting)
+    cfg = small_config(variant=variant, tf=0.03)
+    report = run(cfg)
+    assert calls == list(range(cfg.n_steps))
+    assert len(report.steps) == cfg.n_steps + 1
+
+
+def test_run_writes_no_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    cfg = small_config(tf=0.02, output=OutputOptions(directory=str(out), snapshot_every=1))
     run(cfg)
-    names = sorted(p.name for p in tmp_path.glob("*.vtk"))
-    assert names == ["snapshot_000000.vtk", "snapshot_000002.vtk", "snapshot_000004.vtk"]
-    assert (tmp_path / "per_step.csv").exists()
-    assert (tmp_path / "summary.txt").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_on_step_sees_every_state_in_order():
+    cfg = small_config(tf=0.04)
+    seen = []
+    report = run(cfg, on_step=lambda mesh, state: seen.append((mesh, state)))
+    assert [s.step for _, s in seen] == list(range(cfg.n_steps + 1))
+    assert all(mesh is report.mesh for mesh, _ in seen)
+    assert seen[-1][1] is report.final_state
+    for (_, s), d in zip(seen, report.steps):
+        assert (s.time, float(s.T.min()), float(s.N.max())) == (d.time, d.min_t, d.max_n)
