@@ -124,11 +124,14 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    solver = SolverOptions(
-        tol=_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol") else 1e-10,
-        maxit=_get_int(cp, "solver", "maxit", default=0),
-        jacobi=cp.getboolean("solver", "jacobi", fallback=False),
-    )
+    try:
+        solver = SolverOptions(
+            tol=_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol") else 1e-10,
+            maxit=_get_int(cp, "solver", "maxit", default=0),
+            jacobi=cp.getboolean("solver", "jacobi", fallback=False),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     output = OutputOptions(
         directory=cp.get("output", "directory", fallback=""),
         csv_name=cp.get("output", "csv", fallback="per_step.csv"),

@@ -3,9 +3,23 @@
 Provides the lumped mass vector, the variable-coefficient stiffness matrix,
 the consistent mass matrix (needed only by the un-lumped comparison
 scheme), the discrete Laplacian, and the discrete norms. Assembly is
-vectorized over elements; a ``StiffnessTemplate`` precomputes the sparsity
-pattern and the per-entry geometric factors so the per-step reassembly of
-the variable-coefficient operator is a scatter-add into fixed CSR storage.
+vectorized over elements, and everything that depends only on the mesh is
+computed once:
+
+* ``StiffnessTemplate`` holds the CSR pattern of the stiffness matrix and
+  a scatter operator ``S`` (one row per stored entry, one column per
+  element) whose values are the geometric factors area * grad_a . grad_b.
+  The per-step values for element coefficients ``c`` are ``S @ c``.
+* Pattern slots whose every geometric factor is exactly zero are left
+  out. On right triangles with axis-aligned legs these are the entries
+  coupling the two ends of a hypotenuse, whose basis gradients are
+  orthogonal; a sparse add drops those zeros, so CG would otherwise
+  multiply by them on every iteration.
+* Within a row of ``S`` the contributions keep the order in which a
+  scatter-add over the elements visits them, so ``S @ c`` sums them in
+  the same sequence and equals that scatter-add bit for bit.
+* ``FemContext.vertex_sum`` sums the three vertex values of every element,
+  for coefficients evaluated at vertex averages.
 
 All quadrature is exact for P1 data; the only approximation is the
 reduction of a nonlinear diffusion coefficient to one value per element,
@@ -32,13 +46,7 @@ __all__ = [
 ]
 
 
-def assemble_lumped_mass(mesh: Triangulation) -> np.ndarray:
-    """Lumped mass vector: entry a is the integral of basis function a.
-
-    Equals area/3 summed over the elements touching each node, which is
-    also the row sum of the consistent mass matrix.
-    """
-    areas, _ = element_areas_and_gradients(mesh)
+def _lumped_mass(mesh: Triangulation, areas: np.ndarray) -> np.ndarray:
     m = np.zeros(mesh.n_vertices)
     third = areas / 3.0
     for loc in range(3):
@@ -46,20 +54,45 @@ def assemble_lumped_mass(mesh: Triangulation) -> np.ndarray:
     return m
 
 
+def assemble_lumped_mass(mesh: Triangulation) -> np.ndarray:
+    """Lumped mass vector: entry a is the integral of basis function a.
+
+    Equals area/3 summed over the elements touching each node, which is
+    also the row sum of the consistent mass matrix.
+    """
+    areas, _ = element_areas_and_gradients(mesh)
+    return _lumped_mass(mesh, areas)
+
+
 class StiffnessTemplate:
-    """Reusable sparsity pattern for per-element-coefficient stiffness matrices.
+    """Fixed CSR pattern and scatter operator for per-element-coefficient stiffness.
 
     The 9 local products area * grad_a . grad_b per element are computed
-    once; ``assemble(coeff)`` scales them by the element coefficients and
-    scatter-adds into preallocated CSR storage.
+    once and stored as the scatter operator ``S`` (stored entries x
+    elements), so ``assemble(coeff)`` is one sparse product ``S @ coeff``.
+    Entries whose geometric factors are all exactly zero are not stored,
+    which keeps the per-step matrices as small as a sparse add that drops
+    zeros would. ``diagonal_slots[a]`` is the position of entry (a, a) in
+    the ``data`` array of every assembled matrix.
     """
 
     def __init__(self, mesh: Triangulation):
-        areas, grads = element_areas_and_gradients(mesh)
+        self._build(mesh, *element_areas_and_gradients(mesh))
+
+    @classmethod
+    def _from_geometry(
+        cls, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray
+    ) -> StiffnessTemplate:
+        template = cls.__new__(cls)
+        template._build(mesh, areas, grads)
+        return template
+
+    def _build(self, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray) -> None:
         n = mesh.n_vertices
         nt = mesh.n_triangles
-        rows = np.empty(9 * nt, dtype=np.int64)
-        cols = np.empty(9 * nt, dtype=np.int64)
+        # Entry e = k * nt + t is the local pair k = (a, b) of element t.
+        rows = np.empty(9 * nt, dtype=np.int32)
+        cols = np.empty(9 * nt, dtype=np.int32)
         geom = np.empty(9 * nt)
         k = 0
         for a in range(3):
@@ -70,20 +103,40 @@ class StiffnessTemplate:
                     "ij,ij->i", grads[:, a], grads[:, b]
                 )
                 k += 1
-        # Canonical CSR slot for every COO entry, so assembly is a scatter-add.
-        pattern = sp.csr_matrix((np.ones(9 * nt), (rows, cols)), shape=(n, n))
-        pattern.sum_duplicates()
-        pattern.sort_indices()
+        # Sort by (row, col); the sort is stable, so the entries of one slot
+        # stay in increasing e, the order a scatter-add would sum them in.
+        # S is built from its CSR arrays directly: a COO conversion would
+        # sort each row by element and change that order.
         order = np.lexsort((cols, rows))
-        slot_of_sorted = np.cumsum(
-            np.r_[0, (np.diff(rows[order]) != 0) | (np.diff(cols[order]) != 0)]
+        rows = rows[order]
+        cols = cols[order]
+        geom = geom[order]
+        elements = np.remainder(order, nt, out=order).astype(np.int32)
+        del order
+        first = np.empty(9 * nt, dtype=bool)
+        first[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        first[1:] |= cols[1:] != cols[:-1]
+        starts = np.flatnonzero(first)
+        del first
+        sizes = np.diff(np.append(starts, 9 * nt))
+        kept = np.logical_or.reduceat(geom != 0.0, starts)
+        entry_kept = np.repeat(kept, sizes)
+        starts = starts[kept]
+        scatter_indptr = np.zeros(len(starts) + 1, dtype=np.int32)
+        np.cumsum(sizes[kept], out=scatter_indptr[1:])
+        del sizes, kept
+        self._scatter = sp.csr_matrix(
+            (geom[entry_kept], elements[entry_kept], scatter_indptr),
+            shape=(len(starts), nt),
         )
-        slots = np.empty(9 * nt, dtype=np.int64)
-        slots[order] = slot_of_sorted
-        self._slots = slots
-        self._geom = geom
-        self._indptr = pattern.indptr
-        self._indices = pattern.indices
+        del geom, elements, entry_kept
+        slot_rows = rows[starts]
+        self._indices = cols[starts]
+        del rows, cols, starts
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot_rows, minlength=n), out=self._indptr[1:])
+        self.diagonal_slots = np.flatnonzero(slot_rows == self._indices)
         self._n = n
         self.n_triangles = nt
 
@@ -91,7 +144,8 @@ class StiffnessTemplate:
         """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
 
         On a non-obtuse mesh the result has nonpositive off-diagonal entries
-        and zero row sums.
+        and zero row sums. Each call returns new ``data``, ``indices`` and
+        ``indptr`` arrays, so the result may be modified in place.
         """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (self.n_triangles,):
@@ -100,16 +154,13 @@ class StiffnessTemplate:
             )
         if np.any(coeff < 0.0):
             raise ValueError("stiffness coefficients must be nonnegative")
-        data = np.zeros(len(self._indices))
-        np.add.at(data, self._slots, np.tile(coeff, 9) * self._geom)
         return sp.csr_matrix(
-            (data, self._indices.copy(), self._indptr.copy()), shape=(self._n, self._n)
+            (self._scatter @ coeff, self._indices.copy(), self._indptr.copy()),
+            shape=(self._n, self._n),
         )
 
 
-def consistent_mass(mesh: Triangulation) -> sp.csr_matrix:
-    """Standard P1 mass matrix; local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    areas, _ = element_areas_and_gradients(mesh)
+def _consistent_mass(mesh: Triangulation, areas: np.ndarray) -> sp.csr_matrix:
     nt = mesh.n_triangles
     rows, cols, vals = [], [], []
     for a in range(3):
@@ -124,6 +175,12 @@ def consistent_mass(mesh: Triangulation) -> sp.csr_matrix:
     M.sum_duplicates()
     M.sort_indices()
     return M
+
+
+def consistent_mass(mesh: Triangulation) -> sp.csr_matrix:
+    """Standard P1 mass matrix; local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
+    areas, _ = element_areas_and_gradients(mesh)
+    return _consistent_mass(mesh, areas)
 
 
 def discrete_laplacian_apply(
@@ -142,13 +199,20 @@ def discrete_laplacian_apply(
 
 @dataclass(frozen=True)
 class FemContext:
-    """Everything assemble-once for a fixed mesh, shared by steppers and norms."""
+    """Everything assemble-once for a fixed mesh, shared by steppers and norms.
+
+    ``vertex_sum`` is the (elements x vertices) matrix with a unit entry for
+    each vertex of each element, so ``vertex_sum @ f / 3.0`` gives the
+    vertex averages of a nodal field in the same sum order as
+    ``f[triangles].mean(axis=1)``.
+    """
 
     mesh: Triangulation
     lumped: np.ndarray
     unit_stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     stiffness_template: StiffnessTemplate = field(repr=False)
+    vertex_sum: sp.csr_matrix = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -156,13 +220,25 @@ class FemContext:
 
 
 def build_context(mesh: Triangulation) -> FemContext:
-    template = StiffnessTemplate(mesh)
+    areas, grads = element_areas_and_gradients(mesh)
+    template = StiffnessTemplate._from_geometry(mesh, areas, grads)
+    del grads
+    nt = mesh.n_triangles
+    vertex_sum = sp.csr_matrix(
+        (
+            np.ones(3 * nt),
+            mesh.triangles.astype(np.int32).ravel(),
+            np.arange(0, 3 * nt + 1, 3, dtype=np.int32),
+        ),
+        shape=(nt, mesh.n_vertices),
+    )
     return FemContext(
         mesh=mesh,
-        lumped=assemble_lumped_mass(mesh),
-        unit_stiffness=template.assemble(np.ones(mesh.n_triangles)),
-        mass=consistent_mass(mesh),
+        lumped=_lumped_mass(mesh, areas),
+        unit_stiffness=template.assemble(np.ones(nt)),
+        mass=_consistent_mass(mesh, areas),
         stiffness_template=template,
+        vertex_sum=vertex_sum,
     )
 
 

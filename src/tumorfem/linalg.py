@@ -56,7 +56,7 @@ def cg_solve(
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if not np.all(np.isfinite(b)) or (x0 is not None and not np.all(np.isfinite(x0))):
         raise ValueError("right-hand side and initial guess must be finite")

@@ -15,6 +15,7 @@ updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("kappa1", "kappa0", "rho", "alpha", "beta1", "beta2", "gamma", "delta", "K"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.K <= 0.0:

@@ -145,6 +145,12 @@ class SolverOptions:
     maxit: int = 0  # 0 means 10 * n
     jacobi: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("solver tol must be finite and positive")
+        if self.maxit < 0:
+            raise ValueError("solver maxit must be nonnegative (0 means 10 * n)")
+
     def maxit_for(self, n: int) -> int:
         return self.maxit if self.maxit > 0 else 10 * n
 
@@ -245,9 +251,8 @@ def element_diffusivity(ctx: FemContext, T: np.ndarray, Phi: np.ndarray, p: Mode
     elementwise, which preserves the matrix sign structure the bound
     proofs need.
     """
-    tris = ctx.mesh.triangles
-    t_avg = T[tris].mean(axis=1)
-    phi_avg = Phi[tris].mean(axis=1)
+    t_avg = (ctx.vertex_sum @ T) / 3.0
+    phi_avg = (ctx.vertex_sum @ Phi) / 3.0
     return p.kappa1 * model.vascular_fraction(phi_avg, t_avg, p.K) + p.kappa0
 
 
@@ -303,6 +308,11 @@ def step(
     equations and the residual reported is that of the original system.
     Its nodal updates equal the lumped ones: the mass matrix acts on both
     sides of their nodewise-defined interpolants and cancels.
+
+    The lumped tumor system is the freshly assembled stiffness matrix with
+    the lumped terms added in place at its diagonal slots, rounded as
+    ``(A_aa + m_a / dt) + m_a * decay_a``; it therefore has the stiffness
+    pattern and equals ``diags(m / dt) + A + diags(m * decay)`` bit for bit.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -310,17 +320,20 @@ def step(
     T, N, Phi = state.T, state.N, state.Phi
     m, M = ctx.lumped, ctx.mass
     A = ctx.stiffness_template.assemble(element_diffusivity(ctx, T, Phi, p))
+    diag = ctx.stiffness_template.diagonal_slots
     if split:
         source, decay = model.imex_coefficients_T(T, N, Phi, p)
         if lumped:
-            B = (sp.diags(m / dt) + A + sp.diags(m * decay)).tocsr()
+            A.data[diag] = (A.data[diag] + m / dt) + m * decay
+            B = A
             rhs = m * (T / dt + source)
         else:
             B = (M.multiply(1.0 / dt) + A + (M @ sp.diags(decay))).tocsr()
             rhs = M @ (T / dt + source)
     else:
         f1, f2, f3 = model.reactions(T, N, Phi, p)
-        B = (sp.diags(m / dt) + A).tocsr()
+        A.data[diag] = A.data[diag] + m / dt
+        B = A
         rhs = m * (T / dt) + M @ f1
 
     if lumped:

@@ -5,7 +5,7 @@ from tumorfem.config import serialize_config, write_config_file
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 from tumorfem.scheme import SchemeVariant
 
-from test_output_config import tiny_config
+from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, tiny_config
 
 
 def test_check_mesh_ok(tmp_path, capsys):
@@ -70,6 +70,14 @@ def test_run_bad_profile_is_config_error(tmp_path, capsys):
     cfg_path.write_text(serialize_config(tiny_config()).replace("T_width = 0.2", "T_width = 0.0"))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "width must be positive" in capsys.readouterr().err
+
+
+@BAD_MODEL_OR_SOLVER_INPUT
+def test_run_bad_model_or_solver_input_is_config_error(tmp_path, capsys, old, new, match):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(tiny_config()).replace(old, new))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert match in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mesh_text, message", [

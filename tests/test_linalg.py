@@ -114,6 +114,12 @@ def test_cg_rejects_bad_tol_and_shapes():
         cg_solve(A, np.ones(4))
 
 
+def test_cg_rejects_nan_tol():
+    # NaN fails every comparison, so the stop test could never be met.
+    with pytest.raises(ValueError, match="tol"):
+        cg_solve(sp.identity(3, format="csr"), np.ones(3), tol=np.nan)
+
+
 @pytest.mark.parametrize("b, x0", [
     ([1.0, np.nan, 1.0], None),
     ([1.0, np.inf, 1.0], None),

@@ -28,6 +28,15 @@ def test_params_validation():
         ModelParams(1, 1, 1, -0.1, 1, 1, 1, 1, 1)
 
 
+def test_params_reject_non_finite():
+    for index in range(9):
+        for value in (np.nan, np.inf):
+            args = [1.0] * 9
+            args[index] = value
+            with pytest.raises(ValueError, match="must be finite"):
+                ModelParams(*args)
+
+
 def test_vascular_fraction_anchors():
     assert vascular_fraction(0.0, 0.3, 1.0) == 0.0
     assert vascular_fraction(1.0, 0.0, 1.0) == 1.0

@@ -166,6 +166,23 @@ def test_parse_rejects_bad_profiles(old, new, match):
         parse_config(text.replace(old, new))
 
 
+BAD_MODEL_OR_SOLVER_INPUT = pytest.mark.parametrize("old, new, match", [
+    ("tol = 1e-12", "tol = nan", "tol must be finite and positive"),
+    ("kappa0 = 8e-05", "kappa0 = inf", "kappa0 must be finite"),
+    ("rho = 1.0", "rho = nan", "rho must be finite"),
+    ("K = 1.0", "K = nan", "K must be finite"),
+    ("maxit = 0", "maxit = -3", "maxit must be nonnegative"),
+], ids=["nan-tol", "inf-kappa0", "nan-rho", "nan-K", "negative-maxit"])
+
+
+@BAD_MODEL_OR_SOLVER_INPUT
+def test_parse_rejects_bad_model_and_solver_input(old, new, match):
+    text = serialize_config(tiny_config())
+    assert old in text
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text.replace(old, new))
+
+
 def test_param_key_case_preserved():
     text = serialize_config(tiny_config())
     assert "\nK = 1.0\n" in text

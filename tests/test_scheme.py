@@ -66,6 +66,17 @@ def test_config_validation():
     assert cfg.n_steps == 5
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(tol=float("nan")), "tol"),
+    (dict(tol=float("inf")), "tol"),
+    (dict(tol=0.0), "tol"),
+    (dict(maxit=-3), "maxit"),
+], ids=["nan-tol", "inf-tol", "zero-tol", "negative-maxit"])
+def test_solver_options_validation(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SolverOptions(**kwargs)
+
+
 @pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: f"step_{v.name.lower()}")
 def test_zero_state_is_a_fixed_point(variant):
     mesh = build_structured_mesh(5, 5, 1.0, 1.0)
