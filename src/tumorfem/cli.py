@@ -19,6 +19,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+from dataclasses import replace
 
 from . import config as config_mod
 from . import diagnostics
@@ -126,16 +127,11 @@ def build_preset(name: str) -> list[RunConfig]:
 
 
 def _with_output(cfg: RunConfig, directory: str, snapshot_every: int | None) -> RunConfig:
-    from dataclasses import replace
-
-    out = OutputOptions(
-        directory=directory,
-        csv_name=cfg.output.csv_name,
-        summary_name=cfg.output.summary_name,
-        snapshot_every=cfg.output.snapshot_every if snapshot_every is None else snapshot_every,
-        vtk_prefix=cfg.output.vtk_prefix,
+    if snapshot_every is None:
+        snapshot_every = cfg.output.snapshot_every
+    return replace(
+        cfg, output=replace(cfg.output, directory=directory, snapshot_every=snapshot_every)
     )
-    return replace(cfg, output=out)
 
 
 def _run_and_summarize(cfg: RunConfig):

@@ -4,7 +4,9 @@ The format is INI-style with sections [mesh], [params], [time], [scheme],
 [initial], [solver], [output]. Parameter keys use the model symbol names
 (kappa1, kappa0, rho, alpha, beta1, beta2, gamma, delta, K); key case is
 preserved. Floats are serialized with ``repr`` so a write/parse cycle is
-bit-identical.
+bit-identical. A section or key that ``serialize_config`` would not write
+for the parsed config is an error, so a misspelt key cannot fall back to
+its default unnoticed.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
     )
 
     try:
-        return RunConfig(
+        config = RunConfig(
             mesh=mesh,
             params=params,
             dt=_get_float(cp, "time", "dt"),
@@ -150,11 +152,24 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
             initial=initial,
             solver=solver,
             output=output,
-            debug_checks=cp.getboolean("scheme", "debug_checks", fallback=False),
             label=cp.get("scheme", "label", fallback=label),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _reject_unknown(cp, config)
+    return config
+
+
+def _reject_unknown(cp, config: RunConfig) -> None:
+    # parse_config reads exactly the keys serialize_config writes for its result.
+    known = _new_parser()
+    known.read_string(serialize_config(config))
+    for section in cp.sections():
+        if not known.has_section(section):
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if not known.has_option(section, key):
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
 
 def parse_config_file(path: str) -> RunConfig:
@@ -200,7 +215,6 @@ def serialize_config(config: RunConfig) -> str:
     w(f"tf = {config.tf!r}\n")
     w("\n[scheme]\n")
     w(f"variant = {config.variant.value}\n")
-    w(f"debug_checks = {str(config.debug_checks).lower()}\n")
     w(f"label = {config.label}\n")
     w("\n[initial]\n")
     for name in _FIELDS:

@@ -26,8 +26,6 @@ reduction of a nonlinear diffusion coefficient to one value per element,
 done upstream by evaluating it at the element's vertex averages.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,29 +37,22 @@ __all__ = [
     "FemContext",
     "StiffnessTemplate",
     "build_context",
-    "assemble_lumped_mass",
-    "consistent_mass",
     "discrete_laplacian_apply",
     "norms",
 ]
 
 
 def _lumped_mass(mesh: Triangulation, areas: np.ndarray) -> np.ndarray:
-    m = np.zeros(mesh.n_vertices)
-    third = areas / 3.0
-    for loc in range(3):
-        np.add.at(m, mesh.triangles[:, loc], third)
-    return m
-
-
-def assemble_lumped_mass(mesh: Triangulation) -> np.ndarray:
     """Lumped mass vector: entry a is the integral of basis function a.
 
     Equals area/3 summed over the elements touching each node, which is
     also the row sum of the consistent mass matrix.
     """
-    areas, _ = element_areas_and_gradients(mesh)
-    return _lumped_mass(mesh, areas)
+    m = np.zeros(mesh.n_vertices)
+    third = areas / 3.0
+    for loc in range(3):
+        np.add.at(m, mesh.triangles[:, loc], third)
+    return m
 
 
 class StiffnessTemplate:
@@ -73,21 +64,11 @@ class StiffnessTemplate:
     Entries whose geometric factors are all exactly zero are not stored,
     which keeps the per-step matrices as small as a sparse add that drops
     zeros would. ``diagonal_slots[a]`` is the position of entry (a, a) in
-    the ``data`` array of every assembled matrix.
+    the ``data`` array of every assembled matrix. ``areas`` and ``grads``
+    are the element geometry, as ``element_areas_and_gradients`` returns it.
     """
 
-    def __init__(self, mesh: Triangulation):
-        self._build(mesh, *element_areas_and_gradients(mesh))
-
-    @classmethod
-    def _from_geometry(
-        cls, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray
-    ) -> StiffnessTemplate:
-        template = cls.__new__(cls)
-        template._build(mesh, areas, grads)
-        return template
-
-    def _build(self, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray) -> None:
+    def __init__(self, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray):
         n = mesh.n_vertices
         nt = mesh.n_triangles
         # Entry e = k * nt + t is the local pair k = (a, b) of element t.
@@ -161,7 +142,7 @@ class StiffnessTemplate:
 
 
 def _consistent_mass(mesh: Triangulation, areas: np.ndarray) -> sp.csr_matrix:
-    nt = mesh.n_triangles
+    """Standard P1 mass matrix; local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
     rows, cols, vals = [], [], []
     for a in range(3):
         for b in range(3):
@@ -175,12 +156,6 @@ def _consistent_mass(mesh: Triangulation, areas: np.ndarray) -> sp.csr_matrix:
     M.sum_duplicates()
     M.sort_indices()
     return M
-
-
-def consistent_mass(mesh: Triangulation) -> sp.csr_matrix:
-    """Standard P1 mass matrix; local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    areas, _ = element_areas_and_gradients(mesh)
-    return _consistent_mass(mesh, areas)
 
 
 def discrete_laplacian_apply(
@@ -221,7 +196,7 @@ class FemContext:
 
 def build_context(mesh: Triangulation) -> FemContext:
     areas, grads = element_areas_and_gradients(mesh)
-    template = StiffnessTemplate._from_geometry(mesh, areas, grads)
+    template = StiffnessTemplate(mesh, areas, grads)
     del grads
     nt = mesh.n_triangles
     vertex_sum = sp.csr_matrix(

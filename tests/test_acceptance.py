@@ -23,14 +23,7 @@ from tumorfem.diagnostics import (
     envelope_check_near_K,
     scalar_comparison_oracle,
 )
-from tumorfem.fem import (
-    StiffnessTemplate,
-    assemble_lumped_mass,
-    build_context,
-    consistent_mass,
-    discrete_laplacian_apply,
-    norms,
-)
+from tumorfem.fem import build_context, discrete_laplacian_apply, norms
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import (
     ModelParams,
@@ -273,22 +266,21 @@ def test_criterion_7_fem_invariants_on_twenty_meshes():
     fields_checked = 0
     for mesh in meshes:
         assert audit_angles(mesh).non_obtuse
-        lumped = assemble_lumped_mass(mesh)
-        mass = consistent_mass(mesh)
+        ctx = build_context(mesh)
+        lumped, mass = ctx.lumped, ctx.mass
         domain_area = _boundary_polygon_area(mesh)
         assert lumped.sum() == pytest.approx(domain_area, rel=1e-12)
         rows = np.asarray(mass.sum(axis=1)).ravel()
         assert np.abs(rows - lumped).max() <= 1e-12 * domain_area
 
         coeff = rng.uniform(0.0, 2.0, size=mesh.n_triangles)
-        A = StiffnessTemplate(mesh).assemble(coeff)
+        A = ctx.stiffness_template.assemble(coeff)
         scale = max(1.0, np.abs(A.data).max())
         assert np.abs(np.asarray(A.sum(axis=1)).ravel()).max() <= 1e-12 * scale
         coo = A.tocoo()
         assert coo.data[coo.row != coo.col].max() <= 0.0
 
-        unit = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
-        ctx = build_context(mesh)
+        unit = ctx.stiffness_template.assemble(np.ones(mesh.n_triangles))
         for _ in range(5):
             f = rng.standard_normal(mesh.n_vertices)
             lap = discrete_laplacian_apply(lumped, unit, f)

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from tumorfem import scheme
-from tumorfem.fem import StiffnessTemplate, build_context
+from tumorfem.fem import build_context
 from tumorfem.mesh import (
     audit_angles,
     build_structured_mesh,
@@ -33,11 +33,12 @@ PARAMS = ModelParams(
 COMPARABLE_TERMS = replace(PARAMS, kappa1=0.05, kappa0=0.05)
 
 
-def graded_mesh(nx, ny, seed):
-    """Random x/y spacing and a random diagonal per cell: every triangle is right-angled."""
-    rng = np.random.default_rng(seed)
-    xs = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.0, nx))))
-    ys = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.0, ny))))
+def right_angled_mesh(dx, dy, flip):
+    """Cell widths dx, heights dy and, per cell (row j, column i), flip[j][i]
+    choosing its diagonal: every triangle is right-angled."""
+    nx, ny = len(dx), len(dy)
+    xs = np.concatenate(([0.0], np.cumsum(dx)))
+    ys = np.concatenate(([0.0], np.cumsum(dy)))
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     triangles = []
@@ -45,11 +46,19 @@ def graded_mesh(nx, ny, seed):
         for i in range(nx):
             v00 = j * (nx + 1) + i
             v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
-            if rng.random() < 0.5:
+            if flip[j][i]:
                 triangles += [(v00, v10, v11), (v00, v11, v01)]
             else:
                 triangles += [(v00, v10, v01), (v10, v11, v01)]
     return triangulation_from_arrays(nodes, triangles)
+
+
+def graded_mesh(nx, ny, seed):
+    """Random x/y spacing and a random diagonal per cell."""
+    rng = np.random.default_rng(seed)
+    dx = rng.uniform(0.2, 1.0, nx)
+    dy = rng.uniform(0.2, 1.0, ny)
+    return right_angled_mesh(dx, dy, rng.random((ny, nx)) < 0.5)
 
 
 def acute_mesh(nx, ny):
@@ -126,7 +135,7 @@ def test_scatter_operator_matches_add_at(make_mesh):
     mesh = make_mesh()
     coeff = np.random.default_rng(3).uniform(0.0, 2.0, mesh.n_triangles)
     coeff[::7] = 0.0
-    A = StiffnessTemplate(mesh).assemble(coeff)
+    A = build_context(mesh).stiffness_template.assemble(coeff)
     ref, zero_slots = add_at_stiffness(mesh, coeff)
     assert np.array_equal(A.toarray(), ref.toarray())
     assert zero_slots.any()
@@ -185,22 +194,23 @@ def test_vertex_sum_diffusivity_matches_fancy_index_mean(make_mesh):
 @pytest.mark.parametrize("nx, ny, nnz", [(3, 4, 82), (40, 40, 8_241)])
 def test_structured_nnz_drops_hypotenuse_slots(nx, ny, nnz):
     mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
-    A = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
+    template = build_context(mesh).stiffness_template
+    A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
-    assert len(StiffnessTemplate(mesh).diagonal_slots) == mesh.n_vertices
+    assert len(template.diagonal_slots) == mesh.n_vertices
 
 
 def test_graded_nnz_drops_one_edge_per_cell():
     nx, ny = 6, 8
     mesh = graded_mesh(nx, ny, seed=5)
-    A = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
+    A = build_context(mesh).stiffness_template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
 
 
 def test_acute_mesh_keeps_every_slot():
     mesh = acute_mesh(5, 4)
     assert audit_angles(mesh).strictly_acute
-    template = StiffnessTemplate(mesh)
+    template = build_context(mesh).stiffness_template
     A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * n_edges(mesh)
     assert np.all(A.data != 0.0)

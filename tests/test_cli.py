@@ -80,6 +80,27 @@ def test_run_bad_model_or_solver_input_is_config_error(tmp_path, capsys, old, ne
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("tf = 0.03", "tf = inf"),
+    ("dt = 0.01", "dt = nan"),
+], ids=["inf-tf", "nan-dt"])
+def test_run_non_finite_time_is_config_error(tmp_path, capsys, old, new):
+    cfg_path = tmp_path / "run.cfg"
+    text = serialize_config(tiny_config())
+    assert old in text
+    cfg_path.write_text(text.replace(old, new))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "dt and tf must be finite" in capsys.readouterr().err
+
+
+def test_run_unknown_key_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(tiny_config()).replace("tol = 1e-12", "tolerance = 1e-2"))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "unknown key 'tolerance' in section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mesh_text, message", [
     ("3 1\n0.0 0.0\nnan 0.0\n0.0 1.0\n0 1 2\n", "non-finite"),
     ("4 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n5.0 5.0\n0 1 2\n", "belongs to no element"),

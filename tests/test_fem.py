@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from tumorfem.fem import (
-    StiffnessTemplate,
-    assemble_lumped_mass,
-    build_context,
-    consistent_mass,
-    discrete_laplacian_apply,
-    norms,
-)
+from tumorfem.fem import build_context, discrete_laplacian_apply, norms
 from tumorfem.linalg import value_symmetry_defect
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 
@@ -18,14 +11,14 @@ def reference_triangle():
 
 
 def test_lumped_mass_reference_triangle():
-    m = assemble_lumped_mass(reference_triangle())
+    m = build_context(reference_triangle()).lumped
     assert np.allclose(m, 1.0 / 6.0, rtol=1e-15)
 
 
 def test_lumped_mass_interior_node_structured():
     h = 0.25
     mesh = build_structured_mesh(4, 4, 1.0, 1.0)
-    m = assemble_lumped_mass(mesh)
+    m = build_context(mesh).lumped
     interior = [
         i for i, (x, y) in enumerate(mesh.nodes)
         if 0.0 < x < 1.0 and 0.0 < y < 1.0
@@ -37,24 +30,24 @@ def test_lumped_mass_interior_node_structured():
 def test_lumped_mass_partition_of_unity():
     for nx, ny, lx, ly in [(3, 4, 1.0, 1.0), (5, 2, 2.0, 0.7)]:
         mesh = build_structured_mesh(nx, ny, lx, ly)
-        assert assemble_lumped_mass(mesh).sum() == pytest.approx(lx * ly, rel=1e-12)
+        assert build_context(mesh).lumped.sum() == pytest.approx(lx * ly, rel=1e-12)
 
 
 def test_stiffness_zero_coefficient():
     mesh = build_structured_mesh(3, 3, 1.0, 1.0)
-    A = StiffnessTemplate(mesh).assemble(np.zeros(mesh.n_triangles))
+    A = build_context(mesh).stiffness_template.assemble(np.zeros(mesh.n_triangles))
     assert A.nnz == 0 or np.abs(A.data).max() == 0.0
 
 
 def test_stiffness_reference_local_matrix():
-    A = StiffnessTemplate(reference_triangle()).assemble([1.0]).toarray()
+    A = build_context(reference_triangle()).stiffness_template.assemble([1.0]).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(A, expected, rtol=0, atol=1e-15)
 
 
 def test_stiffness_constants_in_kernel_and_row_sums():
     mesh = build_structured_mesh(6, 5, 1.3, 0.9)
-    A = StiffnessTemplate(mesh).assemble(np.ones(mesh.n_triangles))
+    A = build_context(mesh).stiffness_template.assemble(np.ones(mesh.n_triangles))
     ones = np.ones(mesh.n_vertices)
     scale = np.abs(A.data).max()
     assert np.abs(A @ ones).max() <= 1e-12 * scale
@@ -63,12 +56,13 @@ def test_stiffness_constants_in_kernel_and_row_sums():
 
 def test_stiffness_rejects_negative_coefficients_and_bad_length():
     mesh = build_structured_mesh(2, 2, 1.0, 1.0)
+    template = build_context(mesh).stiffness_template
     coeff = np.ones(mesh.n_triangles)
     coeff[0] = -1e-12
     with pytest.raises(ValueError, match="nonnegative"):
-        StiffnessTemplate(mesh).assemble(coeff)
+        template.assemble(coeff)
     with pytest.raises(ValueError, match="shape"):
-        StiffnessTemplate(mesh).assemble(np.ones(3))
+        template.assemble(np.ones(3))
 
 
 def test_stiffness_m_matrix_sign_pattern():
@@ -77,7 +71,7 @@ def test_stiffness_m_matrix_sign_pattern():
         nx, ny = rng.integers(2, 9, size=2)
         mesh = build_structured_mesh(int(nx), int(ny), 1.0, 1.4)
         coeff = rng.uniform(0.0, 3.0, size=mesh.n_triangles)
-        A = StiffnessTemplate(mesh).assemble(coeff).tocoo()
+        A = build_context(mesh).stiffness_template.assemble(coeff).tocoo()
         scale = max(1.0, np.abs(A.data).max())
         off = A.data[A.row != A.col]
         diag = A.data[A.row == A.col]
@@ -87,7 +81,7 @@ def test_stiffness_m_matrix_sign_pattern():
 
 
 def test_consistent_mass_reference_block():
-    M = consistent_mass(reference_triangle()).toarray()
+    M = build_context(reference_triangle()).mass.toarray()
     expected = np.full((3, 3), 1.0 / 24.0)
     np.fill_diagonal(expected, 1.0 / 12.0)
     assert np.allclose(M, expected, rtol=0, atol=1e-16)
@@ -96,8 +90,8 @@ def test_consistent_mass_reference_block():
 def test_consistent_row_sums_equal_lumped_and_total_area():
     for nx, ny, lx, ly in [(4, 4, 1.0, 1.0), (7, 3, 2.0, 0.5)]:
         mesh = build_structured_mesh(nx, ny, lx, ly)
-        M = consistent_mass(mesh)
-        lumped = assemble_lumped_mass(mesh)
+        ctx = build_context(mesh)
+        M, lumped = ctx.mass, ctx.lumped
         rows = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(rows - lumped).max() <= 1e-12 * lx * ly
         ones = np.ones(mesh.n_vertices)

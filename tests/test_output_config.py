@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,6 @@ def test_compare_csv_grid_mismatch(tmp_path):
 def test_config_round_trip_is_exact(tmp_path):
     cfg = tiny_config(
         output=OutputOptions(directory="out", snapshot_every=3),
-        debug_checks=True,
         label="roundtrip",
     )
     text = serialize_config(cfg)
@@ -181,6 +182,27 @@ def test_parse_rejects_bad_model_and_solver_input(old, new, match):
     assert old in text
     with pytest.raises(ConfigError, match=match):
         parse_config(text.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("tol = 1e-12", "tolerance = 1e-2", r"unknown key 'tolerance' in section \[solver\]"),
+    ("[solver]", "[solvr]", r"unknown section \[solvr\]"),
+    ("label = run", "label = run\ndebug_checks = true",
+     r"unknown key 'debug_checks' in section \[scheme\]"),
+    ("nx = 4", "nx = 4\npath = mesh.txt", r"unknown key 'path' in section \[mesh\]"),
+], ids=["misspelt-key", "misspelt-section", "removed-key", "other-mesh-type-key"])
+def test_parse_rejects_unknown_sections_and_keys(old, new, match):
+    text = serialize_config(tiny_config())
+    assert old in text
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text.replace(old, new))
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert (cfg.variant, cfg.label, cfg.mesh.nx) == (SchemeVariant.IMEX_LUMPED, "demo", 40)
 
 
 def test_param_key_case_preserved():

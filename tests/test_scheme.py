@@ -14,6 +14,7 @@ from tumorfem.scheme import (
     MeshSpec,
     OutputOptions,
     RunConfig,
+    SchemeError,
     SchemeVariant,
     SolverOptions,
     element_diffusivity,
@@ -205,9 +206,21 @@ def test_run_is_deterministic():
     assert np.array_equal(r1.final_state.T, r2.final_state.T)
 
 
-def test_debug_checks_pass_on_lumped_scheme():
-    cfg = small_config(tf=0.02, debug_checks=True)
-    run(cfg)  # must not raise
+def test_certificate_runs_once_per_lumped_step(monkeypatch):
+    calls = []
+    certify = scheme._certify_m_matrix
+
+    def counting(B, diagonal_slots, k):
+        calls.append(k)
+        certify(B, diagonal_slots, k)
+
+    monkeypatch.setattr(scheme, "_certify_m_matrix", counting)
+    for variant in SchemeVariant:
+        calls.clear()
+        cfg = small_config(variant=variant, tf=0.02)
+        run(cfg)  # must not raise
+        lumped = variant is not SchemeVariant.IMEX_CONSISTENT
+        assert calls == (list(range(1, cfg.n_steps + 1)) if lumped else [])
 
 
 def test_empty_mesh_rejected(tmp_path):
@@ -218,12 +231,15 @@ def test_empty_mesh_rejected(tmp_path):
         run(cfg)
 
 
+def obtuse_mesh():
+    nodes = [(0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (1.2, 1.4)]
+    return triangulation_from_arrays(nodes, [(0, 1, 2), (1, 3, 2)])
+
+
 def test_obtuse_mesh_rejected_for_lumped_variants(tmp_path):
     from tumorfem.mesh import write_mesh
 
-    nodes = [(0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (1.2, 1.4)]
-    tris = [(0, 1, 2), (1, 3, 2)]
-    mesh = triangulation_from_arrays(nodes, tris)
+    mesh = obtuse_mesh()
     path = tmp_path / "obtuse.txt"
     write_mesh(mesh, path)
     cfg = small_config(mesh=MeshSpec(path=str(path)), tf=0.01)
@@ -235,6 +251,17 @@ def test_obtuse_mesh_rejected_for_lumped_variants(tmp_path):
     )
     report = run(cfg2)
     assert not report.non_obtuse
+
+
+@pytest.mark.parametrize("stepper", [imex_lumped, explicit_lumped], ids=["imex", "explicit"])
+def test_certificate_rejects_obtuse_lumped_system(stepper):
+    # Stepping directly skips the angle audit in run(); the certificate
+    # still refuses the system before it is solved.
+    mesh = obtuse_mesh()
+    ctx = build_context(mesh)
+    state = State(T=np.full(4, 0.5), N=np.full(4, 0.2), Phi=np.full(4, 0.5), step=0, time=0.0)
+    with pytest.raises(SchemeError, match="step 1: .*positive off-diagonal entry in row 1"):
+        stepper(state, ctx, PARAMS, 1e-2)
 
 
 def test_nondecreasing_necrosis_in_imex_run():
