@@ -230,6 +230,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tumorfem", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -238,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", default="", help="directory for CSV/VTK/summary files")
     common.add_argument("--snapshot-every", type=int, default=None, metavar="N",
                         help="write a VTK snapshot every N steps (0 disables)")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
+    common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                         help="worker processes for preset bundles (default 1)")
 
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")

@@ -134,15 +134,15 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    output = OutputOptions(
-        directory=cp.get("output", "directory", fallback=""),
-        csv_name=cp.get("output", "csv", fallback="per_step.csv"),
-        summary_name=cp.get("output", "summary", fallback="summary.txt"),
-        snapshot_every=_get_int(cp, "output", "snapshot_every", default=0),
-        vtk_prefix=cp.get("output", "vtk_prefix", fallback="snapshot"),
-    )
 
     try:
+        output = OutputOptions(
+            directory=cp.get("output", "directory", fallback=""),
+            csv_name=cp.get("output", "csv", fallback="per_step.csv"),
+            summary_name=cp.get("output", "summary", fallback="summary.txt"),
+            snapshot_every=_get_int(cp, "output", "snapshot_every", default=0),
+            vtk_prefix=cp.get("output", "vtk_prefix", fallback="snapshot"),
+        )
         config = RunConfig(
             mesh=mesh,
             params=params,

@@ -118,6 +118,9 @@ class StiffnessTemplate:
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(slot_rows, minlength=n), out=self._indptr[1:])
         self.diagonal_slots = np.flatnonzero(slot_rows == self._indices)
+        # Every assembled matrix shares the pattern; a structural change in place raises.
+        self._indices.flags.writeable = False
+        self._indptr.flags.writeable = False
         self._n = n
         self.n_triangles = nt
 
@@ -125,8 +128,10 @@ class StiffnessTemplate:
         """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
 
         On a non-obtuse mesh the result has nonpositive off-diagonal entries
-        and zero row sums. Each call returns new ``data``, ``indices`` and
-        ``indptr`` arrays, so the result may be modified in place.
+        and zero row sums. Each call returns a new ``data`` array, which may
+        be modified in place; ``indices`` and ``indptr`` are the template's
+        own read-only arrays, so an in-place structural operation such as
+        ``eliminate_zeros()`` raises instead of changing the template.
         """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (self.n_triangles,):
@@ -136,7 +141,7 @@ class StiffnessTemplate:
         if np.any(coeff < 0.0):
             raise ValueError("stiffness coefficients must be nonnegative")
         return sp.csr_matrix(
-            (self._scatter @ coeff, self._indices.copy(), self._indptr.copy()),
+            (self._scatter @ coeff, self._indices, self._indptr),
             shape=(self._n, self._n),
         )
 

@@ -10,12 +10,13 @@ residuals are deterministic and reportable per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CgResult", "cg_solve", "value_symmetry_defect"]
+__all__ = ["CgResult", "cg_solve"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def cg_solve(
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if not np.all(np.isfinite(b)) or (x0 is not None and not np.all(np.isfinite(x0))):
+    if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
         raise ValueError("right-hand side and initial guess must be finite")
     if n == 0:
         return CgResult(x=np.empty(0), iterations=0, residual=0.0)
@@ -75,29 +76,27 @@ def cg_solve(
         inv_diag = 1.0 / A.diagonal()
         z = inv_diag * r
     else:
-        inv_diag = None
         z = r
     p = z.copy()
+    scratch = np.empty(n)
     rz = float(r @ z)
 
+    # The updates run in place in the order of x + alpha * p, r - alpha * Ap
+    # and z + beta * p. Unpreconditioned, r @ z is r @ r, whose root is
+    # exactly np.linalg.norm(r) for a 1-D float vector.
     for it in range(maxit + 1):
-        res = float(np.linalg.norm(r))
+        res = float(np.linalg.norm(r)) if jacobi else math.sqrt(rz)
         if res <= tol * b_norm:
             return CgResult(x=x, iterations=it, residual=res / b_norm)
         if it == maxit:
             break
         Ap = A @ p
         alpha = rz / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        z = inv_diag * r if jacobi else r
+        np.add(x, np.multiply(alpha, p, out=scratch), out=x)
+        np.subtract(r, np.multiply(alpha, Ap, out=Ap), out=r)
+        if jacobi:
+            np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
         rz = rz_new
-    raise CgError(maxit, float(np.linalg.norm(r)) / b_norm)
-
-
-def value_symmetry_defect(A: sp.csr_matrix) -> float:
-    """max |A_ij - A_ji|, for checking matrices that are symmetric by contract."""
-    d = A - A.T
-    return float(np.abs(d.data).max()) if d.nnz else 0.0
+    raise CgError(maxit, res / b_norm)

@@ -10,7 +10,9 @@ preserve signs and bounds.
 
 Everything here is a pure function of scalars and broadcasts over numpy
 arrays, so the same code serves single-node oracles and whole-field
-updates.
+updates. The split formulas take the vascular factors of the old state,
+``P`` and ``root = sqrt(1 - P^2)`` from ``vascular_factors``, as
+arguments, so a step evaluates them once per node for all three updates.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "ModelParams",
     "State",
     "vascular_fraction",
+    "vascular_factors",
     "reactions",
     "imex_coefficients_T",
     "imex_reactions",
@@ -100,9 +103,11 @@ def vascular_fraction(phi, t, K):
     return phip / ((phip + K) / 2.0 + tp)
 
 
-def _root_term(p_value):
+def vascular_factors(phi, t, K):
+    """(P, sqrt(1 - P^2)) at the given state, the two factors every reaction uses."""
+    P = vascular_fraction(phi, t, K)
     # 1 - P^2 can round to -eps when P is at its upper bound; clamp before the root.
-    return np.sqrt(np.maximum(0.0, 1.0 - p_value * p_value))
+    return P, np.sqrt(np.maximum(0.0, 1.0 - P * P))
 
 
 def reactions(t, n, phi, p: ModelParams):
@@ -112,30 +117,30 @@ def reactions(t, n, phi, p: ModelParams):
     vasculature. All transfer terms cancel in the sum, leaving only the two
     logistic production terms.
     """
-    P = vascular_fraction(phi, t, p.K)
-    root = _root_term(P)
+    P, root = vascular_factors(phi, t, p.K)
     logistic = 1.0 - (t + n + phi) / p.K
-    f1 = p.rho * t * P * logistic - p.alpha * t * root - p.beta1 * n * t
-    f2 = p.alpha * t * root + p.beta1 * n * t + p.delta * t * phi + p.beta2 * n * phi
-    f3 = (
-        p.gamma * t * root * (phi / p.K) * logistic
-        - p.delta * t * phi
-        - p.beta2 * n * phi
-    )
+    # The four transfer terms, each evaluated once for both fields it moves between.
+    hypoxic = p.alpha * t * root
+    tumor_necrosis = p.beta1 * n * t
+    destruction = p.delta * t * phi
+    vessel_necrosis = p.beta2 * n * phi
+    f1 = p.rho * t * P * logistic - hypoxic - tumor_necrosis
+    f2 = hypoxic + tumor_necrosis + destruction + vessel_necrosis
+    f3 = p.gamma * t * root * (phi / p.K) * logistic - destruction - vessel_necrosis
     return f1, f2, f3
 
 
-def imex_coefficients_T(tk, nk, phik, p: ModelParams):
+def imex_coefficients_T(tk, nk, phik, P, root, p: ModelParams):
     """Split tumor reaction at one node: value = source - decay * T_next.
 
-    ``source`` collects the explicit positive part rho * P * T_k; ``decay``
-    collects every coefficient that multiplies the unknown T_next. Both are
-    nonnegative for nonnegative inputs, which is what the bound proofs use.
+    ``P, root`` are ``vascular_factors(phik, tk, p.K)``. ``source`` collects
+    the explicit positive part rho * P * T_k; ``decay`` collects every
+    coefficient that multiplies the unknown T_next. Both are nonnegative for
+    nonnegative inputs, which is what the bound proofs use.
     """
-    P = vascular_fraction(phik, tk, p.K)
-    root = _root_term(P)
-    source = p.rho * P * tk
-    decay = p.rho * P * (tk + nk + phik) / p.K + p.alpha * root + p.beta1 * nk
+    rho_p = p.rho * P
+    source = rho_p * tk
+    decay = rho_p * (tk + nk + phik) / p.K + p.alpha * root + p.beta1 * nk
     return source, decay
 
 
@@ -146,8 +151,7 @@ def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):
     with all five arguments supplied this is the algebraic identity behind
     the nodal updates, handy for cancellation and closed-form tests.
     """
-    P = vascular_fraction(phik, tk, p.K)
-    root = _root_term(P)
+    P, root = vascular_factors(phik, tk, p.K)
     f1 = (
         p.rho * P * (tk * (1.0 - tk1 / p.K) - tk1 * (nk + phik) / p.K)
         - p.alpha * tk1 * root
@@ -167,16 +171,16 @@ def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):
     return f1, f2, f3
 
 
-def update_phi_node(tk, tk1, nk, phik, dt, p: ModelParams):
+def update_phi_node(tk, tk1, nk, phik, root, dt, p: ModelParams):
     """Advance the vasculature at one node by solving its linear nodal equation.
 
-    The equation (phi_next - phi_k)/dt = f3_split(phi_next) is linear in
+    ``root`` is the second of ``vascular_factors(phik, tk, p.K)``. The
+    equation (phi_next - phi_k)/dt = f3_split(phi_next) is linear in
     phi_next; the closed form below is its unique solution. The denominator
     is at least 1 for nonnegative inputs, and the update maps [0, K] into
     [0, K].
     """
-    P = vascular_fraction(phik, tk, p.K)
-    g = p.gamma * (tk1 / p.K) * _root_term(P)
+    g = p.gamma * (tk1 / p.K) * root
     numer = phik * (1.0 + dt * g)
     denom = 1.0 + dt * (
         g * (phik + tk + nk) / p.K + p.delta * tk1 + p.beta2 * nk
@@ -184,14 +188,13 @@ def update_phi_node(tk, tk1, nk, phik, dt, p: ModelParams):
     return numer / denom
 
 
-def update_n_node(tk, tk1, nk, phik, phik1, dt, p: ModelParams):
+def update_n_node(tk1, nk, phik1, root, dt, p: ModelParams):
     """Advance necrosis at one node; explicit once T and Phi are updated.
 
-    Every increment term is nonnegative for nonnegative inputs, so the
-    update never decreases N.
+    ``root`` is the second of ``vascular_factors`` at the old state. Every
+    increment term is nonnegative for nonnegative inputs, so the update
+    never decreases N.
     """
-    P = vascular_fraction(phik, tk, p.K)
-    root = _root_term(P)
     return nk + dt * (
         p.alpha * tk1 * root
         + p.beta1 * nk * tk1

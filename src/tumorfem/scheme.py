@@ -167,6 +167,10 @@ class OutputOptions:
     snapshot_every: int = 0  # 0 disables VTK snapshots
     vtk_prefix: str = "snapshot"
 
+    def __post_init__(self):
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -261,10 +265,14 @@ def element_diffusivity(ctx: FemContext, T: np.ndarray, Phi: np.ndarray, p: Mode
     return p.kappa1 * model.vascular_fraction(phi_avg, t_avg, p.K) + p.kappa0
 
 
-def _check_finite(state: State) -> None:
-    for name, v in (("T", state.T), ("N", state.N), ("Phi", state.Phi)):
-        if not np.all(np.isfinite(v)):
-            raise SchemeError(state.step, f"non-finite values in {name}")
+def _check_finite(d: StepDiagnostics) -> None:
+    # NaN propagates through min and max and an infinity is one of them, so
+    # finite extrema mean finite fields.
+    for name, lo, hi in (
+        ("T", d.min_t, d.max_t), ("N", d.min_n, d.max_n), ("Phi", d.min_phi, d.max_phi)
+    ):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SchemeError(d.step, f"non-finite values in {name}")
 
 
 def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -> None:
@@ -323,12 +331,18 @@ def step(
     Its nodal updates equal the lumped ones: the mass matrix acts on both
     sides of their nodewise-defined interpolants and cancels.
 
+    The split reactions take the vascular factors of the old state, computed
+    once per step for the tumor coefficients and both nodal updates.
+
     The lumped tumor system is the freshly assembled stiffness matrix with
     the lumped terms added in place at its diagonal slots, rounded as
     ``(A_aa + m_a / dt) + m_a * decay_a``; it therefore has the stiffness
     pattern and equals ``diags(m / dt) + A + diags(m * decay)`` bit for bit.
-    Before it is solved, it must pass the M-matrix certificate; a violation
-    raises ``SchemeError`` naming the step and the offending row.
+    Only its ``data`` is written: the pattern arrays belong to the stiffness
+    template and are read-only. Before it is solved, the system must pass
+    the M-matrix certificate; a violation raises ``SchemeError`` naming the
+    step and the offending row. A non-finite value in a new field raises
+    ``SchemeError`` naming the field.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -338,7 +352,8 @@ def step(
     A = ctx.stiffness_template.assemble(element_diffusivity(ctx, T, Phi, p))
     diag = ctx.stiffness_template.diagonal_slots
     if split:
-        source, decay = model.imex_coefficients_T(T, N, Phi, p)
+        P, root = model.vascular_factors(Phi, T, p.K)
+        source, decay = model.imex_coefficients_T(T, N, Phi, P, root, p)
         if lumped:
             A.data[diag] = (A.data[diag] + m / dt) + m * decay
             B = A
@@ -363,14 +378,15 @@ def step(
         residual = float(np.linalg.norm(rhs - B @ res.x)) / rhs_norm if rhs_norm else 0.0
 
     if split:
-        phi_new = model.update_phi_node(T, res.x, N, Phi, dt, p)
-        n_new = model.update_n_node(T, res.x, N, Phi, phi_new, dt, p)
+        phi_new = model.update_phi_node(T, res.x, N, Phi, root, dt, p)
+        n_new = model.update_n_node(res.x, N, phi_new, root, dt, p)
     else:
         phi_new = Phi + dt * (M @ f3) / m
         n_new = N + dt * (M @ f2) / m
     new = State(T=res.x, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
-    _check_finite(new)
-    return new, _field_diag(new, res.iterations, residual)
+    d = _field_diag(new, res.iterations, residual)
+    _check_finite(d)
+    return new, d
 
 
 # run() looks its stepper up here on every call, so a caller may swap an entry

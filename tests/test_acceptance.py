@@ -32,6 +32,7 @@ from tumorfem.model import (
     imex_reactions,
     update_n_node,
     update_phi_node,
+    vascular_factors,
 )
 from tumorfem.scheme import (
     SchemeVariant,
@@ -321,13 +322,14 @@ def test_criterion_8_oracle_equivalences():
     for _ in range(200):
         tk, tk1, nk, phik = rng.uniform(0.0, 1.0, size=4)
         dt = float(rng.uniform(1e-3, 0.2))
-        phi_closed = update_phi_node(tk, tk1, nk, phik, dt, pb)
+        _, root = vascular_factors(phik, tk, pb.K)
+        phi_closed = update_phi_node(tk, tk1, nk, phik, root, dt, pb)
         phi_root = brentq(
             lambda x: (x - phik) / dt - imex_reactions(tk, tk1, nk, phik, x, pb)[2],
             -1.0, 2.0, xtol=1e-16, rtol=8.9e-16,
         )
         worst_phi = max(worst_phi, abs(phi_closed - phi_root))
-        n_closed = update_n_node(tk, tk1, nk, phik, phi_closed, dt, pb)
+        n_closed = update_n_node(tk1, nk, phi_closed, root, dt, pb)
         n_root = brentq(
             lambda x: (x - nk) / dt - imex_reactions(tk, tk1, nk, phik, phi_closed, pb)[1],
             -1.0, 5.0, xtol=1e-16, rtol=8.9e-16,

@@ -4,7 +4,9 @@ The stiffness scatter operator, the vertex-sum diffusivity and the lumped
 system written in place must reproduce, bit for bit, a scatter-add over the
 elements, the fancy-index vertex means and the sparse sum of diagonals
 with the stiffness matrix. The oracles below are kept here in that direct
-form.
+form. A step evaluates the vascular factors once for all split reactions
+and shares the template's pattern with every matrix it assembles; the
+tests at the end pin both against the independent evaluation.
 """
 
 from dataclasses import replace
@@ -21,7 +23,15 @@ from tumorfem.mesh import (
     element_areas_and_gradients,
     triangulation_from_arrays,
 )
-from tumorfem.model import ModelParams, State, imex_coefficients_T, vascular_fraction
+from tumorfem.model import (
+    ModelParams,
+    State,
+    imex_coefficients_T,
+    update_n_node,
+    update_phi_node,
+    vascular_factors,
+    vascular_fraction,
+)
 from tumorfem.scheme import SolverOptions, element_diffusivity, step
 
 PARAMS = ModelParams(
@@ -168,7 +178,8 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
     m = ctx.lumped
     A, _ = add_at_stiffness(mesh, element_diffusivity(ctx, state.T, state.Phi, p))
     if split:
-        _, decay = imex_coefficients_T(state.T, state.N, state.Phi, p)
+        P, root = vascular_factors(state.Phi, state.T, p.K)
+        _, decay = imex_coefficients_T(state.T, state.N, state.Phi, P, root, p)
         expected = (sp.diags(m / dt) + A + sp.diags(m * decay)).tocsr()
     else:
         expected = (sp.diags(m / dt) + A).tocsr()
@@ -217,3 +228,60 @@ def test_acute_mesh_keeps_every_slot():
     rows = np.repeat(np.arange(mesh.n_vertices), np.diff(A.indptr))
     assert np.array_equal(A.indices[template.diagonal_slots], np.arange(mesh.n_vertices))
     assert np.array_equal(rows[template.diagonal_slots], np.arange(mesh.n_vertices))
+
+
+@pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "consistent"])
+@pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
+def test_split_step_nodal_updates_equal_independent_node_updates(make_mesh, lumped):
+    mesh = make_mesh()
+    ctx = build_context(mesh)
+    state = random_state(mesh, seed=17)
+    dt = 0.05
+    new, _ = step(state, ctx, PARAMS, dt, SolverOptions(tol=1e-12), lumped=lumped, split=True)
+    # Node by node, each update evaluating its own vascular factors.
+    for a in range(mesh.n_vertices):
+        tk, nk, phik, tk1 = state.T[a], state.N[a], state.Phi[a], new.T[a]
+        _, root = vascular_factors(phik, tk, PARAMS.K)
+        phi = update_phi_node(tk, tk1, nk, phik, root, dt, PARAMS)
+        n = update_n_node(tk1, nk, phi, root, dt, PARAMS)
+        assert new.Phi[a] == phi
+        assert new.N[a] == n
+
+
+def test_assembled_matrices_share_the_read_only_pattern():
+    template = build_context(graded_mesh(6, 8, seed=5)).stiffness_template
+    coeff = np.random.default_rng(8).uniform(0.0, 2.0, template.n_triangles)
+    A, A2 = template.assemble(coeff), template.assemble(coeff)
+    assert not A.indices.flags.writeable
+    assert not A.indptr.flags.writeable
+    assert np.shares_memory(A.indices, A2.indices)
+    assert np.shares_memory(A.indptr, A2.indptr)
+    # Only the values are fresh, and they are the caller's to change.
+    assert A.data.flags.writeable
+    assert not np.shares_memory(A.data, A2.data)
+    A.data[0] = -1.0
+    assert A2.data[0] != -1.0
+    A.data[:] = 0.0
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+    assert np.array_equal(template.assemble(coeff).toarray(), A2.toarray())
+
+
+@pytest.mark.parametrize("lumped, split", [(True, True), (True, False), (False, True)],
+                         ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
+def test_steps_leave_template_and_unit_stiffness_unchanged(lumped, split):
+    mesh = graded_mesh(6, 8, seed=5)
+    ctx = build_context(mesh)
+
+    def fixed_arrays():
+        t, S, U = ctx.stiffness_template, ctx.stiffness_template._scatter, ctx.unit_stiffness
+        return (t._indices, t._indptr, t.diagonal_slots, S.data, S.indices, S.indptr,
+                U.data, U.indices, U.indptr)
+
+    before = [a.copy() for a in fixed_arrays()]
+    state = random_state(mesh, seed=4)
+    for _ in range(10):
+        state, _ = step(state, ctx, COMPARABLE_TERMS, 0.05, SolverOptions(tol=1e-12),
+                        lumped=lumped, split=split)
+    for old, new in zip(before, fixed_arrays(), strict=True):
+        assert np.array_equal(old, new)

@@ -72,6 +72,26 @@ def test_run_bad_profile_is_config_error(tmp_path, capsys):
     assert "width must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--preset", "lumping-comparison", "--threads", threads,
+              "--output-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_negative_snapshot_every_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(), str(cfg_path))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--snapshot-every", "-5", "--output-dir", str(out_dir)]) == 2
+    assert "snapshot_every must be nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @BAD_MODEL_OR_SOLVER_INPUT
 def test_run_bad_model_or_solver_input_is_config_error(tmp_path, capsys, old, new, match):
     cfg_path = tmp_path / "run.cfg"

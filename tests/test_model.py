@@ -10,6 +10,7 @@ from tumorfem.model import (
     reactions,
     update_n_node,
     update_phi_node,
+    vascular_factors,
     vascular_fraction,
 )
 
@@ -17,6 +18,23 @@ TABLE_BOUNDS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
     gamma=0.008, delta=0.8, K=1.0,
 )
+
+
+# The split formulas take the vascular factors of the old state; these
+# helpers evaluate them at (phik, tk) as a step does.
+def coefficients(tk, nk, phik, p):
+    P, root = vascular_factors(phik, tk, p.K)
+    return imex_coefficients_T(tk, nk, phik, P, root, p)
+
+
+def phi_next(tk, tk1, nk, phik, dt, p):
+    _, root = vascular_factors(phik, tk, p.K)
+    return update_phi_node(tk, tk1, nk, phik, root, dt, p)
+
+
+def n_next(tk, tk1, nk, phik, phik1, dt, p):
+    _, root = vascular_factors(phik, tk, p.K)
+    return update_n_node(tk1, nk, phik1, root, dt, p)
 
 
 def test_params_validation():
@@ -55,6 +73,16 @@ def test_vascular_fraction_bounds_property():
         assert P.max() <= 1.0
 
 
+def test_vascular_factors_root_and_clamp():
+    rng = np.random.default_rng(5)
+    phi, t = rng.uniform(0.0, 1.0, size=(2, 200))
+    P, root = vascular_factors(phi, t, 1.0)
+    assert np.array_equal(P, vascular_fraction(phi, t, 1.0))
+    assert np.array_equal(root, np.sqrt(np.maximum(0.0, 1.0 - P * P)))
+    # P = 1 at (Phi, T) = (K, 0): the root is exactly zero, not the root of -eps
+    assert vascular_factors(3.0, 0.0, 3.0) == (1.0, 0.0)
+
+
 def test_vascular_fraction_off_range_robustness():
     # negative inputs hit the positive part; above-K inputs are capped
     assert vascular_fraction(-1.0, 0.5, 1.0) == 0.0
@@ -89,6 +117,22 @@ def test_reactions_frozen_point_oracles():
     assert f3 == pytest.approx(-0.15991201454665685, rel=1e-14)
 
 
+def test_reactions_equal_the_term_by_term_formulas():
+    # Each transfer term is evaluated once in reactions(); written out in
+    # full, every field must come out the same bit for bit.
+    rng = np.random.default_rng(7)
+    t, n, phi = rng.uniform(0.0, 1.2, size=(3, 500))
+    p = TABLE_BOUNDS
+    P = vascular_fraction(phi, t, p.K)
+    root = np.sqrt(np.maximum(0.0, 1.0 - P * P))
+    logistic = 1.0 - (t + n + phi) / p.K
+    f1 = p.rho * t * P * logistic - p.alpha * t * root - p.beta1 * n * t
+    f2 = p.alpha * t * root + p.beta1 * n * t + p.delta * t * phi + p.beta2 * n * phi
+    f3 = p.gamma * t * root * (phi / p.K) * logistic - p.delta * t * phi - p.beta2 * n * phi
+    for got, expected in zip(reactions(t, n, phi, p), (f1, f2, f3), strict=True):
+        assert np.array_equal(got, expected)
+
+
 def test_continuous_cancellation_identity():
     rng = np.random.default_rng(6)
     p = TABLE_BOUNDS
@@ -103,11 +147,11 @@ def test_continuous_cancellation_identity():
 
 
 def test_imex_coefficients_anchors():
-    src, dec = imex_coefficients_T(0.0, 0.0, 0.0, TABLE_BOUNDS)
+    src, dec = coefficients(0.0, 0.0, 0.0, TABLE_BOUNDS)
     assert src == 0.0
     assert dec == pytest.approx(TABLE_BOUNDS.alpha)
     # no vasculature: P = 0 regardless of tumor level
-    src, dec = imex_coefficients_T(1.0, 0.0, 0.0, TABLE_BOUNDS)
+    src, dec = coefficients(1.0, 0.0, 0.0, TABLE_BOUNDS)
     assert src == 0.0
     assert dec == pytest.approx(TABLE_BOUNDS.alpha)
 
@@ -115,7 +159,7 @@ def test_imex_coefficients_anchors():
 def test_imex_coefficients_nonnegative_property():
     rng = np.random.default_rng(10)
     t, n, phi = rng.uniform(0.0, 1.0, size=(3, 300))
-    src, dec = imex_coefficients_T(t, n, phi, TABLE_BOUNDS)
+    src, dec = coefficients(t, n, phi, TABLE_BOUNDS)
     assert src.min() >= 0.0
     assert dec.min() >= 0.0
 
@@ -153,7 +197,7 @@ def test_split_f1_matches_source_decay_form():
     for _ in range(100):
         tk, tk1, nk, phik = rng.uniform(0.0, 1.0, size=4)
         f1, _, _ = imex_reactions(tk, tk1, nk, phik, 0.0, p)
-        src, dec = imex_coefficients_T(tk, nk, phik, p)
+        src, dec = coefficients(tk, nk, phik, p)
         assert f1 == pytest.approx(src - dec * tk1, rel=1e-13, abs=1e-16)
 
 
@@ -162,13 +206,13 @@ def test_update_phi_frozen_cases():
         kappa1=1e-4, kappa0=1e-4, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.0,
         gamma=0.0, delta=0.0, K=1.0,
     )
-    assert update_phi_node(0.3, 0.2, 0.1, 0.5, 0.1, p0) == 0.5
+    assert phi_next(0.3, 0.2, 0.1, 0.5, 0.1, p0) == 0.5
     p1 = ModelParams(
         kappa1=1e-4, kappa0=1e-4, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.0,
         gamma=0.0, delta=1.0, K=1.0,
     )
     # delta * t_next = 1 with dt = 0.1 shrinks phi by the factor 1/1.1
-    assert update_phi_node(0.3, 1.0, 0.0, 0.5, 0.1, p1) == pytest.approx(0.5 / 1.1, rel=1e-15)
+    assert phi_next(0.3, 1.0, 0.0, 0.5, 0.1, p1) == pytest.approx(0.5 / 1.1, rel=1e-15)
 
 
 def test_update_phi_preserves_bounds():
@@ -177,7 +221,7 @@ def test_update_phi_preserves_bounds():
     for _ in range(300):
         tk, tk1, nk, phik = rng.uniform(0.0, 1.0, size=4)
         dt = rng.uniform(1e-4, 0.5)
-        phik1 = update_phi_node(tk, tk1, nk, phik, dt, p)
+        phik1 = phi_next(tk, tk1, nk, phik, dt, p)
         assert 0.0 <= phik1 <= p.K
 
 
@@ -187,7 +231,7 @@ def test_update_phi_solves_its_nodal_equation():
     for _ in range(100):
         tk, tk1, nk, phik = rng.uniform(0.0, 1.0, size=4)
         dt = rng.uniform(1e-3, 0.2)
-        phik1 = update_phi_node(tk, tk1, nk, phik, dt, p)
+        phik1 = phi_next(tk, tk1, nk, phik, dt, p)
         _, _, f3 = imex_reactions(tk, tk1, nk, phik, phik1, p)
         assert (phik1 - phik) / dt == pytest.approx(f3, rel=1e-12, abs=1e-14)
 
@@ -204,7 +248,7 @@ def test_update_phi_matches_root_find():
             return (x - phik) / dt - f3
 
         bracket = brentq(residual, -1.0, 2.0, xtol=1e-15, rtol=1e-15)
-        assert update_phi_node(tk, tk1, nk, phik, dt, p) == pytest.approx(
+        assert phi_next(tk, tk1, nk, phik, dt, p) == pytest.approx(
             bracket, rel=1e-12, abs=1e-12
         )
 
@@ -214,14 +258,14 @@ def test_update_n_frozen_cases():
         kappa1=1e-4, kappa0=1e-4, rho=1.0, alpha=0.0, beta1=0.0, beta2=0.0,
         gamma=0.0, delta=0.0, K=1.0,
     )
-    assert update_n_node(0.4, 0.3, 0.25, 0.1, 0.2, 0.05, p_zero) == 0.25
-    assert update_n_node(0.4, 0.0, 0.25, 0.1, 0.0, 0.05, TABLE_BOUNDS) == pytest.approx(0.25)
+    assert n_next(0.4, 0.3, 0.25, 0.1, 0.2, 0.05, p_zero) == 0.25
+    assert n_next(0.4, 0.0, 0.25, 0.1, 0.0, 0.05, TABLE_BOUNDS) == pytest.approx(0.25)
     p_alpha = ModelParams(
         kappa1=1e-4, kappa0=1e-4, rho=1.0, alpha=1.0, beta1=0.0, beta2=0.0,
         gamma=0.0, delta=0.0, K=1.0,
     )
     # P = 0 without vasculature, so the alpha term alone contributes dt * t_next
-    assert update_n_node(0.0, 1.0, 0.0, 0.0, 0.0, 0.01, p_alpha) == pytest.approx(0.01)
+    assert n_next(0.0, 1.0, 0.0, 0.0, 0.0, 0.01, p_alpha) == pytest.approx(0.01)
 
 
 def test_update_n_monotone():
@@ -230,7 +274,7 @@ def test_update_n_monotone():
     for _ in range(300):
         tk, tk1, nk, phik, phik1 = rng.uniform(0.0, 1.0, size=5)
         dt = rng.uniform(1e-4, 0.5)
-        assert update_n_node(tk, tk1, nk, phik, phik1, dt, p) >= nk
+        assert n_next(tk, tk1, nk, phik, phik1, dt, p) >= nk
 
 
 def test_gronwall_constants():

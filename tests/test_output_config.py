@@ -198,6 +198,18 @@ def test_parse_rejects_unknown_sections_and_keys(old, new, match):
         parse_config(text.replace(old, new))
 
 
+def test_output_options_reject_negative_snapshot_every():
+    with pytest.raises(ValueError, match="snapshot_every must be nonnegative"):
+        OutputOptions(snapshot_every=-1)
+
+
+def test_parse_rejects_negative_snapshot_every():
+    text = serialize_config(tiny_config())
+    assert "snapshot_every = 0" in text
+    with pytest.raises(ConfigError, match="snapshot_every must be nonnegative"):
+        parse_config(text.replace("snapshot_every = 0", "snapshot_every = -5"))
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_step_system_residual_self_check():
     # independent of the CG internals.
     import scipy.sparse as sp
 
-    from tumorfem.model import imex_coefficients_T
+    from tumorfem.model import imex_coefficients_T, vascular_factors
 
     mesh = build_structured_mesh(10, 10, 1.0, 1.0)
     ctx = build_context(mesh)
@@ -168,7 +169,8 @@ def test_step_system_residual_self_check():
     state = initial_state(cfg, mesh)
     new, diag = imex_lumped(state, ctx, PARAMS, cfg.dt, solver=cfg.solver)
     A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
-    src, dec = imex_coefficients_T(state.T, state.N, state.Phi, PARAMS)
+    P, root = vascular_factors(state.Phi, state.T, PARAMS.K)
+    src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, PARAMS)
     B = (sp.diags(ctx.lumped / cfg.dt) + A + sp.diags(ctx.lumped * dec)).tocsr()
     rhs = ctx.lumped * (state.T / cfg.dt + src)
     assert np.linalg.norm(rhs - B @ new.T) <= cfg.solver.tol * np.linalg.norm(rhs)
@@ -262,6 +264,35 @@ def test_certificate_rejects_obtuse_lumped_system(stepper):
     state = State(T=np.full(4, 0.5), N=np.full(4, 0.2), Phi=np.full(4, 0.5), step=0, time=0.0)
     with pytest.raises(SchemeError, match="step 1: .*positive off-diagonal entry in row 1"):
         stepper(state, ctx, PARAMS, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["T", "N", "Phi"])
+def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
+    # Each new field is replaced by a copy of its old value, except that the
+    # field under test gets one bad entry, so no other field is touched by it.
+    mesh = build_structured_mesh(6, 6, 1.0, 1.0)
+    ctx = build_context(mesh)
+    state = initial_state(small_config(), mesh)
+
+    def spoiled(values):
+        values = values.copy()
+        values[5] = bad
+        return values
+
+    solve = scheme.cg_solve
+
+    def cg(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return replace(res, x=spoiled(res.x) if field == "T" else state.T.copy())
+
+    monkeypatch.setattr(scheme, "cg_solve", cg)
+    monkeypatch.setattr(scheme.model, "update_phi_node",
+                        lambda *a: spoiled(state.Phi) if field == "Phi" else state.Phi.copy())
+    monkeypatch.setattr(scheme.model, "update_n_node",
+                        lambda *a: spoiled(state.N) if field == "N" else state.N.copy())
+    with pytest.raises(SchemeError, match=f"step 1: non-finite values in {field}$"):
+        imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
 
 
 def test_nondecreasing_necrosis_in_imex_run():
