@@ -140,10 +140,14 @@ def _run_and_summarize(cfg: RunConfig):
     on_step = None
     if out.snapshot_every > 0:
         os.makedirs(out.directory, exist_ok=True)
+        geometry = ""
 
         def on_step(mesh, state):
+            # the mesh is fixed for the run: render its VTK text on the first call
+            nonlocal geometry
+            geometry = geometry or output_mod.vtk_geometry(mesh)
             if state.step % out.snapshot_every == 0 or state.step == cfg.n_steps:
-                output_mod.write_snapshot(out.directory, out.vtk_prefix, mesh, state)
+                output_mod.write_snapshot(out.directory, out.vtk_prefix, geometry, state)
 
     report = run(cfg, on_step=on_step)
     output_mod.write_run_outputs(report)
@@ -245,10 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", default="", help="directory for CSV/VTK/summary files")
     common.add_argument("--snapshot-every", type=int, default=None, metavar="N",
                         help="write a VTK snapshot every N steps (0 disables)")
-    common.add_argument("--threads", type=_worker_count, default=1, metavar="N",
-                        help="worker processes for preset bundles (default 1)")
 
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")
+    p_run.add_argument("--threads", type=_worker_count, default=1, metavar="N",
+                       help="worker processes for preset bundles (default 1)")
     p_run.add_argument("config", nargs="?", default="", help="config file path")
     p_run.add_argument("--preset", choices=PRESET_NAMES, default="",
                        help="run a bundled experiment instead of a config file")

@@ -2,9 +2,8 @@
 
 Provides the lumped mass vector, the variable-coefficient stiffness matrix,
 the consistent mass matrix (needed only by the un-lumped comparison
-scheme), the discrete Laplacian, and the discrete norms. Assembly is
-vectorized over elements, and everything that depends only on the mesh is
-computed once:
+scheme), and the discrete norms. Assembly is vectorized over elements,
+and everything that depends only on the mesh is computed once:
 
 * ``StiffnessTemplate`` holds the CSR pattern of the stiffness matrix and
   a scatter operator ``S`` (one row per stored entry, one column per
@@ -37,7 +36,6 @@ __all__ = [
     "FemContext",
     "StiffnessTemplate",
     "build_context",
-    "discrete_laplacian_apply",
     "norms",
 ]
 
@@ -163,20 +161,6 @@ def _consistent_mass(mesh: Triangulation, areas: np.ndarray) -> sp.csr_matrix:
     return M
 
 
-def discrete_laplacian_apply(
-    lumped: np.ndarray, stiffness_unit: sp.csr_matrix, n: np.ndarray
-) -> np.ndarray:
-    """Apply the negated discrete Laplacian: nodewise (A_unit n) / m.
-
-    ``stiffness_unit`` must be assembled with unit coefficient. The result v
-    satisfies (v, w)_h = (grad n, grad w) for every discrete w.
-    """
-    n = np.asarray(n, dtype=float)
-    if stiffness_unit.shape[1] != n.shape[0] or lumped.shape[0] != n.shape[0]:
-        raise ValueError("dimension mismatch in discrete Laplacian")
-    return (stiffness_unit @ n) / lumped
-
-
 @dataclass(frozen=True)
 class FemContext:
     """Everything assemble-once for a fixed mesh, shared by steppers and norms.
@@ -222,16 +206,15 @@ def build_context(mesh: Triangulation) -> FemContext:
     )
 
 
-def norms(ctx: FemContext, f: np.ndarray) -> tuple[float, float, float]:
-    """(lumped norm, L2 norm, H1 seminorm) of a nodal field.
+def norms(ctx: FemContext, f: np.ndarray) -> tuple[float, float]:
+    """(L2 norm, H1 seminorm) of a nodal field.
 
-    The lumped norm is sqrt(sum m_a f_a^2); L2 and the seminorm use exact
-    P1 quadrature via the consistent mass and unit stiffness matrices.
+    Both use exact P1 quadrature via the consistent mass and unit stiffness
+    matrices.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] != ctx.n_vertices:
         raise ValueError("field length does not match mesh")
-    norm_h = float(np.sqrt(ctx.lumped @ (f * f)))
     l2 = float(np.sqrt(max(0.0, f @ (ctx.mass @ f))))
     h1_semi = float(np.sqrt(max(0.0, f @ (ctx.unit_stiffness @ f))))
-    return norm_h, l2, h1_semi
+    return l2, h1_semi

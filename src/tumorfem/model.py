@@ -29,7 +29,6 @@ __all__ = [
     "vascular_factors",
     "reactions",
     "imex_coefficients_T",
-    "imex_reactions",
     "update_phi_node",
     "update_n_node",
     "gronwall_constants",
@@ -142,33 +141,6 @@ def imex_coefficients_T(tk, nk, phik, P, root, p: ModelParams):
     source = rho_p * tk
     decay = rho_p * (tk + nk + phik) / p.K + p.alpha * root + p.beta1 * nk
     return source, decay
-
-
-def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):
-    """The three split reaction values at given old/new nodal values.
-
-    Evaluates the semi-implicit forms exactly as the steppers use them;
-    with all five arguments supplied this is the algebraic identity behind
-    the nodal updates, handy for cancellation and closed-form tests.
-    """
-    P, root = vascular_factors(phik, tk, p.K)
-    f1 = (
-        p.rho * P * (tk * (1.0 - tk1 / p.K) - tk1 * (nk + phik) / p.K)
-        - p.alpha * tk1 * root
-        - p.beta1 * nk * tk1
-    )
-    f2 = (
-        p.alpha * tk1 * root
-        + p.beta1 * nk * tk1
-        + p.delta * tk1 * phik1
-        + p.beta2 * nk * phik1
-    )
-    f3 = (
-        p.gamma * (tk1 / p.K) * root * (phik * (1.0 - phik1 / p.K) - phik1 * (tk + nk) / p.K)
-        - p.delta * tk1 * phik1
-        - p.beta2 * nk * phik1
-    )
-    return f1, f2, f3
 
 
 def update_phi_node(tk, tk1, nk, phik, root, dt, p: ModelParams):

@@ -2,7 +2,9 @@
 
 Floats are written with 17 significant digits so files round-trip exactly;
 plots are produced externally from these files, the package itself draws
-nothing.
+nothing. Each file is rendered to one string and written with one call.
+The VTK geometry is fixed for a run, so a caller renders it once with
+``vtk_geometry`` and passes the text to every snapshot of that run.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CSV_HEADER",
-    "format_float",
     "write_csv",
+    "vtk_geometry",
     "write_vtk",
     "write_compare_csv",
+    "write_snapshot",
     "write_run_outputs",
     "append_summary",
 ]
@@ -30,53 +33,42 @@ __all__ = [
 CSV_HEADER = "step,time,minT,maxT,minN,maxN,minPhi,maxPhi,cg_iters,cg_residual,energy_acc"
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii") as f:
+        f.write(text)
 
 
 def write_csv(report: RunReport, path: str) -> None:
     """One row per recorded step (step 0 holds the initial diagnostics)."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write(CSV_HEADER + "\n")
-        for d in report.steps:
-            row = [
-                str(d.step),
-                format_float(d.time),
-                format_float(d.min_t),
-                format_float(d.max_t),
-                format_float(d.min_n),
-                format_float(d.max_n),
-                format_float(d.min_phi),
-                format_float(d.max_phi),
-                str(d.cg_iters),
-                format_float(d.cg_residual),
-                format_float(d.energy_acc),
-            ]
-            f.write(",".join(row) + "\n")
+    rows = "".join(
+        f"{d.step},{d.time:.17g},{d.min_t:.17g},{d.max_t:.17g},{d.min_n:.17g},"
+        f"{d.max_n:.17g},{d.min_phi:.17g},{d.max_phi:.17g},{d.cg_iters},"
+        f"{d.cg_residual:.17g},{d.energy_acc:.17g}\n"
+        for d in report.steps
+    )
+    _write_text(path, f"{CSV_HEADER}\n{rows}")
 
 
-def write_vtk(path: str, mesh: Triangulation, fields: dict[str, np.ndarray], title: str = "tumorfem snapshot") -> None:
-    """Legacy ASCII unstructured-grid VTK file with nodal scalar fields."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write(title + "\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{format_float(x)} {format_float(y)} 0\n")
-        f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"3 {a} {b} {c}\n")
-        f.write(f"CELL_TYPES {mesh.n_triangles}\n")
-        for _ in range(mesh.n_triangles):
-            f.write("5\n")
-        f.write(f"POINT_DATA {mesh.n_vertices}\n")
-        for name, values in fields.items():
-            f.write(f"SCALARS {name} double 1\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in values:
-                f.write(format_float(float(v)) + "\n")
+def vtk_geometry(mesh: Triangulation) -> str:
+    """Legacy ASCII VTK text up to and including the ``POINT_DATA`` line."""
+    nt = mesh.n_triangles
+    points = "".join(f"{x:.17g} {y:.17g} 0\n" for x, y in mesh.nodes.tolist())
+    cells = "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
+    return (
+        "# vtk DataFile Version 3.0\ntumorfem snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {mesh.n_vertices} double\n{points}"
+        f"CELLS {nt} {4 * nt}\n{cells}"
+        f"CELL_TYPES {nt}\n" + "5\n" * nt + f"POINT_DATA {mesh.n_vertices}\n"
+    )
+
+
+def write_vtk(path: str, geometry: str, fields: dict[str, np.ndarray]) -> None:
+    """Legacy VTK file: ``vtk_geometry`` text followed by nodal scalar fields."""
+    blocks = [geometry]
+    for name, values in fields.items():
+        blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        blocks.append("".join(f"{v:.17g}\n" for v in values.tolist()))
+    _write_text(path, "".join(blocks))
 
 
 def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> None:
@@ -87,35 +79,30 @@ def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> No
     header = "step,time," + ",".join(f"{c}_a" for c in cols) + "," + ",".join(
         f"{c}_b" for c in cols
     )
-    attr = {
-        "minT": "min_t", "maxT": "max_t", "minN": "min_n", "maxN": "max_n",
-        "minPhi": "min_phi", "maxPhi": "max_phi", "energy_acc": "energy_acc",
-    }
-    with open(path, "w", encoding="ascii") as f:
-        f.write(header + "\n")
-        for da, db in zip(report_a.steps, report_b.steps):
-            if da.step != db.step or da.time != db.time:
-                raise ValueError(f"time grids differ at step {da.step}")
-            row = [str(da.step), format_float(da.time)]
-            row += [format_float(getattr(da, attr[c])) for c in cols]
-            row += [format_float(getattr(db, attr[c])) for c in cols]
-            f.write(",".join(row) + "\n")
+    attrs = ["min_t", "max_t", "min_n", "max_n", "min_phi", "max_phi", "energy_acc"]
+    rows = [header + "\n"]
+    for da, db in zip(report_a.steps, report_b.steps):
+        if da.step != db.step or da.time != db.time:
+            raise ValueError(f"time grids differ at step {da.step}")
+        values = [getattr(da, a) for a in attrs] + [getattr(db, a) for a in attrs]
+        rows.append(f"{da.step},{da.time:.17g}," + ",".join(f"{v:.17g}" for v in values) + "\n")
+    _write_text(path, "".join(rows))
 
 
 def append_summary(path: str, lines: list[str]) -> None:
     with open(path, "a", encoding="ascii") as f:
-        for line in lines:
-            f.write(line + "\n")
+        f.write("".join(line + "\n" for line in lines))
 
 
 def snapshot_path(directory: str, prefix: str, step: int) -> str:
     return os.path.join(directory, f"{prefix}_{step:06d}.vtk")
 
 
-def write_snapshot(directory: str, prefix: str, mesh: Triangulation, state) -> None:
+def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
+    """Write ``state``'s fields on the mesh whose ``vtk_geometry`` is given."""
     write_vtk(
         snapshot_path(directory, prefix, state.step),
-        mesh,
+        geometry,
         {"T": state.T, "N": state.N, "Phi": state.Phi},
     )
 
@@ -125,10 +112,11 @@ def write_run_outputs(report: RunReport) -> None:
     out = report.config.output
     os.makedirs(out.directory, exist_ok=True)
     write_csv(report, os.path.join(out.directory, out.csv_name))
-    summary = os.path.join(out.directory, out.summary_name)
-    with open(summary, "w", encoding="ascii") as f:
-        f.write(f"label={report.config.label}\n")
-        f.write(f"variant={report.config.variant.value}\n")
-        f.write(f"steps={report.config.n_steps}\n")
-        f.write(f"energy={format_float(report.energy)}\n")
-        f.write(f"non_obtuse_mesh={report.non_obtuse}\n")
+    _write_text(
+        os.path.join(out.directory, out.summary_name),
+        f"label={report.config.label}\n"
+        f"variant={report.config.variant.value}\n"
+        f"steps={report.config.n_steps}\n"
+        f"energy={report.energy:.17g}\n"
+        f"non_obtuse_mesh={report.non_obtuse}\n",
+    )

@@ -434,7 +434,7 @@ def run(
     energy = 0.0
     for _ in range(config.n_steps):
         state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver)
-        _, l2, h1 = norms(ctx, state.T)
+        l2, h1 = norms(ctx, state.T)
         energy += config.dt * (l2 * l2 + h1 * h1)
         d.energy_acc = energy
         diags.append(d)

@@ -23,13 +23,12 @@ from tumorfem.diagnostics import (
     envelope_check_near_K,
     scalar_comparison_oracle,
 )
-from tumorfem.fem import build_context, discrete_laplacian_apply, norms
+from tumorfem.fem import build_context, norms
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import (
     ModelParams,
     State,
     gronwall_constants,
-    imex_reactions,
     update_n_node,
     update_phi_node,
     vascular_factors,
@@ -41,6 +40,8 @@ from tumorfem.scheme import (
     run,
     step,
 )
+
+from oracles import discrete_laplacian_apply, imex_reactions
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -286,7 +287,7 @@ def test_criterion_7_fem_invariants_on_twenty_meshes():
             f = rng.standard_normal(mesh.n_vertices)
             lap = discrete_laplacian_apply(lumped, unit, f)
             lhs = float(lumped @ (lap * f))
-            _, _, h1 = norms(ctx, f)
+            _, h1 = norms(ctx, f)
             assert lhs == pytest.approx(h1 * h1, rel=1e-12)
             fields_checked += 1
     assert fields_checked == 100

@@ -83,6 +83,19 @@ def test_run_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     assert not out_dir.exists()
 
 
+def test_compare_rejects_threads(tmp_path, capsys):
+    # compare runs its two configs serially; it has no --threads to ignore
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(), str(cfg_path))
+    out_dir = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", str(cfg_path), str(cfg_path), "--threads", "8",
+              "--output-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 8" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_negative_snapshot_every_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     write_config_file(tiny_config(), str(cfg_path))

@@ -6,13 +6,14 @@ from tumorfem.model import (
     ModelParams,
     gronwall_constants,
     imex_coefficients_T,
-    imex_reactions,
     reactions,
     update_n_node,
     update_phi_node,
     vascular_factors,
     vascular_fraction,
 )
+
+from oracles import imex_reactions
 
 TABLE_BOUNDS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,

@@ -1,3 +1,5 @@
+import gc
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,15 @@ from tumorfem.config import (
     serialize_config,
     write_config_file,
 )
+from tumorfem.cli import main
 from tumorfem.mesh import build_structured_mesh
+from tumorfem.model import State
 from tumorfem.output import (
     CSV_HEADER,
+    vtk_geometry,
     write_compare_csv,
     write_csv,
+    write_snapshot,
     write_vtk,
 )
 from tumorfem.scheme import (
@@ -29,6 +35,8 @@ from tumorfem.scheme import (
     run,
 )
 from tumorfem.model import ModelParams
+
+from test_assembly_equivalence import graded_mesh
 
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
@@ -76,7 +84,7 @@ def test_vtk_snapshot_structure(tmp_path):
         "Phi": np.full(mesh.n_vertices, 0.5),
     }
     path = tmp_path / "snap.vtk"
-    write_vtk(str(path), mesh, fields)
+    write_vtk(str(path), vtk_geometry(mesh), fields)
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET UNSTRUCTURED_GRID" in text
@@ -112,6 +120,166 @@ def test_compare_csv_grid_mismatch(tmp_path):
     rb = run(tiny_config(tf=0.02))
     with pytest.raises(ValueError, match="step counts"):
         write_compare_csv(ra, rb, str(tmp_path / "x.csv"))
+
+
+# The per-line writers the one-call writers replaced, kept as byte oracles.
+def format_float(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def oracle_write_csv(report, path: str) -> None:
+    with open(path, "w", encoding="ascii") as f:
+        f.write(CSV_HEADER + "\n")
+        for d in report.steps:
+            row = [
+                str(d.step),
+                format_float(d.time),
+                format_float(d.min_t),
+                format_float(d.max_t),
+                format_float(d.min_n),
+                format_float(d.max_n),
+                format_float(d.min_phi),
+                format_float(d.max_phi),
+                str(d.cg_iters),
+                format_float(d.cg_residual),
+                format_float(d.energy_acc),
+            ]
+            f.write(",".join(row) + "\n")
+
+
+def oracle_write_vtk(path: str, mesh, fields, title: str = "tumorfem snapshot") -> None:
+    with open(path, "w", encoding="ascii") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(title + "\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y in mesh.nodes:
+            f.write(f"{format_float(x)} {format_float(y)} 0\n")
+        f.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
+        for a, b, c in mesh.triangles:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {mesh.n_triangles}\n")
+        for _ in range(mesh.n_triangles):
+            f.write("5\n")
+        f.write(f"POINT_DATA {mesh.n_vertices}\n")
+        for name, values in fields.items():
+            f.write(f"SCALARS {name} double 1\n")
+            f.write("LOOKUP_TABLE default\n")
+            for v in values:
+                f.write(format_float(float(v)) + "\n")
+
+
+def oracle_write_compare_csv(report_a, report_b, path: str) -> None:
+    if len(report_a.steps) != len(report_b.steps):
+        raise ValueError("runs have different step counts")
+    cols = ["minT", "maxT", "minN", "maxN", "minPhi", "maxPhi", "energy_acc"]
+    header = "step,time," + ",".join(f"{c}_a" for c in cols) + "," + ",".join(
+        f"{c}_b" for c in cols
+    )
+    attr = {
+        "minT": "min_t", "maxT": "max_t", "minN": "min_n", "maxN": "max_n",
+        "minPhi": "min_phi", "maxPhi": "max_phi", "energy_acc": "energy_acc",
+    }
+    with open(path, "w", encoding="ascii") as f:
+        f.write(header + "\n")
+        for da, db in zip(report_a.steps, report_b.steps):
+            if da.step != db.step or da.time != db.time:
+                raise ValueError(f"time grids differ at step {da.step}")
+            row = [str(da.step), format_float(da.time)]
+            row += [format_float(getattr(da, attr[c])) for c in cols]
+            row += [format_float(getattr(db, attr[c])) for c in cols]
+            f.write(",".join(row) + "\n")
+
+
+# Values whose shortest and 17-digit forms differ, signed zero, a subnormal,
+# the capacity and the fine-imex undershoot.
+AWKWARD = [-2.8e-99, -0.0, 1.0 / 3.0, PARAMS.K, 5e-324]
+
+
+def awkward_field(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, PARAMS.K, n)
+    values[: len(AWKWARD)] = AWKWARD
+    return rng.permutation(values)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_structured_mesh(6, 5, 1.0, 2.0), graded_mesh(6, 5, seed=3)],
+    ids=["structured", "graded"],
+)
+def test_vtk_bytes_equal_per_line_oracle(tmp_path, mesh):
+    n = mesh.n_vertices
+    state = State(
+        T=awkward_field(n, 1), N=awkward_field(n, 2), Phi=awkward_field(n, 3), step=7, time=0.07
+    )
+    fields = {"T": state.T, "N": state.N, "Phi": state.Phi}
+    oracle_write_vtk(str(tmp_path / "oracle.vtk"), mesh, fields)
+    expected = (tmp_path / "oracle.vtk").read_bytes()
+    geometry = vtk_geometry(mesh)
+    write_vtk(str(tmp_path / "new.vtk"), geometry, fields)
+    assert (tmp_path / "new.vtk").read_bytes() == expected
+    write_snapshot(str(tmp_path), "snap", geometry, state)
+    assert (tmp_path / "snap_000007.vtk").read_bytes() == expected
+
+
+def awkward_report(cfg):
+    report = run(cfg)
+    values = itertools.cycle(AWKWARD)
+    for d in report.steps[1:]:
+        for attr in ("min_t", "max_t", "min_n", "max_phi", "cg_residual", "energy_acc"):
+            setattr(d, attr, next(values))
+    return report
+
+
+def test_csv_bytes_equal_per_line_oracle(tmp_path):
+    report = awkward_report(tiny_config())
+    oracle_write_csv(report, str(tmp_path / "oracle.csv"))
+    write_csv(report, str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_compare_csv_bytes_equal_per_line_oracle(tmp_path):
+    ra = awkward_report(tiny_config())
+    rb = run(tiny_config(variant=SchemeVariant.EXPLICIT_LUMPED))
+    oracle_write_compare_csv(ra, rb, str(tmp_path / "oracle.csv"))
+    write_compare_csv(ra, rb, str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("recycle", [False, True], ids=["fresh-meshes", "recycled-object"])
+def test_cli_runs_on_two_meshes_write_their_own_geometry(tmp_path, monkeypatch, recycle):
+    # Same vertex and cell counts, different coordinates. Each mesh is freed
+    # before the next run; CPython may then hand its id to the next mesh, so
+    # a geometry cached by id(mesh) could be written with the wrong POINTS.
+    # With ``recycle`` every run gets the first run's object refilled with
+    # its own mesh, which makes that id collision certain.
+    if recycle:
+        build, first = MeshSpec.build, []
+
+        def build_into_first(spec):
+            mesh = build(spec)
+            if not first:
+                first.append(mesh)
+            for name in ("nodes", "triangles", "h"):
+                object.__setattr__(first[0], name, getattr(mesh, name))
+            return first[0]
+
+        monkeypatch.setattr(MeshSpec, "build", build_into_first)
+    specs = [MeshSpec(nx=4, ny=4, lx=1.0, ly=1.0), MeshSpec(nx=4, ny=4, lx=2.0, ly=1.0)] * 2
+    for i, spec in enumerate(specs):
+        cfg_path = tmp_path / f"run{i}.cfg"
+        write_config_file(tiny_config(mesh=spec), str(cfg_path))
+        out_dir = tmp_path / f"out{i}"
+        assert main(["run", str(cfg_path), "--output-dir", str(out_dir), "--snapshot-every", "1"]) == 0
+        gc.collect()
+        oracle_write_vtk(str(tmp_path / "geometry.vtk"), build_structured_mesh(4, 4, spec.lx, 1.0), {})
+        geometry = (tmp_path / "geometry.vtk").read_text()
+        snapshots = sorted(out_dir.glob("*.vtk"))
+        assert len(snapshots) == 4
+        for path in snapshots:
+            assert path.read_text().startswith(geometry)
 
 
 def test_config_round_trip_is_exact(tmp_path):
