@@ -24,7 +24,6 @@ from dataclasses import replace
 from . import config as config_mod
 from . import diagnostics
 from . import output as output_mod
-from .linalg import CgError
 from .mesh import audit_angles, read_mesh
 from .model import ModelParams
 from .scheme import (
@@ -59,7 +58,7 @@ _PRESET_INITIAL = InitialConditions(
     Phi=ConstantProfile(value=0.5),
 )
 
-_PRESET_SOLVER = SolverOptions(tol=1e-12, maxit=0, jacobi=False)
+_PRESET_SOLVER = SolverOptions(tol=1e-12, maxit=0)
 
 TABLE_BOUNDS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
     except (config_mod.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SchemeError, CgError) as exc:
+    except SchemeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -126,22 +126,24 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    # Absent keys take the dataclass defaults, so parser and dataclass agree.
     try:
         solver = SolverOptions(
-            tol=_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol") else 1e-10,
-            maxit=_get_int(cp, "solver", "maxit", default=0),
-            jacobi=cp.getboolean("solver", "jacobi", fallback=False),
+            tol=(_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol")
+                 else SolverOptions.tol),
+            maxit=_get_int(cp, "solver", "maxit", default=SolverOptions.maxit),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     try:
         output = OutputOptions(
-            directory=cp.get("output", "directory", fallback=""),
-            csv_name=cp.get("output", "csv", fallback="per_step.csv"),
-            summary_name=cp.get("output", "summary", fallback="summary.txt"),
-            snapshot_every=_get_int(cp, "output", "snapshot_every", default=0),
-            vtk_prefix=cp.get("output", "vtk_prefix", fallback="snapshot"),
+            directory=cp.get("output", "directory", fallback=OutputOptions.directory),
+            csv_name=cp.get("output", "csv", fallback=OutputOptions.csv_name),
+            summary_name=cp.get("output", "summary", fallback=OutputOptions.summary_name),
+            snapshot_every=_get_int(cp, "output", "snapshot_every",
+                                    default=OutputOptions.snapshot_every),
+            vtk_prefix=cp.get("output", "vtk_prefix", fallback=OutputOptions.vtk_prefix),
         )
         config = RunConfig(
             mesh=mesh,
@@ -223,7 +225,6 @@ def serialize_config(config: RunConfig) -> str:
     w("\n[solver]\n")
     w(f"tol = {config.solver.tol!r}\n")
     w(f"maxit = {config.solver.maxit}\n")
-    w(f"jacobi = {str(config.solver.jacobi).lower()}\n")
     w("\n[output]\n")
     w(f"directory = {config.output.directory}\n")
     w(f"csv = {config.output.csv_name}\n")

@@ -3,9 +3,9 @@
 Matrices are SciPy CSR matrices in canonical form (sorted indices, no
 duplicates); the row-offset / column-index / value triplet is exposed as
 ``A.indptr`` / ``A.indices`` / ``A.data``. Vectors are plain 1-D numpy
-arrays. The solver is an unpreconditioned conjugate gradient (optionally
-Jacobi preconditioned) written out explicitly so iteration counts and
-residuals are deterministic and reportable per step.
+arrays. The solver is an unpreconditioned conjugate gradient written out
+explicitly so iteration counts and residuals are deterministic and
+reportable per step.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ def cg_solve(
     tol: float = 1e-10,
     maxit: int | None = None,
     x0: np.ndarray | None = None,
-    jacobi: bool = False,
 ) -> CgResult:
     """Conjugate gradient for a symmetric positive definite system.
 
@@ -72,31 +71,24 @@ def cg_solve(
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
-    if jacobi:
-        inv_diag = 1.0 / A.diagonal()
-        z = inv_diag * r
-    else:
-        z = r
-    p = z.copy()
+    p = r.copy()
     scratch = np.empty(n)
-    rz = float(r @ z)
+    rr = float(r @ r)
 
     # The updates run in place in the order of x + alpha * p, r - alpha * Ap
-    # and z + beta * p. Unpreconditioned, r @ z is r @ r, whose root is
-    # exactly np.linalg.norm(r) for a 1-D float vector.
+    # and r + beta * p. The root of r @ r is exactly np.linalg.norm(r) for a
+    # 1-D float vector.
     for it in range(maxit + 1):
-        res = float(np.linalg.norm(r)) if jacobi else math.sqrt(rz)
+        res = math.sqrt(rr)
         if res <= tol * b_norm:
             return CgResult(x=x, iterations=it, residual=res / b_norm)
         if it == maxit:
             break
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        alpha = rr / float(p @ Ap)
         np.add(x, np.multiply(alpha, p, out=scratch), out=x)
         np.subtract(r, np.multiply(alpha, Ap, out=Ap), out=r)
-        if jacobi:
-            np.multiply(inv_diag, r, out=z)
-        rz_new = float(r @ z)
-        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
-        rz = rz_new
+        rr_new = float(r @ r)
+        np.add(r, np.multiply(rr_new / rr, p, out=p), out=p)
+        rr = rr_new
     raise CgError(maxit, res / b_norm)

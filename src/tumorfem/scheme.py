@@ -147,7 +147,6 @@ class MeshSpec:
 class SolverOptions:
     tol: float = 1e-10
     maxit: int = 0  # 0 means 10 * n
-    jacobi: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -303,10 +302,7 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
 
 def _solve_spd(B, rhs, x0, solver: SolverOptions, step: int):
     try:
-        return cg_solve(
-            B, rhs, tol=solver.tol, maxit=solver.maxit_for(len(rhs)), x0=x0,
-            jacobi=solver.jacobi,
-        )
+        return cg_solve(B, rhs, tol=solver.tol, maxit=solver.maxit_for(len(rhs)), x0=x0)
     except CgError as exc:
         raise SchemeError(step, str(exc)) from exc
 

@@ -128,10 +128,22 @@ def test_run_non_finite_time_is_config_error(tmp_path, capsys, old, new):
 
 def test_run_unknown_key_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(serialize_config(tiny_config()).replace("tol = 1e-12", "tolerance = 1e-2"))
-    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
-    assert "unknown key 'tolerance' in section [solver]" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # a misspelt key, and the key of the removed Jacobi option
+    for old, new, key in (("tol = 1e-12", "tolerance = 1e-2", "tolerance"),
+                          ("maxit = 0", "maxit = 0\njacobi = false", "jacobi")):
+        cfg_path.write_text(serialize_config(tiny_config()).replace(old, new))
+        assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"unknown key '{key}' in section [solver]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cg_nonconvergence_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    text = serialize_config(tiny_config())
+    assert "tol = 1e-12\nmaxit = 0\n" in text
+    cfg_path.write_text(text.replace("tol = 1e-12\nmaxit = 0\n", "tol = 1e-14\nmaxit = 1\n"))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "numerical failure: step 1: CG did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mesh_text, message", [

@@ -358,12 +358,23 @@ def test_parse_rejects_bad_model_and_solver_input(old, new, match):
     ("label = run", "label = run\ndebug_checks = true",
      r"unknown key 'debug_checks' in section \[scheme\]"),
     ("nx = 4", "nx = 4\npath = mesh.txt", r"unknown key 'path' in section \[mesh\]"),
-], ids=["misspelt-key", "misspelt-section", "removed-key", "other-mesh-type-key"])
+    ("maxit = 0", "maxit = 0\njacobi = false", r"unknown key 'jacobi' in section \[solver\]"),
+], ids=["misspelt-key", "misspelt-section", "removed-key", "other-mesh-type-key",
+        "removed-jacobi-key"])
 def test_parse_rejects_unknown_sections_and_keys(old, new, match):
     text = serialize_config(tiny_config())
     assert old in text
     with pytest.raises(ConfigError, match=match):
         parse_config(text.replace(old, new))
+
+
+def test_absent_solver_and_output_sections_take_the_dataclass_defaults():
+    text = serialize_config(tiny_config())
+    head, tail = text.split("\n[solver]\n")
+    assert tail.count("[") == 1 and "\n[output]\n" in tail  # the last two sections
+    config = parse_config(head)
+    assert config.solver == SolverOptions()
+    assert config.output == OutputOptions()
 
 
 def test_output_options_reject_negative_snapshot_every():
