@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration or input
 error. Runs inside a preset are independent; ``--threads N`` executes them
-in N worker processes (default 1, fully deterministic either way).
+in up to N worker processes, at most one per run (default 1, fully
+deterministic either way).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from dataclasses import replace
 
 from . import config as config_mod
-from . import diagnostics
 from . import output as output_mod
 from .mesh import audit_angles, read_mesh
 from .model import ModelParams
@@ -136,9 +136,10 @@ def _with_output(cfg: RunConfig, directory: str, snapshot_every: int | None) -> 
 def _run_and_summarize(cfg: RunConfig):
     """Run one config and write its CSV, summary and VTK snapshots."""
     out = cfg.output
+    # an unusable directory fails here, before the run computes anything
+    os.makedirs(out.directory, exist_ok=True)
     on_step = None
     if out.snapshot_every > 0:
-        os.makedirs(out.directory, exist_ok=True)
         geometry = ""
 
         def on_step(mesh, state):
@@ -150,16 +151,11 @@ def _run_and_summarize(cfg: RunConfig):
 
     report = run(cfg, on_step=on_step)
     output_mod.write_run_outputs(report)
-    output_mod.append_summary(
-        os.path.join(out.directory, out.summary_name),
-        diagnostics.run_summary_lines(report),
-    )
     return report
 
 
-def _run_one_serialized(text: str) -> str:
-    # Worker entry for --threads > 1; configs travel as their own file format.
-    cfg = config_mod.parse_config(text)
+def _run_line(cfg: RunConfig) -> str:
+    # Also the worker entry for --threads: a RunConfig pickles exactly.
     report = _run_and_summarize(cfg)
     return f"{cfg.label}: {cfg.n_steps} steps, energy={report.energy:.12g}"
 
@@ -182,15 +178,14 @@ def _cmd_run(args) -> int:
             directory = args.output_dir or cfg.output.directory or "."
         prepared.append(_with_output(cfg, directory, args.snapshot_every))
 
-    if args.threads > 1 and len(prepared) > 1:
-        texts = [config_mod.serialize_config(c) for c in prepared]
-        with multiprocessing.Pool(processes=args.threads) as pool:
-            for line in pool.map(_run_one_serialized, texts):
-                print(line)
+    workers = min(args.threads, len(prepared))
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as pool:
+            lines = pool.map(_run_line, prepared)
     else:
-        for cfg in prepared:
-            report = _run_and_summarize(cfg)
-            print(f"{cfg.label}: {cfg.n_steps} steps, energy={report.energy:.12g}")
+        lines = map(_run_line, prepared)
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 
@@ -251,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")
     p_run.add_argument("--threads", type=_worker_count, default=1, metavar="N",
-                       help="worker processes for preset bundles (default 1)")
+                       help="worker processes for preset bundles, at most one per run (default 1)")
     p_run.add_argument("config", nargs="?", default="", help="config file path")
     p_run.add_argument("--preset", choices=PRESET_NAMES, default="",
                        help="run a bundled experiment instead of a config file")

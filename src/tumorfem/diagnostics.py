@@ -38,12 +38,8 @@ class EnvelopeReport:
     holds: bool
     # The regime parameter: the necrosis floor (far-from-K) or eps (near-K).
     parameter: float
-    # Exponential decay rate of the vasculature envelope; the tumor envelope
-    # is a pure exponential only in the near-K regime.
+    # Exponential decay rate of the vasculature envelope.
     phi_rate: float
-    t_rate: float
-    # True when the parameters also imply a finite necrosis ceiling.
-    n_bound_valid: bool
     # Signed margins envelope - observed max, per recorded step (empty when
     # not applicable); nonnegative margins mean the envelope holds.
     t_margins: np.ndarray
@@ -91,9 +87,7 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
     empty = np.empty(0)
 
     def inapplicable(reason):
-        return EnvelopeReport(
-            "far-from-K", False, reason, False, n0_min, 0.0, 0.0, False, empty, empty
-        )
+        return EnvelopeReport("far-from-K", False, reason, False, n0_min, 0.0, empty, empty)
 
     if p.delta < p.gamma / p.K:
         return inapplicable("requires delta >= gamma / K")
@@ -111,7 +105,7 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
     holds = bool(t_margins.min() >= 0.0 and phi_margins.min() >= 0.0)
     return EnvelopeReport(
         "far-from-K", True, "", holds,
-        n0_min, p.beta2 * n0_min, p.beta1 * n0_min, True, t_margins, phi_margins,
+        n0_min, p.beta2 * n0_min, t_margins, phi_margins,
     )
 
 
@@ -126,12 +120,11 @@ def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> Enve
     min_n0 = report.steps[0].min_n
     rate_t = p.beta1 * (p.K - eps) - p.rho * eps / p.K
     rate_phi = p.beta2 * (p.K - eps) - p.gamma * eps / p.K
-    n_bound_valid = rate_t > 0.0 and rate_phi > 0.0
     if min_n0 < p.K - eps:
         return EnvelopeReport(
             "near-K", False,
             f"requires initial necrosis >= K - eps everywhere (min N0 = {min_n0:.6g})",
-            False, eps, rate_phi, rate_t, n_bound_valid, empty, empty,
+            False, eps, rate_phi, empty, empty,
         )
     times, max_t, max_phi = _run_maxima(report)
     t_env = max_t[0] * np.exp(-rate_t * times)
@@ -140,8 +133,7 @@ def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> Enve
     phi_margins = phi_env - max_phi
     holds = bool(t_margins.min() >= 0.0 and phi_margins.min() >= 0.0)
     return EnvelopeReport(
-        "near-K", True, "", holds, eps, rate_phi, rate_t, n_bound_valid,
-        t_margins, phi_margins,
+        "near-K", True, "", holds, eps, rate_phi, t_margins, phi_margins,
     )
 
 

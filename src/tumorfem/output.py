@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import diagnostics
 from .mesh import Triangulation
 
 if TYPE_CHECKING:
@@ -27,7 +28,6 @@ __all__ = [
     "write_compare_csv",
     "write_snapshot",
     "write_run_outputs",
-    "append_summary",
 ]
 
 CSV_HEADER = "step,time,minT,maxT,minN,maxN,minPhi,maxPhi,cg_iters,cg_residual,energy_acc"
@@ -89,34 +89,26 @@ def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> No
     _write_text(path, "".join(rows))
 
 
-def append_summary(path: str, lines: list[str]) -> None:
-    with open(path, "a", encoding="ascii") as f:
-        f.write("".join(line + "\n" for line in lines))
-
-
-def snapshot_path(directory: str, prefix: str, step: int) -> str:
-    return os.path.join(directory, f"{prefix}_{step:06d}.vtk")
-
-
 def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
     """Write ``state``'s fields on the mesh whose ``vtk_geometry`` is given."""
     write_vtk(
-        snapshot_path(directory, prefix, state.step),
+        os.path.join(directory, f"{prefix}_{state.step:06d}.vtk"),
         geometry,
         {"T": state.T, "N": state.N, "Phi": state.Phi},
     )
 
 
 def write_run_outputs(report: RunReport) -> None:
-    """Write the per-step CSV and the summary header for a finished run."""
+    """Write the per-step CSV and the full summary, the bytes ``tumorfem run`` writes."""
     out = report.config.output
     os.makedirs(out.directory, exist_ok=True)
     write_csv(report, os.path.join(out.directory, out.csv_name))
+    lines = "".join(line + "\n" for line in diagnostics.run_summary_lines(report))
     _write_text(
         os.path.join(out.directory, out.summary_name),
         f"label={report.config.label}\n"
         f"variant={report.config.variant.value}\n"
         f"steps={report.config.n_steps}\n"
         f"energy={report.energy:.17g}\n"
-        f"non_obtuse_mesh={report.non_obtuse}\n",
+        f"non_obtuse_mesh={report.non_obtuse}\n{lines}",
     )

@@ -119,13 +119,6 @@ class InitialConditions:
     N: Profile
     Phi: Profile
 
-    def interpolate(self, nodes: np.ndarray, K: float) -> tuple[np.ndarray, ...]:
-        return (
-            self.T.evaluate(nodes, K),
-            self.N.evaluate(nodes, K),
-            self.Phi.evaluate(nodes, K),
-        )
-
 
 @dataclass(frozen=True)
 class MeshSpec:
@@ -395,7 +388,8 @@ _STEPPERS = {
 
 
 def initial_state(config: RunConfig, mesh: Triangulation) -> State:
-    T0, N0, Phi0 = config.initial.interpolate(mesh.nodes, config.params.K)
+    ic, K = config.initial, config.params.K
+    T0, N0, Phi0 = (profile.evaluate(mesh.nodes, K) for profile in (ic.T, ic.N, ic.Phi))
     return State(T=T0, N=N0, Phi=Phi0, step=0, time=0.0)
 
 

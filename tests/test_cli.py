@@ -198,22 +198,84 @@ def test_preset_round_trip_bit_identical_csv(tmp_path):
     write_config_file(cfg, str(cfg_path))
     file_dir = tmp_path / "fromfile"
     assert main(["run", str(cfg_path), "--output-dir", str(file_dir)]) == 0
-    direct = (direct_dir / "per_step.csv").read_bytes()
-    from_file = (file_dir / "per_step.csv").read_bytes()
-    assert direct == from_file
+    # the library call writes the same CSV and the same full summary as the CLI
+    for name in ("per_step.csv", "summary.txt"):
+        assert (direct_dir / name).read_bytes() == (file_dir / name).read_bytes()
+    assert "envelope[far-from-K]" in (direct_dir / "summary.txt").read_text()
 
 
-def test_preset_threads_match_serial(tmp_path):
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_preset_threads_match_serial(tmp_path, capsys):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
-    assert main(["run", "--preset", "lumping-comparison", "--output-dir", str(out1)]) == 0
-    assert main(
-        ["run", "--preset", "lumping-comparison", "--output-dir", str(out2), "--threads", "2"]
-    ) == 0
-    for name in ("lumping-imex-lumped", "lumping-imex-consistent"):
-        a = (out1 / name / "per_step.csv").read_bytes()
-        b = (out2 / name / "per_step.csv").read_bytes()
-        assert a == b
+    argv = ["run", "--preset", "lumping-comparison", "--snapshot-every", "10"]
+    assert main([*argv, "--output-dir", str(out1)]) == 0
+    serial_stdout = capsys.readouterr().out
+    assert main([*argv, "--output-dir", str(out2), "--threads", "2"]) == 0
+    assert capsys.readouterr().out == serial_stdout
+    assert serial_stdout.count("\n") == 2
+    serial = _files(out1)
+    # per run: CSV, summary and the snapshots of steps 0, 10, ..., 100
+    assert len(serial) == 2 * (2 + 11)
+    assert _files(out2) == serial
+
+
+def test_threads_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from tumorfem import cli
+
+    requested = []
+
+    class FakePool:
+        # maps in this process, so the test starts no worker
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "multiprocessing", SimpleNamespace(Pool=FakePool))
+    out_dir = tmp_path / "runs"
+    assert main(["run", "--preset", "lumping-comparison", "--threads", "64",
+                 "--output-dir", str(out_dir)]) == 0
+    assert requested == [2]
+    assert capsys.readouterr().out.startswith("lumping-imex-lumped: 100 steps")
+    # one run: no pool at all
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(), str(cfg_path))
+    assert main(["run", str(cfg_path), "--threads", "4", "--output-dir", str(tmp_path / "one")]) == 0
+    assert requested == [2]
+    assert (tmp_path / "one" / "summary.txt").exists()
+
+
+def test_unusable_output_dir_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    from tumorfem import cli
+
+    calls = []
+    real_run = cli.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0].label)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(tiny_config(), str(cfg_path))
+    assert main(["run", str(cfg_path), "--output-dir", str(blocker / "sub")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_compare_identical_configs(tmp_path):
