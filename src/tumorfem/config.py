@@ -4,14 +4,14 @@ The format is INI-style with sections [mesh], [params], [time], [scheme],
 [initial], [solver], [output]. Parameter keys use the model symbol names
 (kappa1, kappa0, rho, alpha, beta1, beta2, gamma, delta, K); key case is
 preserved. Floats are serialized with ``repr`` so a write/parse cycle is
-bit-identical. A section or key that ``serialize_config`` would not write
-for the parsed config is an error, so a misspelt key cannot fall back to
-its default unnoticed.
+bit-identical. A section or key that parsing never reads is an error, so a
+misspelt key cannot fall back to its default unnoticed.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 
 from .model import ModelParams
@@ -28,150 +28,127 @@ from .scheme import (
 
 __all__ = ["ConfigError", "parse_config", "parse_config_file", "serialize_config", "write_config_file"]
 
-_PARAM_KEYS = ("kappa1", "kappa0", "rho", "alpha", "beta1", "beta2", "gamma", "delta", "K")
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 _FIELDS = ("T", "N", "Phi")
+_VARIANTS = [v.value for v in SchemeVariant]
+_NO_DEFAULT = object()
+_KIND = {float: "a number", int: "an integer"}
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-def _new_parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str  # keep K distinct from k
-    return cp
+class _Reader:
+    """Typed reads from INI text that record every (section, key) asked for."""
+
+    def __init__(self, text: str):
+        self._cp = configparser.ConfigParser(interpolation=None)
+        self._cp.optionxform = str  # keep K distinct from k
+        try:
+            self._cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"config parse error: {exc}") from exc
+        self._asked: set[tuple[str, str]] = set()
+
+    def get(self, section: str, key: str, convert=str, default=_NO_DEFAULT):
+        self._asked.add((section, key))
+        if not self._cp.has_option(section, key):
+            if default is not _NO_DEFAULT:
+                return default
+            if not self._cp.has_section(section):
+                raise ConfigError(f"missing section [{section}]")
+            raise ConfigError(f"missing key '{key}' in section [{section}]")
+        raw = self._cp.get(section, key)
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {_KIND[convert]}") from exc
+
+    def reject_unasked(self) -> None:
+        sections = {section for section, _ in self._asked}
+        for section in self._cp.sections():
+            if section not in sections:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in self._cp.options(section):
+                if (section, key) not in self._asked:
+                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
 
-def _require(cp, section: str, key: str) -> str:
-    if not cp.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
-    if not cp.has_option(section, key):
-        raise ConfigError(f"missing key '{key}' in section [{section}]")
-    return cp.get(section, key)
-
-
-def _get_float(cp, section: str, key: str) -> float:
-    raw = _require(cp, section, key)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-
-def _get_int(cp, section: str, key: str, default: int | None = None) -> int:
-    if default is not None and not (cp.has_section(section) and cp.has_option(section, key)):
-        return default
-    raw = _require(cp, section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
-def _parse_mesh(cp) -> MeshSpec:
-    kind = _require(cp, "mesh", "type").strip()
+def _parse_mesh(r: _Reader) -> MeshSpec:
+    kind = r.get("mesh", "type").strip()
     if kind == "structured":
         return MeshSpec(
-            nx=_get_int(cp, "mesh", "nx"),
-            ny=_get_int(cp, "mesh", "ny"),
-            lx=_get_float(cp, "mesh", "lx"),
-            ly=_get_float(cp, "mesh", "ly"),
+            nx=r.get("mesh", "nx", int),
+            ny=r.get("mesh", "ny", int),
+            lx=r.get("mesh", "lx", float),
+            ly=r.get("mesh", "ly", float),
         )
     if kind == "file":
-        return MeshSpec(path=_require(cp, "mesh", "path").strip())
+        path = r.get("mesh", "path").strip()
+        if not path:
+            raise ConfigError("[mesh] path must not be empty for type = file")
+        return MeshSpec(path=path)
     raise ConfigError(f"[mesh] type must be 'structured' or 'file', got {kind!r}")
 
 
-def _parse_profile(cp, name: str):
-    kind = _require(cp, "initial", f"{name}_profile").strip()
+def _parse_variant(r: _Reader) -> SchemeVariant:
+    raw = r.get("scheme", "variant").strip()
+    if raw not in _VARIANTS:
+        raise ConfigError(f"[scheme] variant must be one of {_VARIANTS}, got {raw!r}")
+    return SchemeVariant(raw)
+
+
+def _parse_profile(r: _Reader, name: str):
+    kind = r.get("initial", f"{name}_profile").strip()
     if kind == "constant":
-        return ConstantProfile(value=_get_float(cp, "initial", f"{name}_value"))
+        return ConstantProfile(value=r.get("initial", f"{name}_value", float))
     if kind == "gaussian":
         return GaussianProfile(
-            base=_get_float(cp, "initial", f"{name}_base"),
-            amplitude=_get_float(cp, "initial", f"{name}_amplitude"),
+            base=r.get("initial", f"{name}_base", float),
+            amplitude=r.get("initial", f"{name}_amplitude", float),
             center=(
-                _get_float(cp, "initial", f"{name}_center_x"),
-                _get_float(cp, "initial", f"{name}_center_y"),
+                r.get("initial", f"{name}_center_x", float),
+                r.get("initial", f"{name}_center_y", float),
             ),
-            width=_get_float(cp, "initial", f"{name}_width"),
+            width=r.get("initial", f"{name}_width", float),
         )
     raise ConfigError(f"[initial] {name}_profile must be 'constant' or 'gaussian', got {kind!r}")
 
 
 def parse_config(text: str, label: str = "run") -> RunConfig:
-    cp = _new_parser()
+    r = _Reader(text)
+    # Arguments are evaluated in this order, which fixes the error reported
+    # for a file with several. Absent [solver]/[output] keys and label take
+    # the dataclass defaults.
     try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-
-    mesh = _parse_mesh(cp)
-    try:
-        params = ModelParams(**{k: _get_float(cp, "params", k) for k in _PARAM_KEYS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    variant_raw = _require(cp, "scheme", "variant").strip()
-    try:
-        variant = SchemeVariant(variant_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[scheme] variant must be one of "
-            f"{[v.value for v in SchemeVariant]}, got {variant_raw!r}"
-        ) from exc
-
-    try:
-        initial = InitialConditions(**{name: _parse_profile(cp, name) for name in _FIELDS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    # Absent keys take the dataclass defaults, so parser and dataclass agree.
-    try:
-        solver = SolverOptions(
-            tol=(_get_float(cp, "solver", "tol") if cp.has_option("solver", "tol")
-                 else SolverOptions.tol),
-            maxit=_get_int(cp, "solver", "maxit", default=SolverOptions.maxit),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        output = OutputOptions(
-            directory=cp.get("output", "directory", fallback=OutputOptions.directory),
-            csv_name=cp.get("output", "csv", fallback=OutputOptions.csv_name),
-            summary_name=cp.get("output", "summary", fallback=OutputOptions.summary_name),
-            snapshot_every=_get_int(cp, "output", "snapshot_every",
-                                    default=OutputOptions.snapshot_every),
-            vtk_prefix=cp.get("output", "vtk_prefix", fallback=OutputOptions.vtk_prefix),
-        )
         config = RunConfig(
-            mesh=mesh,
-            params=params,
-            dt=_get_float(cp, "time", "dt"),
-            tf=_get_float(cp, "time", "tf"),
-            variant=variant,
-            initial=initial,
-            solver=solver,
-            output=output,
-            label=cp.get("scheme", "label", fallback=label),
+            mesh=_parse_mesh(r),
+            params=ModelParams(**{k: r.get("params", k, float) for k in _PARAM_KEYS}),
+            variant=_parse_variant(r),
+            initial=InitialConditions(**{name: _parse_profile(r, name) for name in _FIELDS}),
+            solver=SolverOptions(
+                tol=r.get("solver", "tol", float, SolverOptions.tol),
+                maxit=r.get("solver", "maxit", int, SolverOptions.maxit),
+            ),
+            output=OutputOptions(
+                directory=r.get("output", "directory", default=OutputOptions.directory),
+                csv_name=r.get("output", "csv", default=OutputOptions.csv_name),
+                summary_name=r.get("output", "summary", default=OutputOptions.summary_name),
+                snapshot_every=r.get("output", "snapshot_every", int,
+                                     OutputOptions.snapshot_every),
+                vtk_prefix=r.get("output", "vtk_prefix", default=OutputOptions.vtk_prefix),
+            ),
+            dt=r.get("time", "dt", float),
+            tf=r.get("time", "tf", float),
+            label=r.get("scheme", "label", default=label),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _reject_unknown(cp, config)
+    r.reject_unasked()
     return config
-
-
-def _reject_unknown(cp, config: RunConfig) -> None:
-    # parse_config reads exactly the keys serialize_config writes for its result.
-    known = _new_parser()
-    known.read_string(serialize_config(config))
-    for section in cp.sections():
-        if not known.has_section(section):
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp.options(section):
-            if not known.has_option(section, key):
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
 
 def parse_config_file(path: str) -> RunConfig:

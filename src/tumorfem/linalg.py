@@ -30,12 +30,13 @@ class CgError(RuntimeError):
     """Conjugate gradient failed to reach the requested tolerance."""
 
     def __init__(self, iterations: int, residual: float):
-        super().__init__(
-            f"CG did not converge within {iterations} iterations "
-            f"(relative residual {residual:.3e})"
-        )
+        super().__init__(iterations, residual)  # args rebuild the error when unpickled
         self.iterations = iterations
         self.residual = residual
+
+    def __str__(self) -> str:
+        return (f"CG did not converge within {self.iterations} iterations "
+                f"(relative residual {self.residual:.3e})")
 
 
 def cg_solve(

@@ -18,7 +18,7 @@ arguments, so a step evaluates them once per node for all three updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,11 +59,11 @@ class ModelParams:
     K: float
 
     def __post_init__(self):
-        for name in ("kappa1", "kappa0", "rho", "alpha", "beta1", "beta2", "gamma", "delta", "K"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be nonnegative")
         if self.K <= 0.0:
             raise ValueError("K must be positive")
         if self.kappa0 <= 0.0:

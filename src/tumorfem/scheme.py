@@ -67,8 +67,11 @@ class SchemeError(RuntimeError):
     """A step failed (no convergence, non-finite values, no M-matrix); carries the step index."""
 
     def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(step, message)  # args rebuild the error when unpickled
         self.step = step
+
+    def __str__(self) -> str:
+        return f"step {self.step}: {self.args[1]}"
 
 
 class SchemeVariant(enum.Enum):
@@ -139,16 +142,13 @@ class MeshSpec:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10
-    maxit: int = 0  # 0 means 10 * n
+    maxit: int = 0  # 0 means cg_solve's default, 10 * n
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("solver tol must be finite and positive")
         if self.maxit < 0:
             raise ValueError("solver maxit must be nonnegative (0 means 10 * n)")
-
-    def maxit_for(self, n: int) -> int:
-        return self.maxit if self.maxit > 0 else 10 * n
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
 
 def _solve_spd(B, rhs, x0, solver: SolverOptions, step: int):
     try:
-        return cg_solve(B, rhs, tol=solver.tol, maxit=solver.maxit_for(len(rhs)), x0=x0)
+        return cg_solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
     except CgError as exc:
         raise SchemeError(step, str(exc)) from exc
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,15 @@ def test_parse_errors_are_informative():
         parse_config(cfg_text.replace("Phi_profile = constant", "Phi_profile = blob"))
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file("/nonexistent/path.cfg")
+    with pytest.raises(ConfigError, match=r"^missing key 'nx' in section \[mesh\]$"):
+        parse_config(cfg_text.replace("nx = 4\n", ""))
+    with pytest.raises(ConfigError, match=r"^\[mesh\] nx = 'four' is not an integer$"):
+        parse_config(cfg_text.replace("nx = 4", "nx = four"))
+    with pytest.raises(ConfigError, match="^config parse error: "):
+        parse_config("rho = 1.0\n" + cfg_text)
+    file_text = serialize_config(tiny_config(mesh=MeshSpec(path="mesh.txt")))
+    with pytest.raises(ConfigError, match=r"^\[mesh\] path must not be empty"):
+        parse_config(file_text.replace("path = mesh.txt", "path ="))
 
 
 @pytest.mark.parametrize("old, new, match", [
@@ -366,6 +376,83 @@ def test_parse_rejects_unknown_sections_and_keys(old, new, match):
     assert old in text
     with pytest.raises(ConfigError, match=match):
         parse_config(text.replace(old, new))
+
+
+SWEEP_BASES = {
+    "structured": tiny_config(),
+    "file-mesh": tiny_config(mesh=MeshSpec(path="mesh.txt")),
+    "constant-T": tiny_config(initial=replace(tiny_config().initial, T=ConstantProfile(0.3))),
+    "gaussian-T": tiny_config(initial=replace(
+        tiny_config().initial, T=GaussianProfile(base=0.1, center=(0.2, 0.7), width=0.3))),
+}
+# Every optional key is set away from its default, so dropping it shows.
+SWEEP_OPTIONAL = dict(
+    solver=SolverOptions(tol=1e-9, maxit=50),
+    output=OutputOptions(directory="out", csv_name="c.csv", summary_name="s.txt",
+                         snapshot_every=3, vtk_prefix="v"),
+    label="sweep",
+)
+
+
+def _with_default(cfg, section, key):
+    """The config parse_config returns when the optional key is absent."""
+    if key == "label":
+        return replace(cfg, label="run")
+    options = getattr(cfg, section)
+    field = {"csv": "csv_name", "summary": "summary_name"}.get(key, key)
+    return replace(cfg, **{section: replace(options, **{field: getattr(type(options), field)})})
+
+
+def _sweep_base(name):
+    cfg = replace(SWEEP_BASES[name], **SWEEP_OPTIONAL)
+    return cfg, serialize_config(cfg).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("base", list(SWEEP_BASES))
+def test_dropping_one_key_gives_its_default_or_a_missing_key_error(base):
+    cfg, lines = _sweep_base(base)
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip()[1:-1]
+        if " = " not in line:
+            continue
+        key = line.split(" = ")[0]
+        text = "".join(lines[:i] + lines[i + 1:])
+        if section in ("solver", "output") or key == "label":
+            assert parse_config(text) == _with_default(cfg, section, key), key
+        else:
+            with pytest.raises(ConfigError, match=rf"^missing key '{key}' in section \[{section}\]$"):
+                parse_config(text)
+
+
+@pytest.mark.parametrize("base", list(SWEEP_BASES))
+def test_every_key_or_section_parsing_does_not_read_is_unknown(base):
+    cfg, lines = _sweep_base(base)
+    text = "".join(lines)
+    assert parse_config(text) == cfg
+    headers = [line for line in lines if line.startswith("[")]
+    assert len(headers) == 7
+    for header in headers:
+        with pytest.raises(ConfigError, match=rf"^unknown key 'bogus' in section \{header.strip()}$"):
+            parse_config(text.replace(header, header + "bogus = 1\n"))
+    other_branch = [
+        ("type = file\n", "[mesh]\n", "nx = 4\n", "nx"),
+        ("type = structured\n", "[mesh]\n", "path = mesh.txt\n", "path"),
+        ("T_profile = constant\n", "[initial]\n", "T_base = 0.0\n", "T_base"),
+        ("T_profile = gaussian\n", "[initial]\n", "T_value = 0.5\n", "T_value"),
+    ]
+    added = 0
+    for branch, header, extra, key in other_branch:
+        if branch in text:
+            added += 1
+            with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in section "):
+                parse_config(text.replace(header, header + extra))
+    assert added == 2
+    with pytest.raises(ConfigError, match=r"^unknown key 'tol' in section \[mesh\]$"):
+        parse_config("[DEFAULT]\ntol = 1e-3\n\n" + text)
+    with pytest.raises(ConfigError, match=r"^unknown section \[extra\]$"):
+        parse_config(text + "\n[extra]\n")
 
 
 def test_absent_solver_and_output_sections_take_the_dataclass_defaults():

@@ -1,4 +1,5 @@
 import functools
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from tumorfem import scheme
 from tumorfem.fem import build_context
+from tumorfem.linalg import CgError
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import (
@@ -343,3 +345,19 @@ def test_on_step_sees_every_state_in_order():
     assert seen[-1][1] is report.final_state
     for (_, s), d in zip(seen, report.steps):
         assert (s.time, float(s.T.min()), float(s.N.max())) == (d.time, d.min_t, d.max_n)
+
+
+@pytest.mark.parametrize("exc, attrs, text", [
+    (CgError(5, 1.25e-3), ("iterations", "residual"),
+     "CG did not converge within 5 iterations (relative residual 1.250e-03)"),
+    (SchemeError(3, "system matrix is not row diagonally dominant in row 7"), ("step",),
+     "step 3: system matrix is not row diagonally dominant in row 7"),
+    (SchemeError(1, str(CgError(1, 0.5))), ("step",),
+     "step 1: CG did not converge within 1 iterations (relative residual 5.000e-01)"),
+], ids=["cg", "scheme", "scheme-from-cg"])
+def test_step_errors_survive_a_pickle_round_trip(exc, attrs, text):
+    # Worker pools pickle an exception raised in a worker back to the parent.
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) == text
+    assert [getattr(back, a) for a in attrs] == [getattr(exc, a) for a in attrs]
