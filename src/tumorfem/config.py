@@ -1,10 +1,9 @@
-"""Config-file parsing and serialization for run configurations.
+"""Config-file parsing for run configurations.
 
 The format is INI-style with sections [mesh], [params], [time], [scheme],
 [initial], [solver], [output]. Parameter keys use the model symbol names
 (kappa1, kappa0, rho, alpha, beta1, beta2, gamma, delta, K); key case is
-preserved. Floats are serialized with ``repr`` so a write/parse cycle is
-bit-identical. A section or key that parsing never reads is an error, so a
+preserved. A section or key that parsing never reads is an error, so a
 misspelt key cannot fall back to its default unnoticed.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
 
 from .model import ModelParams
 from .scheme import (
@@ -26,7 +24,7 @@ from .scheme import (
     SolverOptions,
 )
 
-__all__ = ["ConfigError", "parse_config", "parse_config_file", "serialize_config", "write_config_file"]
+__all__ = ["ConfigError", "parse_config", "parse_config_file"]
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
 _FIELDS = ("T", "N", "Phi")
@@ -158,59 +156,3 @@ def parse_config_file(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def _profile_lines(name: str, profile) -> list[str]:
-    if isinstance(profile, ConstantProfile):
-        return [f"{name}_profile = constant", f"{name}_value = {profile.value!r}"]
-    return [
-        f"{name}_profile = gaussian",
-        f"{name}_base = {profile.base!r}",
-        f"{name}_amplitude = {profile.amplitude!r}",
-        f"{name}_center_x = {profile.center[0]!r}",
-        f"{name}_center_y = {profile.center[1]!r}",
-        f"{name}_width = {profile.width!r}",
-    ]
-
-
-def serialize_config(config: RunConfig) -> str:
-    buf = io.StringIO()
-    w = buf.write
-    w("[mesh]\n")
-    if config.mesh.path:
-        w("type = file\n")
-        w(f"path = {config.mesh.path}\n")
-    else:
-        w("type = structured\n")
-        w(f"nx = {config.mesh.nx}\n")
-        w(f"ny = {config.mesh.ny}\n")
-        w(f"lx = {config.mesh.lx!r}\n")
-        w(f"ly = {config.mesh.ly!r}\n")
-    w("\n[params]\n")
-    for key in _PARAM_KEYS:
-        w(f"{key} = {getattr(config.params, key)!r}\n")
-    w("\n[time]\n")
-    w(f"dt = {config.dt!r}\n")
-    w(f"tf = {config.tf!r}\n")
-    w("\n[scheme]\n")
-    w(f"variant = {config.variant.value}\n")
-    w(f"label = {config.label}\n")
-    w("\n[initial]\n")
-    for name in _FIELDS:
-        for line in _profile_lines(name, getattr(config.initial, name)):
-            w(line + "\n")
-    w("\n[solver]\n")
-    w(f"tol = {config.solver.tol!r}\n")
-    w(f"maxit = {config.solver.maxit}\n")
-    w("\n[output]\n")
-    w(f"directory = {config.output.directory}\n")
-    w(f"csv = {config.output.csv_name}\n")
-    w(f"summary = {config.output.summary_name}\n")
-    w(f"snapshot_every = {config.output.snapshot_every}\n")
-    w(f"vtk_prefix = {config.output.vtk_prefix}\n")
-    return buf.getvalue()
-
-
-def write_config_file(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(serialize_config(config))

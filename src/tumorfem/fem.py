@@ -25,6 +25,7 @@ reduction of a nonlinear diffusion coefficient to one value per element,
 done upstream by evaluating it at the element's vertex averages.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,21 @@ class FemContext:
     @property
     def n_vertices(self) -> int:
         return self.mesh.n_vertices
+
+    @functools.cached_property
+    def mass_slots(self) -> np.ndarray:
+        """Position in ``mass.data`` of every stored entry of the assembled stiffness.
+
+        Every stiffness slot couples two vertices of one element, so it is
+        also a slot of the mass pattern; ``unit_stiffness`` has the pattern
+        of every assembled stiffness. Computed on first use: only the
+        consistent-mass scheme needs it.
+        """
+        M, A = self.mass, self.unit_stiffness
+        rows = np.arange(self.n_vertices, dtype=np.int64)
+        mass_keys = np.repeat(rows, np.diff(M.indptr)) * len(rows) + M.indices
+        stiffness_keys = np.repeat(rows, np.diff(A.indptr)) * len(rows) + A.indices
+        return np.searchsorted(mass_keys, stiffness_keys)
 
 
 def build_context(mesh: Triangulation) -> FemContext:

@@ -3,9 +3,20 @@
 Matrices are SciPy CSR matrices in canonical form (sorted indices, no
 duplicates); the row-offset / column-index / value triplet is exposed as
 ``A.indptr`` / ``A.indices`` / ``A.data``. Vectors are plain 1-D numpy
-arrays. The solver is an unpreconditioned conjugate gradient written out
-explicitly so iteration counts and residuals are deterministic and
-reportable per step.
+arrays. Two Krylov solvers are written out explicitly, so iteration counts
+and residuals are deterministic and reportable per step:
+
+* ``cg_solve``, unpreconditioned conjugate gradient, for the symmetric
+  positive definite lumped tumor systems;
+* ``bicgstab_solve``, BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput.
+  13, 1992) with right Jacobi scaling, for the nonsymmetric
+  consistent-mass system, whose diagonal the mass matrix dominates.
+
+Both stop on the unpreconditioned relative residual, update preallocated
+buffers in place, and raise ``CgError`` instead of returning an
+unconverged or non-finite iterate. That error is how they report overflow:
+floating-point overflow and invalid operations inside a solve emit no
+numpy warning.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CgResult", "cg_solve"]
+__all__ = ["CgError", "CgResult", "bicgstab_solve", "cg_solve"]
 
 
 @dataclass(frozen=True)
@@ -27,18 +38,44 @@ class CgResult:
 
 
 class CgError(RuntimeError):
-    """Conjugate gradient failed to reach the requested tolerance."""
+    """A Krylov solve failed: no convergence, a breakdown or a norm that is not finite.
 
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(iterations, residual)  # args rebuild the error when unpickled
+    ``failure`` is the message with ``{}`` where the iteration count goes.
+    """
+
+    def __init__(self, iterations: int, residual: float,
+                 failure: str = "CG did not converge within {} iterations"):
+        super().__init__(iterations, residual, failure)  # args rebuild the error when unpickled
         self.iterations = iterations
         self.residual = residual
+        self.failure = failure
 
     def __str__(self) -> str:
-        return (f"CG did not converge within {self.iterations} iterations "
+        return (f"{self.failure.format(self.iterations)} "
                 f"(relative residual {self.residual:.3e})")
 
 
+def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int | None,
+           x0: np.ndarray | None, name: str) -> tuple[CgResult | None, int, float]:
+    """Validate a solve; return (its result if it needs no iteration, maxit, ||b||_2)."""
+    n = b.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
+        raise ValueError("right-hand side and initial guess must be finite")
+    if n == 0:
+        return CgResult(x=np.empty(0), iterations=0, residual=0.0), 0, 0.0
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0
+    if not math.isfinite(b_norm):  # finite entries whose squares overflow
+        raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
+    return None, 10 * n if maxit is None else maxit, b_norm
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def cg_solve(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -51,29 +88,19 @@ def cg_solve(
     Stops when ||b - A x||_2 <= tol * ||b||_2; raises ``CgError`` if that
     does not happen within ``maxit`` iterations (default 10 n). A zero
     right-hand side returns the zero vector, and an empty system returns an
-    empty solution. Raises ``ValueError`` for a non-finite ``b`` or ``x0``.
+    empty solution. Raises ``ValueError`` for a non-finite ``b`` or ``x0``,
+    and ``CgError`` as soon as the norm of ``b`` or of the residual is not
+    finite (entries whose squares overflow, or a non-finite matrix entry).
     Deterministic for fixed inputs.
     """
-    n = b.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
-        raise ValueError("right-hand side and initial guess must be finite")
-    if n == 0:
-        return CgResult(x=np.empty(0), iterations=0, residual=0.0)
-    if maxit is None:
-        maxit = 10 * n
+    done, maxit, b_norm = _start(A, b, tol, maxit, x0, "CG")
+    if done is not None:
+        return done
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CgResult(x=np.zeros(n), iterations=0, residual=0.0)
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
     p = r.copy()
-    scratch = np.empty(n)
+    scratch = np.empty(len(b))
     rr = float(r @ r)
 
     # The updates run in place in the order of x + alpha * p, r - alpha * Ap
@@ -83,6 +110,8 @@ def cg_solve(
         res = math.sqrt(rr)
         if res <= tol * b_norm:
             return CgResult(x=x, iterations=it, residual=res / b_norm)
+        if not math.isfinite(res):  # NaN and infinity fail the test above
+            raise CgError(it, res / b_norm, "CG residual is not finite at iteration {}")
         if it == maxit:
             break
         Ap = A @ p
@@ -93,3 +122,89 @@ def cg_solve(
         np.add(r, np.multiply(rr_new / rr, p, out=p), out=p)
         rr = rr_new
     raise CgError(maxit, res / b_norm)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def bicgstab_solve(
+    A: sp.csr_matrix,
+    b: np.ndarray,
+    tol: float = 1e-10,
+    maxit: int | None = None,
+    x0: np.ndarray | None = None,
+) -> CgResult:
+    """BiCGSTAB with right Jacobi scaling for a general nonsingular system.
+
+    Solves ``A D^-1 y = b`` with ``D = diag(A)`` and returns ``x = D^-1 y``;
+    with right scaling the recurrence residual is ``b - A x`` itself. Stops
+    when ||b - A x||_2 <= tol * ||b||_2, tested after each half step; an
+    iteration is one full or final half step (two or one products with A).
+    Raises ``CgError`` if that does not happen within ``maxit`` iterations
+    (default 10 n), on a breakdown (``rho = r0 . r``, ``r0 . v`` or
+    ``omega`` exactly zero) and as soon as the norm of ``b`` or of a
+    residual is not finite; it never restarts. A zero right-hand side returns the zero vector, an
+    empty system an empty solution. Raises ``ValueError`` for a non-finite
+    ``b`` or ``x0`` or a zero diagonal entry. Deterministic for fixed inputs.
+    """
+    done, maxit, b_norm = _start(A, b, tol, maxit, x0, "BiCGSTAB")
+    if done is not None:
+        return done
+    n = len(b)
+    diag = A.diagonal()
+    if not diag.all():
+        raise ValueError("Jacobi scaling needs a nonzero diagonal")
+    inv_diag = 1.0 / diag
+
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x
+    r0 = r.copy()
+    p = np.zeros(n)
+    v = np.zeros(n)
+    p_hat = np.empty(n)
+    s_hat = np.empty(n)
+    scratch = np.empty(n)
+    rho_old = alpha = omega = 1.0
+    target = tol * b_norm
+
+    # The updates run in place in the order of p = r + beta * (p - omega * v),
+    # s = r - alpha * v, x = (x + alpha * p_hat) + omega * s_hat and
+    # r = s - omega * t; s overwrites r. A NaN or infinite norm fails every
+    # convergence test, so finiteness is tested after it.
+    res = math.sqrt(float(r @ r))
+    for it in range(maxit + 1):
+        if res <= target:
+            return CgResult(x=x, iterations=it, residual=res / b_norm)
+        if not math.isfinite(res):
+            raise CgError(it, res / b_norm, "BiCGSTAB residual is not finite at iteration {}")
+        if it == maxit:
+            break
+        rho = float(r0 @ r)
+        if rho == 0.0:
+            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (rho = 0) at iteration {}")
+        beta = (rho / rho_old) * (alpha / omega)
+        np.subtract(p, np.multiply(omega, v, out=scratch), out=p)
+        np.add(r, np.multiply(beta, p, out=p), out=p)
+        np.multiply(inv_diag, p, out=p_hat)
+        v = A @ p_hat
+        r0v = float(r0 @ v)
+        if r0v == 0.0:
+            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (r0 . v = 0) at iteration {}")
+        alpha = rho / r0v
+        np.subtract(r, np.multiply(alpha, v, out=scratch), out=r)
+        res = math.sqrt(float(r @ r))
+        if res <= target:
+            np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
+            return CgResult(x=x, iterations=it + 1, residual=res / b_norm)
+        if not math.isfinite(res):
+            raise CgError(it + 1, res / b_norm, "BiCGSTAB residual is not finite at iteration {}")
+        np.multiply(inv_diag, r, out=s_hat)
+        t = A @ s_hat
+        tt = float(t @ t)
+        omega = float(t @ r) / tt if tt else 0.0
+        if omega == 0.0:
+            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (omega = 0) at iteration {}")
+        np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
+        np.add(x, np.multiply(omega, s_hat, out=scratch), out=x)
+        np.subtract(r, np.multiply(omega, t, out=t), out=r)
+        res = math.sqrt(float(r @ r))
+        rho_old = rho
+    raise CgError(maxit, res / b_norm, "BiCGSTAB did not converge within {} iterations")

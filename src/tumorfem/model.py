@@ -31,7 +31,6 @@ __all__ = [
     "imex_coefficients_T",
     "update_phi_node",
     "update_n_node",
-    "gronwall_constants",
 ]
 
 
@@ -173,13 +172,3 @@ def update_n_node(tk1, nk, phik1, root, dt, p: ModelParams):
         + p.delta * tk1 * phik1
         + p.beta2 * nk * phik1
     )
-
-
-def gronwall_constants(p: ModelParams) -> tuple[float, float]:
-    """(C1, C2) with dN/dt <= C1 N + C2 whenever T, Phi stay in [0, K].
-
-    C1 = (beta1 + beta2) K bounds the N-proportional terms, C2 = alpha K +
-    delta K^2 the rest; they give the exponential ceiling
-    N^k <= N^0 exp(C1 t) + C2 (exp(C1 t) - 1)/C1, which only tests check.
-    """
-    return (p.beta1 + p.beta2) * p.K, p.alpha * p.K + p.delta * p.K * p.K

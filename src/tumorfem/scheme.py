@@ -21,7 +21,9 @@ and reaction treatment (split or explicit):
 
 Before every solve, both lumped variants certify that the tumor system
 has the M-matrix structure the bound proofs use, and raise ``SchemeError``
-if not. The certificate only reads the matrix.
+if not. The certificate only reads the matrix. The lumped systems are
+symmetric and solved by conjugate gradient; the consistent one is not,
+and is solved by BiCGSTAB.
 
 The run loop is sequential in time and writes no files; within a step all
 nodewise updates are vectorized. Identical configs produce bit-identical
@@ -41,7 +43,7 @@ import scipy.sparse as sp
 
 from . import model
 from .fem import FemContext, build_context, norms
-from .linalg import CgError, cg_solve
+from .linalg import CgError, bicgstab_solve, cg_solve
 from .mesh import Triangulation, audit_angles, build_structured_mesh, read_mesh
 from .model import ModelParams, State
 
@@ -273,29 +275,38 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
     With slack ``tol = 1e-12 * max diagonal``: every diagonal entry exceeds
     tol, no off-diagonal entry does and no row sum is below -tol. The slack
     absorbs rounding in the geometric factors: on rotated right-angled
-    meshes the orthogonal couplings come out near 1e-15 instead of 0.
+    meshes the orthogonal couplings come out near 1e-15 instead of 0. A
+    non-finite entry fails one of the three tests, so finiteness is tested
+    only then, and the error names the first non-finite entry's row.
     """
     data = B.data
+
+    def row_of(slot) -> int:
+        return int(np.searchsorted(B.indptr, slot, side="right")) - 1
+
+    def fail(problem: str):
+        bad = ~np.isfinite(data)
+        if bad.any():
+            problem = f"has a non-finite entry in row {row_of(np.argmax(bad))}"
+        raise SchemeError(step, f"system matrix {problem}")
+
     diag = data[diagonal_slots]
     tol = 1e-12 * diag.max()
     if not diag.min() > tol:
-        row = int(np.argmin(diag))
-        raise SchemeError(step, f"system matrix has a nonpositive diagonal entry in row {row}")
+        fail(f"has a nonpositive diagonal entry in row {int(np.argmin(diag))}")
     # Every diagonal entry exceeds tol, so any further such entry is off the diagonal.
     if np.count_nonzero(data > tol) != len(diag):
         above = data > tol
         above[diagonal_slots] = False
-        row = int(np.searchsorted(B.indptr, np.argmax(above), side="right")) - 1
-        raise SchemeError(step, f"system matrix has a positive off-diagonal entry in row {row}")
+        fail(f"has a positive off-diagonal entry in row {row_of(np.argmax(above))}")
     row_sums = B @ np.ones(len(diag))
     if not row_sums.min() >= -tol:
-        row = int(np.argmin(row_sums))
-        raise SchemeError(step, f"system matrix is not row diagonally dominant in row {row}")
+        fail(f"is not row diagonally dominant in row {int(np.argmin(row_sums))}")
 
 
-def _solve_spd(B, rhs, x0, solver: SolverOptions, step: int):
+def _solve(solve, B, rhs, x0, solver: SolverOptions, step: int):
     try:
-        return cg_solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
+        return solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
     except CgError as exc:
         raise SchemeError(step, str(exc)) from exc
 
@@ -315,10 +326,11 @@ def step(
     Explicit reactions are the unsplit ones at the old state, entering as
     consistent-mass loads; consistent mass with them is no scheme and
     raises ``ValueError``. The consistent-mass tumor system has positive
-    off-diagonals and a mild asymmetry, so it is solved by CG on its normal
-    equations and the residual reported is that of the original system.
-    Its nodal updates equal the lumped ones: the mass matrix acts on both
-    sides of their nodewise-defined interpolants and cancels.
+    off-diagonals and a mild asymmetry, so it is solved directly by
+    Jacobi-scaled BiCGSTAB, and the residual reported is recomputed from
+    the returned solution. Its nodal updates equal the lumped ones: the
+    mass matrix acts on both sides of their nodewise-defined interpolants
+    and cancels.
 
     The split reactions take the vascular factors of the old state, computed
     once per step for the tumor coefficients and both nodal updates.
@@ -330,8 +342,17 @@ def step(
     Only its ``data`` is written: the pattern arrays belong to the stiffness
     template and are read-only. Before it is solved, the system must pass
     the M-matrix certificate; a violation raises ``SchemeError`` naming the
-    step and the offending row. A non-finite value in a new field raises
-    ``SchemeError`` naming the field.
+    step and the offending row.
+
+    The consistent system is written in place on the mass pattern as
+    ``(M / dt + A) + M * decay[column]``, the stiffness values entering at
+    ``ctx.mass_slots``; it equals ``M.multiply(1 / dt) + A + M @
+    diags(decay)`` bit for bit. Only its ``data`` is new: ``indices`` and
+    ``indptr`` are the mass matrix's own.
+
+    A solver failure (no convergence, breakdown, non-finite residual)
+    raises ``SchemeError`` naming the step, and a non-finite value in a new
+    field one naming the field.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -348,7 +369,10 @@ def step(
             B = A
             rhs = m * (T / dt + source)
         else:
-            B = (M.multiply(1.0 / dt) + A + (M @ sp.diags(decay))).tocsr()
+            data = M.data * (1.0 / dt)
+            data[ctx.mass_slots] += A.data
+            data += M.data * decay[M.indices]
+            B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
             rhs = M @ (T / dt + source)
     else:
         f1, f2, f3 = model.reactions(T, N, Phi, p)
@@ -358,11 +382,10 @@ def step(
 
     if lumped:
         _certify_m_matrix(B, diag, k)
-        res = _solve_spd(B, rhs, T, solver, k)
+        res = _solve(cg_solve, B, rhs, T, solver, k)
         residual = res.residual
     else:
-        Bt = B.T.tocsr()
-        res = _solve_spd((Bt @ B).tocsr(), Bt @ rhs, T, solver, k)
+        res = _solve(bicgstab_solve, B, rhs, T, solver, k)
         rhs_norm = float(np.linalg.norm(rhs))
         residual = float(np.linalg.norm(rhs - B @ res.x)) / rhs_norm if rhs_norm else 0.0
 

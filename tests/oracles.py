@@ -1,13 +1,19 @@
-"""Reference formulas the tests compare the package against.
+"""Reference formulas and helpers the tests compare the package against.
 
-Nothing in the package needs these; they state a property of the scheme in
-its textbook form so a test can check the production code against it.
+Nothing in the package needs these; they state a property of the scheme or
+a solver in its textbook form so a test can check the production code
+against it, or write the config files the tests read back.
 """
+
+import dataclasses
+import io
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from tumorfem.model import ModelParams, vascular_factors
+from tumorfem.scheme import ConstantProfile, RunConfig
 
 
 def discrete_laplacian_apply(
@@ -49,3 +55,128 @@ def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):
         - p.beta2 * nk * phik1
     )
     return f1, f2, f3
+
+
+def textbook_bicgstab(A, b, tol, maxit, x0):
+    """Right-Jacobi-scaled BiCGSTAB as van der Vorst writes it: new vectors each step.
+
+    Returns (x, iterations, relative residual, outcome), where outcome is
+    "converged", "maxit", "non-finite" or the quantity that broke down.
+    """
+    b_norm = float(np.linalg.norm(b))
+    inv_diag = 1.0 / A.diagonal()
+    x = np.array(x0, dtype=float)
+    r = b - A @ x
+    r0 = r.copy()
+    p = v = np.zeros(len(b))
+    rho_old = alpha = omega = 1.0
+    it = 0
+    res = float(np.linalg.norm(r))
+    while True:
+        if res <= tol * b_norm:
+            return x, it, res / b_norm, "converged"
+        if not math.isfinite(res):
+            return x, it, res / b_norm, "non-finite"
+        if it == maxit:
+            return x, it, res / b_norm, "maxit"
+        it += 1
+        rho = float(r0 @ r)
+        if rho == 0.0:
+            return x, it, res / b_norm, "rho"
+        beta = (rho / rho_old) * (alpha / omega)
+        p = r + beta * (p - omega * v)
+        p_hat = inv_diag * p
+        v = A @ p_hat
+        r0v = float(r0 @ v)
+        if r0v == 0.0:
+            return x, it, res / b_norm, "r0 . v"
+        alpha = rho / r0v
+        s = r - alpha * v
+        res = float(np.linalg.norm(s))
+        if res <= tol * b_norm:
+            return x + alpha * p_hat, it, res / b_norm, "converged"
+        if not math.isfinite(res):
+            return x, it, res / b_norm, "non-finite"
+        s_hat = inv_diag * s
+        t = A @ s_hat
+        omega = float(t @ s) / float(t @ t)
+        if omega == 0.0:
+            return x, it, res / b_norm, "omega"
+        x = x + alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        res = float(np.linalg.norm(r))
+        rho_old = rho
+
+
+def gronwall_constants(p: ModelParams) -> tuple[float, float]:
+    """(C1, C2) with dN/dt <= C1 N + C2 whenever T, Phi stay in [0, K].
+
+    C1 = (beta1 + beta2) K bounds the N-proportional terms, C2 = alpha K +
+    delta K^2 the rest; they give the exponential ceiling
+    N^k <= N^0 exp(C1 t) + C2 (exp(C1 t) - 1)/C1.
+    """
+    return (p.beta1 + p.beta2) * p.K, p.alpha * p.K + p.delta * p.K * p.K
+
+
+PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
+FIELDS = ("T", "N", "Phi")
+
+
+def profile_lines(name: str, profile) -> list[str]:
+    if isinstance(profile, ConstantProfile):
+        return [f"{name}_profile = constant", f"{name}_value = {profile.value!r}"]
+    return [
+        f"{name}_profile = gaussian",
+        f"{name}_base = {profile.base!r}",
+        f"{name}_amplitude = {profile.amplitude!r}",
+        f"{name}_center_x = {profile.center[0]!r}",
+        f"{name}_center_y = {profile.center[1]!r}",
+        f"{name}_width = {profile.width!r}",
+    ]
+
+
+def serialize_config(config: RunConfig) -> str:
+    """Config-file text that ``parse_config`` reads back to ``config``.
+
+    Floats are written with ``repr``, so a write/parse cycle is bit-identical.
+    """
+    buf = io.StringIO()
+    w = buf.write
+    w("[mesh]\n")
+    if config.mesh.path:
+        w("type = file\n")
+        w(f"path = {config.mesh.path}\n")
+    else:
+        w("type = structured\n")
+        w(f"nx = {config.mesh.nx}\n")
+        w(f"ny = {config.mesh.ny}\n")
+        w(f"lx = {config.mesh.lx!r}\n")
+        w(f"ly = {config.mesh.ly!r}\n")
+    w("\n[params]\n")
+    for key in PARAM_KEYS:
+        w(f"{key} = {getattr(config.params, key)!r}\n")
+    w("\n[time]\n")
+    w(f"dt = {config.dt!r}\n")
+    w(f"tf = {config.tf!r}\n")
+    w("\n[scheme]\n")
+    w(f"variant = {config.variant.value}\n")
+    w(f"label = {config.label}\n")
+    w("\n[initial]\n")
+    for name in FIELDS:
+        for line in profile_lines(name, getattr(config.initial, name)):
+            w(line + "\n")
+    w("\n[solver]\n")
+    w(f"tol = {config.solver.tol!r}\n")
+    w(f"maxit = {config.solver.maxit}\n")
+    w("\n[output]\n")
+    w(f"directory = {config.output.directory}\n")
+    w(f"csv = {config.output.csv_name}\n")
+    w(f"summary = {config.output.summary_name}\n")
+    w(f"snapshot_every = {config.output.snapshot_every}\n")
+    w(f"vtk_prefix = {config.output.vtk_prefix}\n")
+    return buf.getvalue()
+
+
+def write_config_file(config: RunConfig, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(serialize_config(config))

@@ -28,7 +28,6 @@ from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_fro
 from tumorfem.model import (
     ModelParams,
     State,
-    gronwall_constants,
     update_n_node,
     update_phi_node,
     vascular_factors,
@@ -41,7 +40,7 @@ from tumorfem.scheme import (
     step,
 )
 
-from oracles import discrete_laplacian_apply, imex_reactions
+from oracles import discrete_laplacian_apply, gronwall_constants, imex_reactions
 
 
 def _pass(criterion: int, message: str) -> None:

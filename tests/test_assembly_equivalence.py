@@ -1,10 +1,11 @@
 """The fixed-pattern per-step kernels against the direct sparse arithmetic.
 
-The stiffness scatter operator, the vertex-sum diffusivity and the lumped
-system written in place must reproduce, bit for bit, a scatter-add over the
-elements, the fancy-index vertex means and the sparse sum of diagonals
-with the stiffness matrix. The oracles below are kept here in that direct
-form. A step evaluates the vascular factors once for all split reactions
+The stiffness scatter operator, the vertex-sum diffusivity and the
+tumor systems written in place must reproduce, bit for bit, a scatter-add
+over the elements, the fancy-index vertex means, the sparse sum of
+diagonals with the stiffness matrix (lumped) and the sparse sum of scaled
+mass, stiffness and mass times decay (consistent). The oracles below are
+kept here in that direct form. A step evaluates the vascular factors once for all split reactions
 and shares the template's pattern with every matrix it assembles; the
 tests at the end pin both against the independent evaluation.
 """
@@ -16,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from tumorfem import scheme
+from tumorfem.cli import build_preset
 from tumorfem.fem import build_context
 from tumorfem.mesh import (
     audit_angles,
@@ -32,7 +34,7 @@ from tumorfem.model import (
     vascular_factors,
     vascular_fraction,
 )
-from tumorfem.scheme import SolverOptions, element_diffusivity, step
+from tumorfem.scheme import SolverOptions, element_diffusivity, run, step
 
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
@@ -174,6 +176,7 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
     p = COMPARABLE_TERMS
     step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=True, split=split)
     (B,) = systems
+    assert "mass_slots" not in vars(ctx)  # only consistent mass computes the slot map
 
     m = ctx.lumped
     A, _ = add_at_stiffness(mesh, element_diffusivity(ctx, state.T, state.Phi, p))
@@ -186,6 +189,46 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
     assert np.array_equal(B.indptr, expected.indptr)
     assert np.array_equal(B.indices, expected.indices)
     assert np.array_equal(B.data, expected.data)
+
+
+@pytest.mark.parametrize("make_mesh", [*MESHES.values(), lambda: acute_mesh(5, 4)],
+                         ids=[*MESHES.keys(), "acute"])
+def test_consistent_system_matches_sparse_sum(make_mesh, monkeypatch):
+    mesh = make_mesh()
+    ctx = build_context(mesh)
+    state = random_state(mesh, seed=13)
+    dt = 0.1
+    systems = []
+    solve = scheme.bicgstab_solve
+
+    def capture(B, b, **kwargs):
+        systems.append(B.copy())
+        return solve(B, b, **kwargs)
+
+    monkeypatch.setattr(scheme, "bicgstab_solve", capture)
+    p = COMPARABLE_TERMS
+    step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=False, split=True)
+    (B,) = systems
+
+    M = ctx.mass
+    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
+    P, root = vascular_factors(state.Phi, state.T, p.K)
+    _, decay = imex_coefficients_T(state.T, state.N, state.Phi, P, root, p)
+    expected = (M.multiply(1.0 / dt) + A + M @ sp.diags(decay)).tocsr()
+    expected.sort_indices()
+    assert np.array_equal(B.indptr, expected.indptr)
+    assert np.array_equal(B.indices, expected.indices)
+    assert np.array_equal(B.data, expected.data)
+
+
+def test_lumping_comparison_consistent_run_iteration_budget():
+    # CG on the normal equations took 4,679 iterations here; BiCGSTAB on the
+    # system itself takes 1,245.
+    _, consistent = build_preset("lumping-comparison")
+    assert consistent.variant is scheme.SchemeVariant.IMEX_CONSISTENT
+    report = run(consistent)
+    assert sum(d.cg_iters for d in report.steps) <= 1_600
+    assert min(d.min_t for d in report.steps) < 0.0
 
 
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
@@ -276,7 +319,7 @@ def test_steps_leave_template_and_unit_stiffness_unchanged(lumped, split):
     def fixed_arrays():
         t, S, U = ctx.stiffness_template, ctx.stiffness_template._scatter, ctx.unit_stiffness
         return (t._indices, t._indptr, t.diagonal_slots, S.data, S.indices, S.indptr,
-                U.data, U.indices, U.indptr)
+                U.data, U.indices, U.indptr, ctx.mass.data, ctx.mass.indices, ctx.mass.indptr)
 
     before = [a.copy() for a in fixed_arrays()]
     state = random_state(mesh, seed=4)

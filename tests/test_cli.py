@@ -1,10 +1,10 @@
 import pytest
 
 from tumorfem.cli import build_preset, main
-from tumorfem.config import serialize_config, write_config_file
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 from tumorfem.scheme import SchemeVariant
 
+from oracles import serialize_config, write_config_file
 from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, tiny_config
 
 
@@ -144,6 +144,32 @@ def test_cg_nonconvergence_exits_1(tmp_path, capsys):
     cfg_path.write_text(text.replace("tol = 1e-12\nmaxit = 0\n", "tol = 1e-14\nmaxit = 1\n"))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
     assert "numerical failure: step 1: CG did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, message", [
+    (SchemeVariant.IMEX_LUMPED, "system matrix has a non-finite entry in row"),
+    (SchemeVariant.EXPLICIT_LUMPED, "system matrix has a non-finite entry in row"),
+    (SchemeVariant.IMEX_CONSISTENT, "BiCGSTAB residual is not finite at iteration 0"),
+], ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
+def test_non_finite_system_is_numerical_failure(tmp_path, capsys, variant, message):
+    # Finite diffusivities whose sums in the stiffness overflow to infinity.
+    from dataclasses import replace
+
+    cfg = tiny_config(variant=variant)
+    cfg = replace(cfg, params=replace(cfg.params, kappa1=1e308, kappa0=1e308))
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(cfg, str(cfg_path))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"numerical failure: step 1: {message}" in capsys.readouterr().err
+
+
+def test_overflowing_right_hand_side_is_numerical_failure(tmp_path, capsys):
+    # A finite growth rate whose reaction load has a norm beyond the float range.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(tiny_config()).replace("rho = 1.0", "rho = 1e308"))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert ("numerical failure: step 1: CG right-hand side norm is not finite"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("mesh_text, message", [

@@ -3,13 +3,26 @@ import pytest
 import scipy.sparse as sp
 
 from tumorfem.fem import build_context
-from tumorfem.linalg import CgError, cg_solve
+from tumorfem.linalg import CgError, bicgstab_solve, cg_solve
 from tumorfem.mesh import build_structured_mesh
+
+from oracles import textbook_bicgstab
 
 
 def random_spd(n, rng, density=0.3):
     R = sp.random(n, n, density=density, random_state=np.random.RandomState(rng.integers(2**31)))
     A = (R.T @ R + sp.identity(n)).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
+def random_dominant(n, rng, density=0.3):
+    """Nonsymmetric, strictly row diagonally dominant, with entries of both signs."""
+    R = sp.random(n, n, density=density, random_state=np.random.RandomState(rng.integers(2**31)),
+                  data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
+    dominance = np.abs(R).sum(axis=1).A1 + rng.uniform(0.1, 1.0, n)
+    A = (R + sp.diags(dominance)).tocsr()
     A.sum_duplicates()
     A.sort_indices()
     return A
@@ -124,6 +137,15 @@ def tumor_system(nx, seed):
     return A
 
 
+def consistent_tumor_system(nx, seed):
+    """A consistent-mass tumor system: mass / dt, stiffness and mass times a nodal decay."""
+    ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
+    rng = np.random.default_rng(seed)
+    A = ctx.stiffness_template.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
+    decay = rng.uniform(0.0, 2.0, ctx.n_vertices)
+    return (ctx.mass.multiply(rng.uniform(10.0, 100.0)) + A + ctx.mass @ sp.diags(decay)).tocsr()
+
+
 @pytest.mark.parametrize("variant", ["plain"])  # unpreconditioned CG, the only variant
 def test_cg_equals_textbook_cg_bit_for_bit(variant):
     rng = np.random.default_rng(31)
@@ -210,3 +232,138 @@ def test_csr_canonical_and_symmetry_helpers():
     assert np.abs((A - A.T).data).max(initial=0.0) == 0.0
     B = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 3.0]]))
     assert np.abs((B - B.T).data).max(initial=0.0) == pytest.approx(0.5)
+
+
+def test_cg_fails_fast_on_a_non_finite_matrix_entry():
+    # Without the finiteness test this ran all 10 n = 20,000 iterations;
+    # 0 * NaN in the initial residual is NaN.
+    A = sp.identity(2_000, format="lil")
+    A[7, 7] = np.nan
+    with pytest.raises(CgError, match="CG residual is not finite at iteration 0"):
+        cg_solve(A.tocsr(), np.ones(2_000))
+
+
+def test_bicgstab_equals_textbook_bicgstab_bit_for_bit():
+    rng = np.random.default_rng(41)
+    systems = [random_dominant(60, rng), random_dominant(200, rng, density=0.05),
+               consistent_tumor_system(20, 4)]
+    for A in systems:
+        n = A.shape[0]
+        assert abs(A - A.T).max() > 0.0
+        b = rng.standard_normal(n)
+        for x0, tol in ((np.zeros(n), 1e-12), (rng.standard_normal(n), 1e-6)):
+            got = bicgstab_solve(A, b, tol=tol, maxit=10 * n, x0=x0)
+            x, iterations, residual, outcome = textbook_bicgstab(A, b, tol, 10 * n, x0)
+            assert outcome == "converged"
+            assert np.array_equal(got.x, x)
+            assert (got.iterations, got.residual) == (iterations, residual)
+        # The residual a failed solve reports is the one after maxit iterations.
+        with pytest.raises(CgError, match="BiCGSTAB did not converge within 3 iterations") as err:
+            bicgstab_solve(A, b, tol=1e-300, maxit=3)
+        _, iterations, residual, outcome = textbook_bicgstab(A, b, 1e-300, 3, np.zeros(n))
+        assert outcome == "maxit"
+        assert (err.value.iterations, err.value.residual) == (iterations, residual)
+
+
+def test_bicgstab_solves_seeded_nonsymmetric_systems_to_tol():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        n = int(rng.integers(3, 120))
+        A = random_dominant(n, rng, density=float(rng.uniform(0.05, 0.5)))
+        b = rng.standard_normal(n)
+        res = bicgstab_solve(A, b, tol=1e-10)
+        assert res.iterations <= 10 * n
+        assert res.residual <= 1e-10
+        # independent post-check through the matrix-vector product
+        assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_bicgstab_warm_start_and_determinism():
+    rng = np.random.default_rng(44)
+    A = consistent_tumor_system(12, 2)
+    b = rng.standard_normal(A.shape[0])
+    exact = bicgstab_solve(A, b, tol=1e-12)
+    again = bicgstab_solve(A, b, tol=1e-12)
+    assert np.array_equal(exact.x, again.x)
+    assert (exact.iterations, exact.residual) == (again.iterations, again.residual)
+    assert bicgstab_solve(A, b, tol=1e-12, x0=exact.x).iterations == 0
+
+
+def test_bicgstab_zero_rhs_and_empty_system():
+    A = random_dominant(4, np.random.default_rng(45))
+    res = bicgstab_solve(A, np.zeros(4), x0=np.ones(4))
+    assert res.iterations == 0
+    assert np.array_equal(res.x, np.zeros(4))
+    empty = bicgstab_solve(sp.csr_matrix((0, 0)), np.empty(0))
+    assert empty.x.size == 0
+    assert empty.iterations == 0
+
+
+@pytest.mark.parametrize("b, x0", [
+    ([1.0, np.nan, 1.0], None),
+    ([1.0, np.inf, 1.0], None),
+    ([1.0, 1.0, 1.0], [0.0, np.nan, 0.0]),
+], ids=["nan-rhs", "inf-rhs", "nan-x0"])
+def test_bicgstab_rejects_non_finite_input(b, x0):
+    A = sp.identity(3, format="csr")
+    with pytest.raises(ValueError, match="finite"):
+        bicgstab_solve(A, np.array(b), x0=None if x0 is None else np.array(x0))
+
+
+def test_bicgstab_rejects_bad_tol_shapes_and_zero_diagonal():
+    A = sp.identity(3, format="csr")
+    for tol in (0.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            bicgstab_solve(A, np.ones(3), tol=tol)
+    with pytest.raises(ValueError, match="dimension"):
+        bicgstab_solve(A, np.ones(4))
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        bicgstab_solve(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]])), np.ones(2))
+
+
+# Small integer systems (unit diagonal, so Jacobi scaling is the identity)
+# on which one BiCGSTAB quantity is exactly zero.
+BREAKDOWNS = {
+    "r0 . v": ([[1.0, -1.0], [3.0, 1.0]], [2.0, -2.0]),
+    "rho": ([[1.0, 2.0, -2.0], [-2.0, 1.0, 0.0], [-2.0, -1.0, 1.0]], [-2.0, -1.0, 0.0]),
+    "omega": ([[1.0, 3.0], [-1.0, 1.0]], [-1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("quantity", BREAKDOWNS)
+def test_bicgstab_breakdown_raises_without_restart(quantity):
+    A, b = (np.array(v) for v in BREAKDOWNS[quantity])
+    A = sp.csr_matrix(A)
+    assert np.linalg.det(A.toarray()) != 0.0
+    with pytest.raises(CgError, match=rf"BiCGSTAB broke down \({quantity} = 0\)") as err:
+        bicgstab_solve(A, b, tol=1e-12)
+    _, iterations, residual, outcome = textbook_bicgstab(A, b, 1e-12, 10 * len(b), np.zeros(len(b)))
+    assert outcome == quantity
+    assert (err.value.iterations, err.value.residual) == (iterations, residual)
+
+
+def test_bicgstab_fails_fast_on_a_non_finite_matrix_entry():
+    A = sp.identity(2_000, format="lil")
+    A[7, 3] = np.inf
+    with pytest.raises(CgError, match="BiCGSTAB residual is not finite at iteration 0"):
+        bicgstab_solve(A.tocsr(), np.ones(2_000))
+
+
+def test_bicgstab_leaves_its_inputs_alone():
+    rng = np.random.default_rng(46)
+    A = random_dominant(40, rng)
+    b, x0 = rng.standard_normal(40), rng.standard_normal(40)
+    b_copy, x0_copy, data_copy = b.copy(), x0.copy(), A.data.copy()
+    res = bicgstab_solve(A, b, tol=1e-12, x0=x0)
+    assert not np.shares_memory(res.x, x0)
+    assert np.array_equal(b, b_copy)
+    assert np.array_equal(x0, x0_copy)
+    assert np.array_equal(A.data, data_copy)
+
+
+@pytest.mark.parametrize("solve, name", [(cg_solve, "CG"), (bicgstab_solve, "BiCGSTAB")],
+                         ids=["cg", "bicgstab"])
+def test_rhs_whose_norm_overflows_raises(solve, name):
+    # Every entry is finite, but the stop test against tol * inf would pass at once.
+    with pytest.raises(CgError, match=f"{name} right-hand side norm is not finite"):
+        solve(sp.identity(4, format="csr"), np.full(4, 1e200))

@@ -4,7 +4,6 @@ from scipy.optimize import brentq
 
 from tumorfem.model import (
     ModelParams,
-    gronwall_constants,
     imex_coefficients_T,
     reactions,
     update_n_node,
@@ -13,7 +12,7 @@ from tumorfem.model import (
     vascular_fraction,
 )
 
-from oracles import imex_reactions
+from oracles import gronwall_constants, imex_reactions
 
 TABLE_BOUNDS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,

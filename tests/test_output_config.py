@@ -6,13 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumorfem.config import (
-    ConfigError,
-    parse_config,
-    parse_config_file,
-    serialize_config,
-    write_config_file,
-)
+from tumorfem.config import ConfigError, parse_config, parse_config_file
 from tumorfem.cli import main
 from tumorfem.mesh import build_structured_mesh
 from tumorfem.model import State
@@ -37,6 +31,7 @@ from tumorfem.scheme import (
 )
 from tumorfem.model import ModelParams
 
+from oracles import serialize_config, write_config_file
 from test_assembly_equivalence import graded_mesh
 
 PARAMS = ModelParams(

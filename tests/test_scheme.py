@@ -354,7 +354,10 @@ def test_on_step_sees_every_state_in_order():
      "step 3: system matrix is not row diagonally dominant in row 7"),
     (SchemeError(1, str(CgError(1, 0.5))), ("step",),
      "step 1: CG did not converge within 1 iterations (relative residual 5.000e-01)"),
-], ids=["cg", "scheme", "scheme-from-cg"])
+    (CgError(2, 0.25, "BiCGSTAB broke down (rho = 0) at iteration {}"),
+     ("iterations", "residual", "failure"),
+     "BiCGSTAB broke down (rho = 0) at iteration 2 (relative residual 2.500e-01)"),
+], ids=["cg", "scheme", "scheme-from-cg", "bicgstab"])
 def test_step_errors_survive_a_pickle_round_trip(exc, attrs, text):
     # Worker pools pickle an exception raised in a worker back to the parent.
     back = pickle.loads(pickle.dumps(exc))
