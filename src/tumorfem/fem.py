@@ -5,18 +5,22 @@ the consistent mass matrix (needed only by the un-lumped comparison
 scheme), and the discrete norms. Assembly is vectorized over elements,
 and everything that depends only on the mesh is computed once:
 
-* ``StiffnessTemplate`` holds the CSR pattern of the stiffness matrix and
-  a scatter operator ``S`` (one row per stored entry, one column per
-  element) whose values are the geometric factors area * grad_a . grad_b.
-  The per-step values for element coefficients ``c`` are ``S @ c``.
+* ``StiffnessTemplate`` sorts the 9 local pairs of every element once, by
+  the key row * n + col, and that one sorted pass builds the scatter
+  operator ``S``, the stiffness pattern, the consistent mass matrix ``M``
+  and ``mass_slots``, the position of every stiffness slot in ``M``'s
+  pattern.
+* ``S`` has one row per stored stiffness entry and one column per element;
+  its values are the geometric factors area * grad_a . grad_b, so the
+  per-step values for element coefficients ``c`` are ``S @ c``.
 * Pattern slots whose every geometric factor is exactly zero are left
-  out. On right triangles with axis-aligned legs these are the entries
-  coupling the two ends of a hypotenuse, whose basis gradients are
-  orthogonal; a sparse add drops those zeros, so CG would otherwise
-  multiply by them on every iteration.
-* Within a row of ``S`` the contributions keep the order in which a
-  scatter-add over the elements visits them, so ``S @ c`` sums them in
-  the same sequence and equals that scatter-add bit for bit.
+  out of the stiffness, not of ``M``. On right triangles with axis-aligned
+  legs these are the entries coupling the two ends of a hypotenuse, whose
+  basis gradients are orthogonal; a sparse add drops those zeros, so CG
+  would otherwise multiply by them on every iteration.
+* Within a slot the contributions keep the order in which a scatter-add
+  over the elements visits them, so ``S @ c`` and every entry of ``M``
+  are summed in that sequence and equal that scatter-add bit for bit.
 * ``FemContext.vertex_sum`` sums the three vertex values of every element,
   for coefficients evaluated at vertex averages.
 
@@ -25,7 +29,6 @@ reduction of a nonlinear diffusion coefficient to one value per element,
 done upstream by evaluating it at the element's vertex averages.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +58,7 @@ def _lumped_mass(mesh: Triangulation, areas: np.ndarray) -> np.ndarray:
 
 
 class StiffnessTemplate:
-    """Fixed CSR pattern and scatter operator for per-element-coefficient stiffness.
+    """Fixed CSR patterns, the stiffness scatter operator and the consistent mass.
 
     The 9 local products area * grad_a . grad_b per element are computed
     once and stored as the scatter operator ``S`` (stored entries x
@@ -63,60 +66,63 @@ class StiffnessTemplate:
     Entries whose geometric factors are all exactly zero are not stored,
     which keeps the per-step matrices as small as a sparse add that drops
     zeros would. ``diagonal_slots[a]`` is the position of entry (a, a) in
-    the ``data`` array of every assembled matrix. ``areas`` and ``grads``
-    are the element geometry, as ``element_areas_and_gradients`` returns it.
+    the ``data`` array of every assembled matrix. ``mass`` is the consistent
+    P1 mass matrix, whose local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]];
+    its pattern holds every vertex pair of an element, and
+    ``mass_slots[s]`` is the position in ``mass.data`` of stiffness slot s.
+    ``areas`` and ``grads`` are the element geometry, as
+    ``element_areas_and_gradients`` returns it.
     """
 
     def __init__(self, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray):
         n = mesh.n_vertices
         nt = mesh.n_triangles
-        # Entry e = k * nt + t is the local pair k = (a, b) of element t.
-        rows = np.empty(9 * nt, dtype=np.int32)
-        cols = np.empty(9 * nt, dtype=np.int32)
-        geom = np.empty(9 * nt)
-        k = 0
+        # Entry e = (3a + b) * nt + t is the local pair (a, b) of element t,
+        # keyed by its slot row * n + col. Its geometric factor is symmetric.
+        keys = np.empty((3, 3, nt), dtype=np.int64)
+        geom = np.empty((3, 3, nt))
         for a in range(3):
-            for b in range(3):
-                rows[k * nt : (k + 1) * nt] = mesh.triangles[:, a]
-                cols[k * nt : (k + 1) * nt] = mesh.triangles[:, b]
-                geom[k * nt : (k + 1) * nt] = areas * np.einsum(
-                    "ij,ij->i", grads[:, a], grads[:, b]
-                )
-                k += 1
-        # Sort by (row, col); the sort is stable, so the entries of one slot
-        # stay in increasing e, the order a scatter-add would sum them in.
-        # S is built from its CSR arrays directly: a COO conversion would
-        # sort each row by element and change that order.
-        order = np.lexsort((cols, rows))
-        rows = rows[order]
-        cols = cols[order]
-        geom = geom[order]
+            np.add(mesh.triangles[:, a] * n, mesh.triangles.T, out=keys[a])
+            for b in range(a, 3):
+                geom[a, b] = geom[b, a] = areas * np.einsum("ij,ij->i", grads[:, a], grads[:, b])
+        # The sort is stable, so the entries of one slot stay in increasing e,
+        # the order a scatter-add would sum them in. S and the mass are built
+        # from their CSR arrays directly: a COO conversion would sort each
+        # row by element and change that order.
+        order = np.argsort(keys.ravel(), kind="stable")
+        keys = keys.ravel()[order]
+        geom = geom.ravel()[order]
         elements = np.remainder(order, nt, out=order).astype(np.int32)
         del order
-        first = np.empty(9 * nt, dtype=bool)
-        first[0] = True
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        first[1:] |= cols[1:] != cols[:-1]
-        starts = np.flatnonzero(first)
-        del first
-        sizes = np.diff(np.append(starts, 9 * nt))
-        kept = np.logical_or.reduceat(geom != 0.0, starts)
-        entry_kept = np.repeat(kept, sizes)
-        starts = starts[kept]
-        scatter_indptr = np.zeros(len(starts) + 1, dtype=np.int32)
-        np.cumsum(sizes[kept], out=scatter_indptr[1:])
-        del sizes, kept
-        self._scatter = sp.csr_matrix(
-            (geom[entry_kept], elements[entry_kept], scatter_indptr),
-            shape=(len(starts), nt),
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        slot_rows, slot_cols = np.divmod(keys[starts], n)
+        del keys
+        slot_ptr = np.append(starts, 9 * nt).astype(np.int32)
+        shape = (len(starts), nt)
+        del starts
+        # Mass slot values: area * (2 or 1)/12 summed over the slot's entries.
+        factors = np.where(slot_rows == slot_cols, 2.0 / 12.0, 1.0 / 12.0)
+        mass_data = (
+            sp.csr_matrix((np.repeat(factors, np.diff(slot_ptr)), elements, slot_ptr), shape=shape)
+            @ areas
         )
-        del geom, elements, entry_kept
-        slot_rows = rows[starts]
-        self._indices = cols[starts]
-        del rows, cols, starts
+        del factors
+        mass_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slot_rows, minlength=n), out=mass_indptr[1:])
+        self.mass = sp.csr_matrix(
+            (mass_data, slot_cols.astype(np.int32), mass_indptr), shape=(n, n)
+        )
+        # A slot is kept when one of its factors is nonzero, which is when
+        # the sum of their magnitudes is.
+        kept = sp.csr_matrix((np.abs(geom), elements, slot_ptr), shape=shape) @ np.ones(nt) > 0.0
+        self._scatter = sp.csr_matrix((geom, elements, slot_ptr), shape=shape)[kept]
+        del geom, elements, slot_ptr
+        self.mass_slots = np.flatnonzero(kept)
+        self._indices = self.mass.indices[self.mass_slots]
+        stiffness_rows = slot_rows[kept]
         self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(slot_rows, minlength=n), out=self._indptr[1:])
-        self.diagonal_slots = np.flatnonzero(slot_rows == self._indices)
+        np.cumsum(np.bincount(stiffness_rows, minlength=n), out=self._indptr[1:])
+        self.diagonal_slots = np.flatnonzero(stiffness_rows == self._indices)
         # Every assembled matrix shares the pattern; a structural change in place raises.
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
@@ -145,23 +151,6 @@ class StiffnessTemplate:
         )
 
 
-def _consistent_mass(mesh: Triangulation, areas: np.ndarray) -> sp.csr_matrix:
-    """Standard P1 mass matrix; local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]]."""
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(mesh.triangles[:, a])
-            cols.append(mesh.triangles[:, b])
-            vals.append(areas * ((2.0 if a == b else 1.0) / 12.0))
-    M = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    M.sum_duplicates()
-    M.sort_indices()
-    return M
-
-
 @dataclass(frozen=True)
 class FemContext:
     """Everything assemble-once for a fixed mesh, shared by steppers and norms.
@@ -169,34 +158,21 @@ class FemContext:
     ``vertex_sum`` is the (elements x vertices) matrix with a unit entry for
     each vertex of each element, so ``vertex_sum @ f / 3.0`` gives the
     vertex averages of a nodal field in the same sum order as
-    ``f[triangles].mean(axis=1)``.
+    ``f[triangles].mean(axis=1)``. ``mass_slots`` is the template's map from
+    the slots of every assembled stiffness into ``mass.data``.
     """
 
     mesh: Triangulation
     lumped: np.ndarray
     unit_stiffness: sp.csr_matrix
     mass: sp.csr_matrix
+    mass_slots: np.ndarray = field(repr=False)
     stiffness_template: StiffnessTemplate = field(repr=False)
     vertex_sum: sp.csr_matrix = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return self.mesh.n_vertices
-
-    @functools.cached_property
-    def mass_slots(self) -> np.ndarray:
-        """Position in ``mass.data`` of every stored entry of the assembled stiffness.
-
-        Every stiffness slot couples two vertices of one element, so it is
-        also a slot of the mass pattern; ``unit_stiffness`` has the pattern
-        of every assembled stiffness. Computed on first use: only the
-        consistent-mass scheme needs it.
-        """
-        M, A = self.mass, self.unit_stiffness
-        rows = np.arange(self.n_vertices, dtype=np.int64)
-        mass_keys = np.repeat(rows, np.diff(M.indptr)) * len(rows) + M.indices
-        stiffness_keys = np.repeat(rows, np.diff(A.indptr)) * len(rows) + A.indices
-        return np.searchsorted(mass_keys, stiffness_keys)
 
 
 def build_context(mesh: Triangulation) -> FemContext:
@@ -216,7 +192,8 @@ def build_context(mesh: Triangulation) -> FemContext:
         mesh=mesh,
         lumped=_lumped_mass(mesh, areas),
         unit_stiffness=template.assemble(np.ones(nt)),
-        mass=_consistent_mass(mesh, areas),
+        mass=template.mass,
+        mass_slots=template.mass_slots,
         stiffness_template=template,
         vertex_sum=vertex_sum,
     )

@@ -4,7 +4,9 @@ Floats are written with 17 significant digits so files round-trip exactly;
 plots are produced externally from these files, the package itself draws
 nothing. Each file is rendered to one string and written with one call.
 The VTK geometry is fixed for a run, so a caller renders it once with
-``vtk_geometry`` and passes the text to every snapshot of that run.
+``vtk_geometry`` and passes the text to every snapshot of that run. Each
+VTK block of n values (points, cells, one field) is one ``%`` format over
+a tuple of them.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def write_csv(report: RunReport, path: str) -> None:
 def vtk_geometry(mesh: Triangulation) -> str:
     """Legacy ASCII VTK text up to and including the ``POINT_DATA`` line."""
     nt = mesh.n_triangles
-    points = "".join(f"{x:.17g} {y:.17g} 0\n" for x, y in mesh.nodes.tolist())
-    cells = "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
+    points = ("%.17g %.17g 0\n" * mesh.n_vertices) % tuple(mesh.nodes.ravel().tolist())
+    cells = ("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist())
     return (
         "# vtk DataFile Version 3.0\ntumorfem snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
         f"POINTS {mesh.n_vertices} double\n{points}"
@@ -67,7 +69,7 @@ def write_vtk(path: str, geometry: str, fields: dict[str, np.ndarray]) -> None:
     blocks = [geometry]
     for name, values in fields.items():
         blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        blocks.append("".join(f"{v:.17g}\n" for v in values.tolist()))
+        blocks.append(("%.17g\n" * len(values)) % tuple(values.tolist()))
     _write_text(path, "".join(blocks))
 
 

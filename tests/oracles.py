@@ -12,6 +12,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from tumorfem.mesh import Triangulation
 from tumorfem.model import ModelParams, vascular_factors
 from tumorfem.scheme import ConstantProfile, RunConfig
 
@@ -28,6 +29,28 @@ def discrete_laplacian_apply(
     if stiffness_unit.shape[1] != n.shape[0] or lumped.shape[0] != n.shape[0]:
         raise ValueError("dimension mismatch in discrete Laplacian")
     return (stiffness_unit @ n) / lumped
+
+
+def norm_mesh_h(mesh: Triangulation) -> float:
+    """Longest edge over all elements, from ``np.linalg.norm`` of every edge."""
+    p = mesh.nodes[mesh.triangles]
+    edge_len = np.stack([np.linalg.norm(p[:, (k + 1) % 3] - p[:, k], axis=1) for k in range(3)])
+    return float(edge_len.max())
+
+
+def norm_worst_angle(mesh: Triangulation) -> tuple[float, int]:
+    """(largest -cos(angle), its element) over every interior angle, with the
+    cosines taken as u . v / (|u| |v|) and both lengths from ``np.linalg.norm``."""
+    p = mesh.nodes[mesh.triangles]
+    worst, worst_elem = -np.inf, -1
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        neg = -np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        idx = int(np.argmax(neg))
+        if neg[idx] > worst:
+            worst, worst_elem = float(neg[idx]), idx
+    return worst, worst_elem
 
 
 def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):

@@ -5,7 +5,9 @@ tumor systems written in place must reproduce, bit for bit, a scatter-add
 over the elements, the fancy-index vertex means, the sparse sum of
 diagonals with the stiffness matrix (lumped) and the sparse sum of scaled
 mass, stiffness and mass times decay (consistent). The oracles below are
-kept here in that direct form. A step evaluates the vascular factors once for all split reactions
+kept here in that direct form, with a scatter-add for the consistent mass
+and a key search for the map from the stiffness slots into the mass
+pattern. A step evaluates the vascular factors once for all split reactions
 and shares the template's pattern with every matrix it assembles; the
 tests at the end pin both against the independent evaluation.
 """
@@ -129,6 +131,36 @@ def add_at_stiffness(mesh, coeff):
     return A, ~nonzero_factor
 
 
+def add_at_mass(mesh):
+    """Scatter-add of the 9 local mass entries (area/12) * (2 or 1) of every
+    element, in entry order, into the pattern of all element vertex pairs."""
+    areas, _ = element_areas_and_gradients(mesh)
+    n = mesh.n_vertices
+    rows, cols, vals = [], [], []
+    for a in range(3):
+        for b in range(3):
+            rows.append(mesh.triangles[:, a])
+            cols.append(mesh.triangles[:, b])
+            vals.append(areas * ((2.0 if a == b else 1.0) / 12.0))
+    keys = np.concatenate(rows) * n + np.concatenate(cols)
+    slot_keys, slots = np.unique(keys, return_inverse=True)
+    data = np.zeros(len(slot_keys))
+    np.add.at(data, slots, np.concatenate(vals))
+    slot_rows, slot_cols = np.divmod(slot_keys, n)
+    indptr = np.r_[0, np.cumsum(np.bincount(slot_rows, minlength=n))]
+    return sp.csr_matrix((data, slot_cols, indptr), shape=(n, n))
+
+
+def searchsorted_mass_slots(ctx):
+    """Position in ``mass.data`` of every stiffness slot, by searching the
+    row-major keys of the stiffness pattern among those of the mass pattern."""
+    M, A = ctx.mass, ctx.unit_stiffness
+    rows = np.arange(ctx.n_vertices, dtype=np.int64)
+    mass_keys = np.repeat(rows, np.diff(M.indptr)) * len(rows) + M.indices
+    stiffness_keys = np.repeat(rows, np.diff(A.indptr)) * len(rows) + A.indices
+    return np.searchsorted(mass_keys, stiffness_keys)
+
+
 def n_edges(mesh):
     t = mesh.triangles
     pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
@@ -158,6 +190,27 @@ def test_scatter_operator_matches_add_at(make_mesh):
     assert A.has_canonical_format
 
 
+ALL_MESHES = {**MESHES, "acute": lambda: acute_mesh(5, 4)}
+
+
+@pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
+def test_consistent_mass_matches_add_at(make_mesh):
+    mesh = make_mesh()
+    M, ref = build_context(mesh).mass, add_at_mass(mesh)
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.data, ref.data)
+    assert M.has_canonical_format
+
+
+@pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
+def test_mass_slots_match_searchsorted_map(make_mesh):
+    ctx = build_context(make_mesh())
+    slots = ctx.mass_slots
+    assert np.array_equal(slots, searchsorted_mass_slots(ctx))
+    assert np.array_equal(ctx.mass.indices[slots], ctx.unit_stiffness.indices)
+
+
 @pytest.mark.parametrize("split", [True, False], ids=["split", "explicit"])
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
@@ -176,7 +229,11 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
     p = COMPARABLE_TERMS
     step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=True, split=split)
     (B,) = systems
-    assert "mass_slots" not in vars(ctx)  # only consistent mass computes the slot map
+    # The stiffness pattern sits inside the mass pattern at the mass slots.
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(B.indptr))
+    mass_rows = np.repeat(np.arange(mesh.n_vertices), np.diff(ctx.mass.indptr))
+    assert np.array_equal(mass_rows[ctx.mass_slots], rows)
+    assert np.array_equal(ctx.mass.indices[ctx.mass_slots], B.indices)
 
     m = ctx.lumped
     A, _ = add_at_stiffness(mesh, element_diffusivity(ctx, state.T, state.Phi, p))
@@ -191,8 +248,7 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
     assert np.array_equal(B.data, expected.data)
 
 
-@pytest.mark.parametrize("make_mesh", [*MESHES.values(), lambda: acute_mesh(5, 4)],
-                         ids=[*MESHES.keys(), "acute"])
+@pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
 def test_consistent_system_matches_sparse_sum(make_mesh, monkeypatch):
     mesh = make_mesh()
     ctx = build_context(mesh)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ def test_consistent_row_sums_equal_lumped_and_total_area():
         assert np.abs(rows - lumped).max() <= 1e-12 * lx * ly
         ones = np.ones(mesh.n_vertices)
         assert ones @ (M @ ones) == pytest.approx(lx * ly, rel=1e-12)
+
+
+def test_context_build_memory_per_element_pair():
+    # One sorted pass over the 9 local pairs of each element builds every
+    # mesh-only operator in about 46 bytes per pair; a second COO assembly
+    # for the mass takes it to 77.
+    mesh = build_structured_mesh(120, 120, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        build_context(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (9 * mesh.n_triangles) < 60.0
 
 
 def test_discrete_laplacian_kills_constants():

@@ -12,6 +12,9 @@ from tumorfem.mesh import (
     write_mesh,
 )
 
+from oracles import norm_mesh_h, norm_worst_angle
+from test_assembly_equivalence import acute_mesh, graded_mesh
+
 
 def test_single_cell_mesh():
     m = build_structured_mesh(1, 1, 1.0, 1.0)
@@ -74,6 +77,35 @@ def test_structured_meshes_always_non_obtuse():
         lx, ly = rng.uniform(0.3, 2.5, size=2)
         rep = audit_angles(build_structured_mesh(int(nx), int(ny), lx, ly))
         assert rep.non_obtuse
+
+
+def jittered_mesh(nx, ny, seed):
+    """Structured mesh with every interior node moved by up to a fifth of a
+    cell, so that some angles are obtuse."""
+    mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
+    nodes = mesh.nodes.copy()
+    interior = (nodes > 0.0).all(axis=1) & (nodes < 1.0).all(axis=1)
+    rng = np.random.default_rng(seed)
+    nodes[interior] += rng.uniform(-0.2, 0.2, (int(interior.sum()), 2)) / max(nx, ny)
+    return triangulation_from_arrays(nodes, mesh.triangles)
+
+
+AUDIT_MESHES = {
+    "graded": lambda: graded_mesh(9, 7, seed=2),
+    "acute": lambda: acute_mesh(8, 6),
+    "jittered": lambda: jittered_mesh(8, 8, seed=1),
+}
+
+
+@pytest.mark.parametrize("make_mesh", AUDIT_MESHES.values(), ids=AUDIT_MESHES.keys())
+def test_audit_and_h_equal_the_norm_formulas(make_mesh):
+    mesh = make_mesh()
+    rep = audit_angles(mesh)
+    worst, worst_element = norm_worst_angle(mesh)
+    # float.hex tells -0.0 from 0.0, which the right angles of the graded mesh give.
+    assert rep.max_neg_cosine.hex() == worst.hex()
+    assert rep.worst_element == worst_element
+    assert mesh.h.hex() == norm_mesh_h(mesh).hex()
 
 
 def test_element_geometry_reference_triangle():

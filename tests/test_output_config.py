@@ -189,8 +189,8 @@ def oracle_write_compare_csv(report_a, report_b, path: str) -> None:
 
 
 # Values whose shortest and 17-digit forms differ, signed zero, a subnormal,
-# the capacity and the fine-imex undershoot.
-AWKWARD = [-2.8e-99, -0.0, 1.0 / 3.0, PARAMS.K, 5e-324]
+# the capacity, the fine-imex undershoot, and values with few digits.
+AWKWARD = [-2.8e-99, -0.0, 1.0 / 3.0, PARAMS.K, 5e-324, 0.1, 1.0]
 
 
 def awkward_field(n: int, seed: int) -> np.ndarray:
