@@ -175,7 +175,7 @@ def _cmd_run(args) -> int:
             directory = os.path.join(args.output_dir or ".", cfg.label)
         else:
             # an explicit --output-dir wins over the config's own directory
-            directory = args.output_dir or cfg.output.directory or "."
+            directory = args.output_dir or cfg.output.directory
         prepared.append(_with_output(cfg, directory, args.snapshot_every))
 
     workers = min(args.threads, len(prepared))
@@ -247,9 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")
     p_run.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                        help="worker processes for preset bundles, at most one per run (default 1)")
-    p_run.add_argument("config", nargs="?", default="", help="config file path")
-    p_run.add_argument("--preset", choices=PRESET_NAMES, default="",
-                       help="run a bundled experiment instead of a config file")
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("config", nargs="?", default="", help="config file path")
+    source.add_argument("--preset", choices=PRESET_NAMES, default="",
+                        help="run a bundled experiment instead of a config file")
     p_run.set_defaults(func=_cmd_run)
 
     p_mesh = sub.add_parser("check-mesh", help="audit a mesh file's angles")

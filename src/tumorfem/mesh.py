@@ -7,6 +7,13 @@ operator an M-matrix and keeps the discrete solution inside its physical
 bounds. ``audit_angles`` reports both the weak (non-obtuse) and strong
 (strictly acute) versions of that condition.
 
+All element geometry comes from one edge array: edge k of an element with
+corners p[0], p[1], p[2] lies opposite vertex k, ``e[k] = p[k+2] - p[k+1]``
+(indices mod 3). The signed doubled area ``e[1] x e[2]`` gives orientation
+and degeneracy, ``h`` is the longest ``|e[k]|``, the angle at vertex k lies
+between ``e[k+2]`` and ``-e[k+1]``, and basis k's gradient is ``e[k]``
+turned 90 degrees counter-clockwise over the doubled area.
+
 Meshes are immutable after construction and safe to share across threads.
 """
 
@@ -75,17 +82,22 @@ class AngleReport:
     non_obtuse: bool
 
 
-def _signed_doubled_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    return v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+def _edges(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Edge vectors opposite each local vertex, ``e[k] = p[k+2] - p[k+1]``, shape (3, nt, 2)."""
+    p = nodes[triangles.T]
+    e = np.empty(p.shape)
+    for k in range(3):
+        np.subtract(p[(k + 2) % 3], p[(k + 1) % 3], out=e[k])
+    return e
 
 
-def _squared_lengths(v: np.ndarray) -> np.ndarray:
-    """Squared lengths of the rows of an (m, 2) array, as ``np.linalg.norm``
-    sums them, so their roots equal ``np.linalg.norm(v, axis=1)`` bit for bit."""
-    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+def _doubled_areas(e: np.ndarray) -> np.ndarray:
+    """Signed doubled areas ``e[1] x e[2]``; raises ``ValueError`` if one is zero."""
+    det = e[1, :, 0] * e[2, :, 1] - e[1, :, 1] * e[2, :, 0]
+    if np.any(det == 0.0):
+        bad = int(np.nonzero(det == 0.0)[0][0])
+        raise ValueError(f"element {bad} is degenerate (zero area)")
+    return det
 
 
 def triangulation_from_arrays(nodes, triangles) -> Triangulation:
@@ -119,18 +131,14 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     if not used.all():
         raise ValueError(f"vertex {int(np.argmin(used))} belongs to no element")
 
-    det = _signed_doubled_areas(nodes, triangles)
-    flip = det < 0.0
+    e = _edges(nodes, triangles)
+    flip = _doubled_areas(e) < 0.0
+    # A flip only reverses edges, so h is the same before and after it.
+    h = math.sqrt(float((e * e).sum(-1).max()))
+    del e
     if np.any(flip):
         triangles = triangles.copy()
-        triangles[flip, 1], triangles[flip, 2] = (
-            triangles[flip, 2].copy(),
-            triangles[flip, 1].copy(),
-        )
-        det = np.abs(det)
-    if np.any(det == 0.0):
-        bad = int(np.nonzero(det == 0.0)[0][0])
-        raise ValueError(f"element {bad} is degenerate (zero area)")
+        triangles[flip, 1:] = triangles[flip, 2:0:-1]  # swap vertices 1 and 2
 
     # Each edge as one key lo * n + hi over its sorted vertex pair.
     edges = np.concatenate([ordered[:, [0, 1]], ordered[:, [1, 2]], ordered[:, [0, 2]]])
@@ -139,9 +147,7 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         lo, hi = divmod(int(keys[np.argmax(counts > 2)]), len(nodes))
         raise ValueError(f"edge ({lo}, {hi}) shared by more than two elements")
 
-    p = nodes[triangles]
-    longest = max(float(_squared_lengths(p[:, (k + 1) % 3] - p[:, k]).max()) for k in range(3))
-    return Triangulation(nodes=nodes, triangles=triangles, h=math.sqrt(longest))
+    return Triangulation(nodes=nodes, triangles=triangles, h=h)
 
 
 def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulation:
@@ -188,19 +194,15 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
     condition the positivity-preserving steppers require); ``strictly_acute``
     when every angle is below 90 degrees. Report-only, never raises.
     """
-    p = mesh.nodes[mesh.triangles]
+    e = _edges(mesh.nodes, mesh.triangles)
+    length = np.sqrt((e * e).sum(-1))
     worst = -np.inf
     worst_elem = -1
     for k in range(3):
-        a = p[:, k]
-        b = p[:, (k + 1) % 3]
-        c = p[:, (k + 2) % 3]
-        u = b - a
-        v = c - a
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.sqrt(_squared_lengths(u)) * np.sqrt(_squared_lengths(v))
-        )
-        neg = -cosang
+        # The angle at vertex k lies between e[k+2] and -e[k+1]. Negating after
+        # the division keeps the -0.0 that right angles give.
+        dot = np.einsum("ij,ij->i", e[(k + 2) % 3], -e[(k + 1) % 3])
+        neg = -(dot / (length[(k + 2) % 3] * length[(k + 1) % 3]))
         idx = int(np.argmax(neg))
         if neg[idx] > worst:
             worst = float(neg[idx])
@@ -215,17 +217,12 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
 
 def element_areas_and_gradients(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:
     """Areas (n_t,) and P1 basis gradients (n_t, 3, 2) for every element."""
-    det = _signed_doubled_areas(mesh.nodes, mesh.triangles)
-    if np.any(det == 0.0):
-        bad = int(np.nonzero(det == 0.0)[0][0])
-        raise ValueError(f"element {bad} is degenerate (zero area)")
-    p = mesh.nodes[mesh.triangles]
+    e = _edges(mesh.nodes, mesh.triangles)
+    det = _doubled_areas(e)
+    # The gradient of basis k is (-e[k]_y, e[k]_x) over the doubled area.
     grads = np.empty((mesh.n_triangles, 3, 2))
-    for loc in range(3):
-        # Gradient of basis `loc` is the rotated opposite edge over 2*area.
-        e = p[:, (loc + 2) % 3] - p[:, (loc + 1) % 3]
-        grads[:, loc, 0] = -e[:, 1] / det
-        grads[:, loc, 1] = e[:, 0] / det
+    np.divide(e.transpose(1, 0, 2)[..., ::-1], det[:, None, None], out=grads)
+    grads[..., 0] *= -1.0
     return 0.5 * np.abs(det), grads
 
 

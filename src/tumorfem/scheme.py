@@ -155,13 +155,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class OutputOptions:
-    directory: str = ""
+    directory: str = "."  # "" (a config's empty value) is read as "."
     csv_name: str = "per_step.csv"
     summary_name: str = "summary.txt"
     snapshot_every: int = 0  # 0 disables VTK snapshots
     vtk_prefix: str = "snapshot"
 
     def __post_init__(self):
+        object.__setattr__(self, "directory", self.directory or ".")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
 

@@ -8,6 +8,7 @@ against it, or write the config files the tests read back.
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +52,32 @@ def norm_worst_angle(mesh: Triangulation) -> tuple[float, int]:
         if neg[idx] > worst:
             worst, worst_elem = float(neg[idx]), idx
     return worst, worst_elem
+
+
+def corner_areas_and_gradients(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """Areas and P1 basis gradients from the corners p[0], p[1], p[2]: the
+    doubled area as (p[1] - p[0]) x (p[2] - p[0]), the gradient of basis k as
+    the edge p[k+2] - p[k+1] turned 90 degrees counter-clockwise over it."""
+    p = mesh.nodes[mesh.triangles]
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    grads = np.empty((mesh.n_triangles, 3, 2))
+    for k in range(3):
+        e = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        grads[:, k, 0] = -e[:, 1] / det
+        grads[:, k, 1] = e[:, 0] / det
+    return 0.5 * np.abs(det), grads
+
+
+def peak_bytes(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, numpy buffers included, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def imex_reactions(tk, tk1, nk, phik, phik1, p: ModelParams):

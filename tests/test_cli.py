@@ -230,6 +230,38 @@ def test_preset_round_trip_bit_identical_csv(tmp_path):
     assert "envelope[far-from-K]" in (direct_dir / "summary.txt").read_text()
 
 
+def test_library_writer_default_directory_matches_cli(tmp_path, monkeypatch):
+    # Default output options, and a config's empty `directory =`, write to
+    # the current directory the bytes the CLI writes under --output-dir.
+    from tumorfem.output import write_run_outputs
+    from tumorfem.scheme import run
+
+    cfg = build_preset("lumping-comparison")[0]
+    cli_dir = tmp_path / "cli" / cfg.label
+    assert main(["run", "--preset", "lumping-comparison", "--output-dir", str(cli_dir.parent)]) == 0
+    cfg_path = tmp_path / "empty-directory.cfg"
+    cfg_path.write_text(serialize_config(cfg).replace("directory = .\n", "directory =\n"))
+    for cwd, write in [
+        (tmp_path / "library", lambda: write_run_outputs(run(cfg))),
+        (tmp_path / "config", lambda: main(["run", str(cfg_path)])),
+    ]:
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        write()
+        for name in ("per_step.csv", "summary.txt"):
+            assert (cwd / name).read_bytes() == (cli_dir / name).read_bytes()
+
+
+def test_run_config_path_with_preset_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(tmp_path / "missing.cfg"), "--preset", "lumping-comparison",
+              "--output-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def _files(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 

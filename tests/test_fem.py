@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from tumorfem.fem import build_context, norms
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 
-from oracles import discrete_laplacian_apply
+from oracles import discrete_laplacian_apply, peak_bytes
 
 
 def reference_triangle():
@@ -107,13 +105,7 @@ def test_context_build_memory_per_element_pair():
     # mesh-only operator in about 46 bytes per pair; a second COO assembly
     # for the mass takes it to 77.
     mesh = build_structured_mesh(120, 120, 1.0, 1.0)
-    tracemalloc.start()
-    try:
-        build_context(mesh)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (9 * mesh.n_triangles) < 60.0
+    assert peak_bytes(build_context, mesh) / (9 * mesh.n_triangles) < 60.0
 
 
 def test_discrete_laplacian_kills_constants():

@@ -12,7 +12,7 @@ from tumorfem.mesh import (
     write_mesh,
 )
 
-from oracles import norm_mesh_h, norm_worst_angle
+from oracles import corner_areas_and_gradients, norm_mesh_h, norm_worst_angle, peak_bytes
 from test_assembly_equivalence import acute_mesh, graded_mesh
 
 
@@ -90,11 +90,18 @@ def jittered_mesh(nx, ny, seed):
     return triangulation_from_arrays(nodes, mesh.triangles)
 
 
+def clockwise(mesh):
+    """The same mesh rebuilt from its triangles in reversed (clockwise) vertex order."""
+    return triangulation_from_arrays(mesh.nodes, mesh.triangles[:, ::-1])
+
+
 AUDIT_MESHES = {
     "graded": lambda: graded_mesh(9, 7, seed=2),
+    "graded-clockwise": lambda: clockwise(graded_mesh(9, 7, seed=2)),
     "acute": lambda: acute_mesh(8, 6),
     "jittered": lambda: jittered_mesh(8, 8, seed=1),
 }
+GEOMETRY_MESHES = {"structured": lambda: build_structured_mesh(7, 5, 1.3, 0.9), **AUDIT_MESHES}
 
 
 @pytest.mark.parametrize("make_mesh", AUDIT_MESHES.values(), ids=AUDIT_MESHES.keys())
@@ -106,6 +113,26 @@ def test_audit_and_h_equal_the_norm_formulas(make_mesh):
     assert rep.max_neg_cosine.hex() == worst.hex()
     assert rep.worst_element == worst_element
     assert mesh.h.hex() == norm_mesh_h(mesh).hex()
+
+
+@pytest.mark.parametrize("make_mesh", GEOMETRY_MESHES.values(), ids=GEOMETRY_MESHES.keys())
+def test_areas_and_gradients_equal_the_corner_formulas(make_mesh):
+    mesh = make_mesh()
+    for got, want in zip(element_areas_and_gradients(mesh), corner_areas_and_gradients(mesh)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_mesh_setup_peak_memory_per_element():
+    # One corner gather and one edge array per call peak near 250, 120 and
+    # 120 bytes per element; a second gather or a per-quantity edge copy
+    # breaks these bounds.
+    nx = 120
+    nt = 2 * nx * nx
+    assert peak_bytes(build_structured_mesh, nx, nx, 1.0, 1.0) / nt < 270
+    mesh = build_structured_mesh(nx, nx, 1.0, 1.0)
+    assert peak_bytes(audit_angles, mesh) / nt < 130
+    assert peak_bytes(element_areas_and_gradients, mesh) / nt < 130
 
 
 def test_element_geometry_reference_triangle():
