@@ -19,18 +19,17 @@ from .mesh import (
     write_mesh,
 )
 from .model import ModelParams, State, reactions, vascular_fraction
-from .scheme import (
+from .config import (
     ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
     OutputOptions,
     RunConfig,
-    RunReport,
     SchemeVariant,
     SolverOptions,
-    run,
 )
+from .scheme import RunReport, run
 
 __version__ = "0.1.0"
 

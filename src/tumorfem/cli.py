@@ -22,22 +22,22 @@ import os
 import sys
 from dataclasses import replace
 
-from . import config as config_mod
 from . import output as output_mod
-from .mesh import audit_angles, read_mesh
-from .model import ModelParams
-from .scheme import (
+from .config import (
+    ConfigError,
     ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
     OutputOptions,
     RunConfig,
-    SchemeError,
     SchemeVariant,
     SolverOptions,
-    run,
+    parse_config_file,
 )
+from .mesh import audit_angles, read_mesh
+from .model import ModelParams
+from .scheme import SchemeError, run
 
 __all__ = ["main", "build_preset", "PRESET_NAMES"]
 
@@ -120,7 +120,7 @@ def build_preset(name: str) -> list[RunConfig]:
             _preset_config(TABLE_LUMPING, mesh, 1e-2, 1.0, SchemeVariant.IMEX_CONSISTENT,
                            "lumping-imex-consistent"),
         ]
-    raise config_mod.ConfigError(
+    raise ConfigError(
         f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
     )
 
@@ -167,7 +167,7 @@ def _cmd_run(args) -> int:
         if not args.config:
             print("error: need a config path or --preset", file=sys.stderr)
             return EXIT_CONFIG
-        configs = [config_mod.parse_config_file(args.config)]
+        configs = [parse_config_file(args.config)]
 
     prepared = []
     for cfg in configs:
@@ -206,8 +206,8 @@ def _cmd_check_mesh(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = config_mod.parse_config_file(args.config_a)
-    cfg_b = config_mod.parse_config_file(args.config_b)
+    cfg_a = parse_config_file(args.config_a)
+    cfg_b = parse_config_file(args.config_b)
     if cfg_a.mesh != cfg_b.mesh:
         print("error: configs use different meshes", file=sys.stderr)
         return EXIT_CONFIG

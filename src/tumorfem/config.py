@@ -1,32 +1,164 @@
-"""Config-file parsing for run configurations.
+"""Run configurations: their types and their one parser.
 
-The format is INI-style with sections [mesh], [params], [time], [scheme],
-[initial], [solver], [output]. Parameter keys use the model symbol names
-(kappa1, kappa0, rho, alpha, beta1, beta2, gamma, delta, K); key case is
-preserved. A section or key that parsing never reads is an error, so a
-misspelt key cannot fall back to its default unnoticed.
+``RunConfig`` and its parts hold the defaults and validate their values;
+``SchemeVariant`` gives each scheme's two axes, ``lumped`` and ``split``.
+Config files are INI-style with sections [mesh], [params], [time],
+[scheme], [initial], [solver], [output]. Parameter keys use the model
+symbol names (kappa1, kappa0, rho, alpha, beta1, beta2, gamma, delta, K);
+key case is preserved. A section or key that parsing never reads is an
+error, so a misspelt key cannot fall back to its default unnoticed.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import enum
+import math
+from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .mesh import Triangulation, build_structured_mesh, read_mesh
 from .model import ModelParams
-from .scheme import (
-    ConstantProfile,
-    GaussianProfile,
-    InitialConditions,
-    MeshSpec,
-    OutputOptions,
-    RunConfig,
-    SchemeVariant,
-    SolverOptions,
-)
 
-__all__ = ["ConfigError", "parse_config", "parse_config_file"]
+__all__ = [
+    "SchemeVariant", "GaussianProfile", "ConstantProfile", "InitialConditions", "MeshSpec",
+    "SolverOptions", "OutputOptions", "RunConfig", "ConfigError", "parse_config",
+    "parse_config_file",
+]
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(ModelParams))
+
+class SchemeVariant(enum.Enum):
+    """A scheme as two axes: lumped (else consistent) mass, split (else explicit) reactions."""
+
+    IMEX_LUMPED = "imex-lumped"
+    EXPLICIT_LUMPED = "explicit-lumped"
+    IMEX_CONSISTENT = "imex-consistent"
+
+    @property
+    def lumped(self) -> bool:
+        return self is not SchemeVariant.IMEX_CONSISTENT
+
+    @property
+    def split(self) -> bool:
+        return self is not SchemeVariant.EXPLICIT_LUMPED
+
+
+@dataclass(frozen=True)
+class GaussianProfile:
+    """base + amplitude * exp(-|x - center|^2 / width^2), clipped to [0, K]."""
+
+    base: float = 0.0
+    amplitude: float = 1.0
+    center: tuple[float, float] = (0.5, 0.5)
+    width: float = 0.1
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.base, self.amplitude, *self.center, self.width))):
+            raise ValueError("Gaussian profile parameters must be finite")
+        if self.width <= 0.0:
+            raise ValueError("Gaussian profile width must be positive")
+
+    def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
+        r2 = (nodes[:, 0] - self.center[0]) ** 2 + (nodes[:, 1] - self.center[1]) ** 2
+        v = self.base + self.amplitude * np.exp(-r2 / self.width**2)
+        return np.minimum(np.maximum(v, 0.0), K)
+
+
+@dataclass(frozen=True)
+class ConstantProfile:
+    value: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("constant profile value must be finite")
+
+    def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
+        return np.full(nodes.shape[0], min(max(self.value, 0.0), K))
+
+
+Profile = GaussianProfile | ConstantProfile
+
+
+@dataclass(frozen=True)
+class InitialConditions:
+    T: Profile
+    N: Profile
+    Phi: Profile
+
+
+@dataclass(frozen=True)
+class MeshSpec:
+    """Either a structured rectangle (nx, ny, lx, ly) or an external mesh file."""
+
+    nx: int = 0
+    ny: int = 0
+    lx: float = 1.0
+    ly: float = 1.0
+    path: str = ""
+
+    def build(self) -> Triangulation:
+        if self.path:
+            return read_mesh(self.path)
+        return build_structured_mesh(self.nx, self.ny, self.lx, self.ly)
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    tol: float = 1e-10
+    maxit: int = 0  # 0 means cg_solve's default, 10 * n
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("solver tol must be finite and positive")
+        if self.maxit < 0:
+            raise ValueError("solver maxit must be nonnegative (0 means 10 * n)")
+
+
+@dataclass(frozen=True)
+class OutputOptions:
+    directory: str = "."  # "" (a config's empty value) is read as "."
+    csv_name: str = "per_step.csv"
+    summary_name: str = "summary.txt"
+    snapshot_every: int = 0  # 0 disables VTK snapshots
+    vtk_prefix: str = "snapshot"
+
+    def __post_init__(self):
+        object.__setattr__(self, "directory", self.directory or ".")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    mesh: MeshSpec
+    params: ModelParams
+    dt: float
+    tf: float
+    variant: SchemeVariant
+    initial: InitialConditions
+    solver: SolverOptions = SolverOptions()
+    output: OutputOptions = OutputOptions()
+    label: str = "run"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and math.isfinite(self.tf)):
+            raise ValueError("dt and tf must be finite")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+        # tf == 0 is a degenerate run that records only initial diagnostics
+        if self.tf != 0.0 and self.tf < self.dt:
+            raise ValueError("tf must be zero or at least dt")
+        steps = self.tf / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"tf/dt = {steps} is not an integer step count")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.tf / self.dt))
+
+
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _FIELDS = ("T", "N", "Phi")
 _VARIANTS = [v.value for v in SchemeVariant]
 _NO_DEFAULT = object()

@@ -192,7 +192,8 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
 
     ``non_obtuse`` is true when every angle is at most 90 degrees (the
     condition the positivity-preserving steppers require); ``strictly_acute``
-    when every angle is below 90 degrees. Report-only, never raises.
+    when every angle is below 90 degrees. A tie for the worst angle goes to the
+    smallest element index, whatever the vertex order. Report-only, never raises.
     """
     e = _edges(mesh.nodes, mesh.triangles)
     length = np.sqrt((e * e).sum(-1))
@@ -207,6 +208,8 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
         if neg[idx] > worst:
             worst = float(neg[idx])
             worst_elem = idx
+        elif neg[idx] == worst:
+            worst_elem = min(worst_elem, idx)
     return AngleReport(
         max_neg_cosine=worst,
         worst_element=worst_elem,

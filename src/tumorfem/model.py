@@ -79,11 +79,6 @@ class State:
     step: int
     time: float
 
-    def check_lengths(self, n_vertices: int) -> None:
-        for name, v in (("T", self.T), ("N", self.N), ("Phi", self.Phi)):
-            if v.shape != (n_vertices,):
-                raise ValueError(f"field {name} has shape {v.shape}, expected ({n_vertices},)")
-
 
 def _clip01K(v, K):
     return np.minimum(np.maximum(v, 0.0), K)

@@ -25,15 +25,14 @@ if not. The certificate only reads the matrix. The lumped systems are
 symmetric and solved by conjugate gradient; the consistent one is not,
 and is solved by BiCGSTAB.
 
-The run loop is sequential in time and writes no files; within a step all
-nodewise updates are vectorized. Identical configs produce bit-identical
-reports.
+The run loop takes a ``config.RunConfig``, is sequential in time and
+writes no files; within a step all nodewise updates are vectorized.
+Identical configs produce bit-identical reports.
 """
 
 from __future__ import annotations
 
-import enum
-import functools
+from functools import partial
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -42,20 +41,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import model
+# MeshSpec is imported only for perfbench, which times scheme.MeshSpec.build.
+from .config import MeshSpec, RunConfig, SchemeVariant, SolverOptions
 from .fem import FemContext, build_context, norms
 from .linalg import CgError, bicgstab_solve, cg_solve
-from .mesh import Triangulation, audit_angles, build_structured_mesh, read_mesh
+from .mesh import Triangulation, audit_angles
 from .model import ModelParams, State
 
 __all__ = [
-    "SchemeVariant",
-    "GaussianProfile",
-    "ConstantProfile",
-    "InitialConditions",
-    "MeshSpec",
-    "SolverOptions",
-    "OutputOptions",
-    "RunConfig",
     "StepDiagnostics",
     "RunReport",
     "SchemeError",
@@ -74,126 +67,6 @@ class SchemeError(RuntimeError):
 
     def __str__(self) -> str:
         return f"step {self.step}: {self.args[1]}"
-
-
-class SchemeVariant(enum.Enum):
-    IMEX_LUMPED = "imex-lumped"
-    EXPLICIT_LUMPED = "explicit-lumped"
-    IMEX_CONSISTENT = "imex-consistent"
-
-
-@dataclass(frozen=True)
-class GaussianProfile:
-    """base + amplitude * exp(-|x - center|^2 / width^2), clipped to [0, K]."""
-
-    base: float = 0.0
-    amplitude: float = 1.0
-    center: tuple[float, float] = (0.5, 0.5)
-    width: float = 0.1
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.base, self.amplitude, *self.center, self.width))):
-            raise ValueError("Gaussian profile parameters must be finite")
-        if self.width <= 0.0:
-            raise ValueError("Gaussian profile width must be positive")
-
-    def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
-        r2 = (nodes[:, 0] - self.center[0]) ** 2 + (nodes[:, 1] - self.center[1]) ** 2
-        v = self.base + self.amplitude * np.exp(-r2 / self.width**2)
-        return np.minimum(np.maximum(v, 0.0), K)
-
-
-@dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("constant profile value must be finite")
-
-    def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
-        return np.full(nodes.shape[0], min(max(self.value, 0.0), K))
-
-
-Profile = GaussianProfile | ConstantProfile
-
-
-@dataclass(frozen=True)
-class InitialConditions:
-    T: Profile
-    N: Profile
-    Phi: Profile
-
-
-@dataclass(frozen=True)
-class MeshSpec:
-    """Either a structured rectangle (nx, ny, lx, ly) or an external mesh file."""
-
-    nx: int = 0
-    ny: int = 0
-    lx: float = 1.0
-    ly: float = 1.0
-    path: str = ""
-
-    def build(self) -> Triangulation:
-        if self.path:
-            return read_mesh(self.path)
-        return build_structured_mesh(self.nx, self.ny, self.lx, self.ly)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-10
-    maxit: int = 0  # 0 means cg_solve's default, 10 * n
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("solver tol must be finite and positive")
-        if self.maxit < 0:
-            raise ValueError("solver maxit must be nonnegative (0 means 10 * n)")
-
-
-@dataclass(frozen=True)
-class OutputOptions:
-    directory: str = "."  # "" (a config's empty value) is read as "."
-    csv_name: str = "per_step.csv"
-    summary_name: str = "summary.txt"
-    snapshot_every: int = 0  # 0 disables VTK snapshots
-    vtk_prefix: str = "snapshot"
-
-    def __post_init__(self):
-        object.__setattr__(self, "directory", self.directory or ".")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mesh: MeshSpec
-    params: ModelParams
-    dt: float
-    tf: float
-    variant: SchemeVariant
-    initial: InitialConditions
-    solver: SolverOptions = SolverOptions()
-    output: OutputOptions = OutputOptions()
-    label: str = "run"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and math.isfinite(self.tf)):
-            raise ValueError("dt and tf must be finite")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        # tf == 0 is a degenerate run that records only initial diagnostics
-        if self.tf != 0.0 and self.tf < self.dt:
-            raise ValueError("tf must be zero or at least dt")
-        steps = self.tf / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"tf/dt = {steps} is not an integer step count")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.tf / self.dt))
 
 
 @dataclass
@@ -404,11 +277,7 @@ def step(
 
 # run() looks its stepper up here on every call, so a caller may swap an entry
 # (to time or count steps) without touching the scheme.
-_STEPPERS = {
-    SchemeVariant.IMEX_LUMPED: functools.partial(step, lumped=True, split=True),
-    SchemeVariant.EXPLICIT_LUMPED: functools.partial(step, lumped=True, split=False),
-    SchemeVariant.IMEX_CONSISTENT: functools.partial(step, lumped=False, split=True),
-}
+_STEPPERS = {v: partial(step, lumped=v.lumped, split=v.split) for v in SchemeVariant}
 
 
 def initial_state(config: RunConfig, mesh: Triangulation) -> State:
@@ -430,16 +299,14 @@ def run(
     """
     mesh = config.mesh.build()
     report_angles = audit_angles(mesh)
-    if config.variant in (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED):
-        if not report_angles.non_obtuse:
-            raise ValueError(
-                "mesh fails the non-obtuse audit required by the "
-                f"{config.variant.value} scheme: element {report_angles.worst_element} "
-                f"has an angle with cosine {-report_angles.max_neg_cosine:.6f}"
-            )
+    if config.variant.lumped and not report_angles.non_obtuse:
+        raise ValueError(
+            "mesh fails the non-obtuse audit required by the "
+            f"{config.variant.value} scheme: element {report_angles.worst_element} "
+            f"has an angle with cosine {-report_angles.max_neg_cosine:.6f}"
+        )
     ctx = build_context(mesh)
     state = initial_state(config, mesh)
-    state.check_lengths(mesh.n_vertices)
     if on_step is not None:
         on_step(mesh, state)
 

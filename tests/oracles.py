@@ -13,9 +13,9 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
+from tumorfem.config import ConstantProfile, RunConfig
 from tumorfem.mesh import Triangulation
 from tumorfem.model import ModelParams, vascular_factors
-from tumorfem.scheme import ConstantProfile, RunConfig
 
 
 def discrete_laplacian_apply(
@@ -41,7 +41,8 @@ def norm_mesh_h(mesh: Triangulation) -> float:
 
 def norm_worst_angle(mesh: Triangulation) -> tuple[float, int]:
     """(largest -cos(angle), its element) over every interior angle, with the
-    cosines taken as u . v / (|u| |v|) and both lengths from ``np.linalg.norm``."""
+    cosines taken as u . v / (|u| |v|) and both lengths from ``np.linalg.norm``;
+    among equal largest values, the smallest element index."""
     p = mesh.nodes[mesh.triangles]
     worst, worst_elem = -np.inf, -1
     for k in range(3):
@@ -51,6 +52,8 @@ def norm_worst_angle(mesh: Triangulation) -> tuple[float, int]:
         idx = int(np.argmax(neg))
         if neg[idx] > worst:
             worst, worst_elem = float(neg[idx]), idx
+        elif neg[idx] == worst:
+            worst_elem = min(worst_elem, idx)
     return worst, worst_elem
 
 

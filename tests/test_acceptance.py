@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from tumorfem.cli import TABLE_BOUNDS, build_preset
+from tumorfem.config import SchemeVariant, SolverOptions
 from tumorfem.diagnostics import (
     classify_equilibrium,
     envelope_check_far,
@@ -33,8 +34,6 @@ from tumorfem.model import (
     vascular_factors,
 )
 from tumorfem.scheme import (
-    SchemeVariant,
-    SolverOptions,
     initial_state,
     run,
     step,

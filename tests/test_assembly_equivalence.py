@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from tumorfem import scheme
 from tumorfem.cli import build_preset
+from tumorfem.config import SolverOptions
 from tumorfem.fem import build_context
 from tumorfem.mesh import (
     audit_angles,
@@ -36,7 +37,7 @@ from tumorfem.model import (
     vascular_factors,
     vascular_fraction,
 )
-from tumorfem.scheme import SolverOptions, element_diffusivity, run, step
+from tumorfem.scheme import element_diffusivity, run, step
 
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,

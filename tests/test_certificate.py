@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tumorfem import scheme
+from tumorfem.config import SolverOptions
 from tumorfem.fem import build_context
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
-from tumorfem.scheme import SchemeError, SolverOptions, step
+from tumorfem.scheme import SchemeError, step
 
 from test_assembly_equivalence import PARAMS, graded_mesh, random_state, right_angled_mesh
 

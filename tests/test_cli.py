@@ -1,8 +1,8 @@
 import pytest
 
 from tumorfem.cli import build_preset, main
+from tumorfem.config import SchemeVariant
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
-from tumorfem.scheme import SchemeVariant
 
 from oracles import serialize_config, write_config_file
 from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, tiny_config
@@ -44,7 +44,7 @@ def test_run_config_file(tmp_path, capsys):
 
 
 def test_snapshots_written(tmp_path):
-    from tumorfem.scheme import OutputOptions
+    from tumorfem.config import OutputOptions
 
     cfg_path = tmp_path / "run.cfg"
     write_config_file(tiny_config(tf=0.04, output=OutputOptions(snapshot_every=2)), str(cfg_path))
@@ -179,7 +179,7 @@ def test_overflowing_right_hand_side_is_numerical_failure(tmp_path, capsys):
 def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
     from dataclasses import replace
 
-    from tumorfem.scheme import MeshSpec
+    from tumorfem.config import MeshSpec
 
     mesh_path = tmp_path / "bad.txt"
     mesh_path.write_text(mesh_text)
@@ -217,7 +217,8 @@ def test_preset_round_trip_bit_identical_csv(tmp_path):
     from dataclasses import replace
 
     from tumorfem.output import write_run_outputs
-    from tumorfem.scheme import OutputOptions, run
+    from tumorfem.config import OutputOptions
+    from tumorfem.scheme import run
 
     write_run_outputs(run(replace(cfg, output=OutputOptions(directory=str(direct_dir)))))
     cfg_path = tmp_path / "preset.cfg"

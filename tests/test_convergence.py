@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from tumorfem.cli import TABLE_BOUNDS
-from tumorfem.scheme import (
+from tumorfem.config import (
     ConstantProfile,
     GaussianProfile,
     InitialConditions,
@@ -23,8 +23,8 @@ from tumorfem.scheme import (
     RunConfig,
     SchemeVariant,
     SolverOptions,
-    run,
 )
+from tumorfem.scheme import run
 
 INITIAL = InitialConditions(
     T=GaussianProfile(base=0.0, amplitude=0.8, center=(0.5, 0.5), width=0.1),

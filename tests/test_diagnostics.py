@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tumorfem.diagnostics import (
-    classify_equilibrium,
-    envelope_check_far,
-    envelope_check_near_K,
-    scalar_comparison_oracle,
-)
-from tumorfem.model import ModelParams, State, reactions
-from tumorfem.scheme import (
+from tumorfem.config import (
     ConstantProfile,
     GaussianProfile,
     InitialConditions,
@@ -17,8 +10,15 @@ from tumorfem.scheme import (
     RunConfig,
     SchemeVariant,
     SolverOptions,
-    run,
 )
+from tumorfem.diagnostics import (
+    classify_equilibrium,
+    envelope_check_far,
+    envelope_check_near_K,
+    scalar_comparison_oracle,
+)
+from tumorfem.model import ModelParams, State, reactions
+from tumorfem.scheme import run
 
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -113,6 +114,26 @@ def test_audit_and_h_equal_the_norm_formulas(make_mesh):
     assert rep.max_neg_cosine.hex() == worst.hex()
     assert rep.worst_element == worst_element
     assert mesh.h.hex() == norm_mesh_h(mesh).hex()
+
+
+TIE_MESHES = {
+    "structured": GEOMETRY_MESHES["structured"],
+    "graded": AUDIT_MESHES["graded"],
+    "acute": AUDIT_MESHES["acute"],
+}
+
+
+@pytest.mark.parametrize("make_mesh", TIE_MESHES.values(), ids=TIE_MESHES.keys())
+def test_audit_report_independent_of_vertex_order(make_mesh):
+    # Each of these meshes has its worst angle in several elements (right
+    # angles, or the lattice's repeated triangles); the report names the
+    # smallest of them for all six vertex orders.
+    mesh = make_mesh()
+    reports = set()
+    for order in itertools.permutations(range(3)):
+        rep = audit_angles(triangulation_from_arrays(mesh.nodes, mesh.triangles[:, order]))
+        reports.add((rep.max_neg_cosine.hex(), rep.worst_element, rep.strictly_acute, rep.non_obtuse))
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("make_mesh", GEOMETRY_MESHES.values(), ids=GEOMETRY_MESHES.keys())

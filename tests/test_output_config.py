@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 from dataclasses import replace
@@ -6,7 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumorfem.config import ConfigError, parse_config, parse_config_file
+from tumorfem.config import (
+    ConfigError,
+    ConstantProfile,
+    GaussianProfile,
+    InitialConditions,
+    MeshSpec,
+    OutputOptions,
+    RunConfig,
+    SchemeVariant,
+    SolverOptions,
+    parse_config,
+    parse_config_file,
+)
 from tumorfem.cli import main
 from tumorfem.mesh import build_structured_mesh
 from tumorfem.model import State
@@ -18,17 +31,7 @@ from tumorfem.output import (
     write_snapshot,
     write_vtk,
 )
-from tumorfem.scheme import (
-    ConstantProfile,
-    GaussianProfile,
-    InitialConditions,
-    MeshSpec,
-    OutputOptions,
-    RunConfig,
-    SchemeVariant,
-    SolverOptions,
-    run,
-)
+from tumorfem.scheme import run
 from tumorfem.model import ModelParams
 
 from oracles import serialize_config, write_config_file
@@ -482,3 +485,19 @@ def test_param_key_case_preserved():
     text = serialize_config(tiny_config())
     assert "\nK = 1.0\n" in text
     assert parse_config(text).params.K == 1.0
+
+
+def test_config_module_imports_no_numerics():
+    # The run-config types and their parser need the mesh and the model
+    # parameters, never the scheme, the assembly or the solvers.
+    import tumorfem.config
+
+    imported = set()
+    for node in ast.walk(ast.parse(Path(tumorfem.config.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            imported.update(f"tumorfem.{n}" if node.level else n for n in names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    ours = {m for m in imported if m.split(".")[0] == "tumorfem"}
+    assert ours <= {"tumorfem.mesh", "tumorfem.model"}

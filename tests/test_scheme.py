@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from tumorfem import scheme
-from tumorfem.fem import build_context
-from tumorfem.linalg import CgError
-from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
-from tumorfem.model import ModelParams, State
-from tumorfem.scheme import (
+from tumorfem.config import (
     ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
     OutputOptions,
     RunConfig,
-    SchemeError,
     SchemeVariant,
     SolverOptions,
+)
+from tumorfem.fem import build_context
+from tumorfem.linalg import CgError
+from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
+from tumorfem.model import ModelParams, State
+from tumorfem.scheme import (
+    SchemeError,
     element_diffusivity,
     initial_state,
     run,
@@ -240,21 +242,21 @@ def obtuse_mesh():
     return triangulation_from_arrays(nodes, [(0, 1, 2), (1, 3, 2)])
 
 
-def test_obtuse_mesh_rejected_for_lumped_variants(tmp_path):
+@pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
+def test_obtuse_mesh_rejected_for_lumped_variants(tmp_path, variant):
     from tumorfem.mesh import write_mesh
 
     mesh = obtuse_mesh()
     path = tmp_path / "obtuse.txt"
     write_mesh(mesh, path)
-    cfg = small_config(mesh=MeshSpec(path=str(path)), tf=0.01)
-    with pytest.raises(ValueError, match="non-obtuse audit.*element 0"):
-        run(cfg)
-    # the un-lumped variant does not require the audit
-    cfg2 = small_config(
-        mesh=MeshSpec(path=str(path)), tf=0.01, variant=SchemeVariant.IMEX_CONSISTENT
-    )
-    report = run(cfg2)
-    assert not report.non_obtuse
+    cfg = small_config(mesh=MeshSpec(path=str(path)), tf=0.01, variant=variant)
+    if variant.lumped:
+        with pytest.raises(ValueError, match=f"non-obtuse audit.*{variant.value}.*element 0"):
+            run(cfg)
+    else:
+        # the un-lumped variant does not require the audit
+        report = run(cfg)
+        assert not report.non_obtuse
 
 
 @pytest.mark.parametrize("stepper", [imex_lumped, explicit_lumped], ids=["imex", "explicit"])
@@ -309,6 +311,19 @@ def test_consistent_mass_with_explicit_reactions_is_no_scheme():
     state = zero_state(mesh.n_vertices)
     with pytest.raises(ValueError, match="consistent mass with explicit reactions"):
         step(state, build_context(mesh), PARAMS, 1e-2, lumped=False, split=False)
+
+
+def test_variants_are_points_on_two_axes():
+    axes = {v: (v.lumped, v.split) for v in SchemeVariant}
+    assert axes == {
+        SchemeVariant.IMEX_LUMPED: (True, True),
+        SchemeVariant.EXPLICIT_LUMPED: (True, False),
+        SchemeVariant.IMEX_CONSISTENT: (False, True),
+    }
+    for v in SchemeVariant:
+        stepper = scheme._STEPPERS[v]
+        assert stepper.func is step
+        assert stepper.keywords == {"lumped": v.lumped, "split": v.split}
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant))
