@@ -215,7 +215,6 @@ def _cmd_compare(args) -> int:
         print("error: configs use different time grids", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     report_a = _run_and_summarize(
         _with_output(cfg_a, os.path.join(out_dir, cfg_a.label + "-a"), args.snapshot_every)
     )

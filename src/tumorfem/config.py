@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import enum
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,8 +57,9 @@ class GaussianProfile:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.base, self.amplitude, *self.center, self.width))):
             raise ValueError("Gaussian profile parameters must be finite")
-        if self.width <= 0.0:
-            raise ValueError("Gaussian profile width must be positive")
+        # width * width, not width**2: a float ** raises on overflow
+        if not (self.width > 0.0 and 0.0 < self.width * self.width < math.inf):
+            raise ValueError("Gaussian profile width must be positive with 0 < width**2 < inf")
 
     def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
         r2 = (nodes[:, 0] - self.center[0]) ** 2 + (nodes[:, 1] - self.center[1]) ** 2
@@ -127,6 +129,11 @@ class OutputOptions:
         object.__setattr__(self, "directory", self.directory or ".")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
+        for name in (self.csv_name, self.summary_name):
+            if os.path.basename(name) in ("", ".", ".."):
+                raise ValueError(f"output file name {name!r} does not name a file")
+        if os.path.normpath(self.summary_name) == os.path.normpath(self.csv_name):
+            raise ValueError(f"csv and summary are both written to {self.csv_name!r}")
 
 
 @dataclass(frozen=True)

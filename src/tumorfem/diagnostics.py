@@ -1,4 +1,4 @@
-"""Post-hoc verification of analytic decay statements on simulation output.
+"""Post-hoc verification of analytic decay statements, and the run summary.
 
 The continuous model admits exponential envelopes for the tumor and
 vasculature maxima under parameter hypotheses (vasculature destruction at
@@ -7,7 +7,8 @@ capacity). These checks evaluate those envelopes at the recorded step
 times and compare one-sidedly against the recorded field maxima: they
 assert that the discrete run stays below the analytic bound, never that
 the bound is tight. Each check refuses to assert when its hypotheses fail
-and reports itself "not applicable" instead.
+and reports itself "not applicable" instead. ``run_summary_lines``
+composes every line of a run's summary file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ __all__ = [
     "run_summary_lines",
     "scalar_comparison_oracle",
 ]
+
+# The max-norm level below which run_summary_lines counts a field as extinct.
+_EQUILIBRIUM_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,13 @@ class EquilibriumReport:
         return max(self.residual_f1, self.residual_f2, self.residual_f3)
 
 
-def _run_maxima(report: RunReport):
-    times = report.times()
-    max_t = np.array([d.max_t for d in report.steps])
-    max_phi = np.array([d.max_phi for d in report.steps])
-    return times, max_t, max_phi
+def _compare(report: RunReport, kind: str, parameter: float, phi_rate: float,
+             t_env: np.ndarray, phi_env: np.ndarray) -> EnvelopeReport:
+    """The applicable report for envelopes sampled at the recorded step times."""
+    t_margins = t_env - np.array([d.max_t for d in report.steps])
+    phi_margins = phi_env - np.array([d.max_phi for d in report.steps])
+    holds = bool(t_margins.min() >= 0.0 and phi_margins.min() >= 0.0)
+    return EnvelopeReport(kind, True, "", holds, parameter, phi_rate, t_margins, phi_margins)
 
 
 def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> EnvelopeReport:
@@ -84,29 +90,21 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
     the solution of the scalar comparison equation with forcing from the
     vasculature envelope (two closed forms, depending on beta1 vs beta2).
     """
-    empty = np.empty(0)
-
-    def inapplicable(reason):
-        return EnvelopeReport("far-from-K", False, reason, False, n0_min, 0.0, empty, empty)
-
     if p.delta < p.gamma / p.K:
-        return inapplicable("requires delta >= gamma / K")
-    if n0_min <= 0.0:
-        return inapplicable("requires a positive lower bound on initial necrosis")
-    times, max_t, max_phi = _run_maxima(report)
-    t0_max = max_t[0]
-    phi0_max = max_phi[0]
-    phi_env = phi0_max * np.exp(-p.beta2 * n0_min * times)
-    t_env = scalar_comparison_oracle(
-        t0_max, p.rho * phi0_max, p.beta2 * n0_min, p.beta1 * n0_min, times
-    )
-    t_margins = t_env - max_t
-    phi_margins = phi_env - max_phi
-    holds = bool(t_margins.min() >= 0.0 and phi_margins.min() >= 0.0)
-    return EnvelopeReport(
-        "far-from-K", True, "", holds,
-        n0_min, p.beta2 * n0_min, t_margins, phi_margins,
-    )
+        reason = "requires delta >= gamma / K"
+    elif n0_min <= 0.0:
+        reason = "requires a positive lower bound on initial necrosis"
+    else:
+        times = report.times()
+        first = report.steps[0]
+        rate_phi = p.beta2 * n0_min
+        t_env = scalar_comparison_oracle(
+            first.max_t, p.rho * first.max_phi, rate_phi, p.beta1 * n0_min, times
+        )
+        phi_env = first.max_phi * np.exp(-rate_phi * times)
+        return _compare(report, "far-from-K", n0_min, rate_phi, t_env, phi_env)
+    return EnvelopeReport("far-from-K", False, reason, False, n0_min, 0.0,
+                          np.empty(0), np.empty(0))
 
 
 def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> EnvelopeReport:
@@ -116,25 +114,16 @@ def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> Enve
     beta1 (K - eps) - rho eps / K for T and beta2 (K - eps) - gamma eps / K
     for Phi; at eps = 0 these reduce to rates beta1 K and beta2 K.
     """
-    empty = np.empty(0)
-    min_n0 = report.steps[0].min_n
+    first = report.steps[0]
     rate_t = p.beta1 * (p.K - eps) - p.rho * eps / p.K
     rate_phi = p.beta2 * (p.K - eps) - p.gamma * eps / p.K
-    if min_n0 < p.K - eps:
-        return EnvelopeReport(
-            "near-K", False,
-            f"requires initial necrosis >= K - eps everywhere (min N0 = {min_n0:.6g})",
-            False, eps, rate_phi, empty, empty,
-        )
-    times, max_t, max_phi = _run_maxima(report)
-    t_env = max_t[0] * np.exp(-rate_t * times)
-    phi_env = max_phi[0] * np.exp(-rate_phi * times)
-    t_margins = t_env - max_t
-    phi_margins = phi_env - max_phi
-    holds = bool(t_margins.min() >= 0.0 and phi_margins.min() >= 0.0)
-    return EnvelopeReport(
-        "near-K", True, "", holds, eps, rate_phi, t_margins, phi_margins,
-    )
+    if first.min_n < p.K - eps:
+        reason = f"requires initial necrosis >= K - eps everywhere (min N0 = {first.min_n:.6g})"
+        return EnvelopeReport("near-K", False, reason, False, eps, rate_phi,
+                              np.empty(0), np.empty(0))
+    times = report.times()
+    return _compare(report, "near-K", eps, rate_phi, first.max_t * np.exp(-rate_t * times),
+                    first.max_phi * np.exp(-rate_phi * times))
 
 
 def classify_equilibrium(final: State, p: ModelParams, tol: float) -> EquilibriumReport:
@@ -170,17 +159,24 @@ def classify_equilibrium(final: State, p: ModelParams, tol: float) -> Equilibriu
     )
 
 
-def run_summary_lines(report: RunReport, equilibrium_tol: float = 1e-4) -> list[str]:
-    """Report-mode diagnostics for a finished run, as summary-file lines.
+def run_summary_lines(report: RunReport) -> list[str]:
+    """Every line of a run's summary file: the run header, then report-mode diagnostics.
 
     Evaluates both envelope regimes with parameters taken from the run's own
     initial data and classifies the final state. Nothing here fails a run;
     results are recorded so user-supplied configs can be inspected without
     asserting bounds the parameters may not satisfy.
     """
-    p = report.config.params
+    cfg = report.config
+    p = cfg.params
     n0_min = report.steps[0].min_n
-    lines = []
+    lines = [
+        f"label={cfg.label}",
+        f"variant={cfg.variant.value}",
+        f"steps={cfg.n_steps}",
+        f"energy={report.energy:.17g}",
+        f"non_obtuse_mesh={report.non_obtuse}",
+    ]
     for rep in (
         envelope_check_far(report, p, n0_min),
         envelope_check_near_K(report, p, max(0.0, p.K - n0_min)),
@@ -194,9 +190,9 @@ def run_summary_lines(report: RunReport, equilibrium_tol: float = 1e-4) -> list[
                 f"worst_T_margin={rep.worst_t_margin:.9g} "
                 f"worst_Phi_margin={rep.worst_phi_margin:.9g}"
             )
-    eq = classify_equilibrium(report.final_state, p, equilibrium_tol)
+    eq = classify_equilibrium(report.final_state, p, _EQUILIBRIUM_TOL)
     lines.append(
-        f"equilibrium: label={eq.label} tol={equilibrium_tol:.3g} "
+        f"equilibrium: label={eq.label} tol={_EQUILIBRIUM_TOL:.3g} "
         f"maxT={eq.max_t:.9g} maxN={eq.max_n:.9g} maxPhi={eq.max_phi:.9g} "
         f"residual={eq.residual:.9g}"
     )

@@ -105,12 +105,7 @@ def write_run_outputs(report: RunReport) -> None:
     out = report.config.output
     os.makedirs(out.directory, exist_ok=True)
     write_csv(report, os.path.join(out.directory, out.csv_name))
-    lines = "".join(line + "\n" for line in diagnostics.run_summary_lines(report))
     _write_text(
         os.path.join(out.directory, out.summary_name),
-        f"label={report.config.label}\n"
-        f"variant={report.config.variant.value}\n"
-        f"steps={report.config.n_steps}\n"
-        f"energy={report.energy:.17g}\n"
-        f"non_obtuse_mesh={report.non_obtuse}\n{lines}",
+        "".join(line + "\n" for line in diagnostics.run_summary_lines(report)),
     )

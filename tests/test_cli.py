@@ -1,11 +1,11 @@
 import pytest
 
 from tumorfem.cli import build_preset, main
-from tumorfem.config import SchemeVariant
+from tumorfem.config import ConfigError, SchemeVariant, parse_config
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 
 from oracles import serialize_config, write_config_file
-from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, tiny_config
+from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, readme_config_example, tiny_config
 
 
 def test_check_mesh_ok(tmp_path, capsys):
@@ -317,7 +317,9 @@ def test_threads_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys)
     assert (tmp_path / "one" / "summary.txt").exists()
 
 
-def test_unusable_output_dir_fails_before_the_run(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The labels of the configs ``cli.run`` is called with, in call order."""
     from tumorfem import cli
 
     calls = []
@@ -328,13 +330,76 @@ def test_unusable_output_dir_fails_before_the_run(tmp_path, monkeypatch, capsys)
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run", counting_run)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unusable_output_dir_fails_before_the_run(tmp_path, run_calls, capsys, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg_path = tmp_path / "run.cfg"
     write_config_file(tiny_config(), str(cfg_path))
-    assert main(["run", str(cfg_path), "--output-dir", str(blocker / "sub")]) == 2
+    configs = [str(cfg_path)] * (2 if command == "compare" else 1)
+    assert main([command, *configs, "--output-dir", str(blocker / "sub")]) == 2
     assert "error:" in capsys.readouterr().err
-    assert calls == []
+    assert run_calls == []
+
+
+@pytest.mark.parametrize("width", ["1e200", "1e-200"],
+                         ids=["square-overflows", "square-underflows"])
+def test_gaussian_width_with_unusable_square_is_config_error(tmp_path, run_calls, capsys, width):
+    text = readme_config_example()
+    assert "T_width = 0.015\n" in text
+    text = text.replace("T_width = 0.015\n", f"T_width = {width}\n")
+    with pytest.raises(ConfigError, match=r"width must be positive with 0 < width\*\*2 < inf"):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "width must be positive" in capsys.readouterr().err
+    assert run_calls == []
+    assert not (out_dir / "per_step.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("csv = per_step.csv", "csv =", r"^output file name '' does not name a file$"),
+    ("summary = summary.txt", "summary = .", r"^output file name '\.' does not name a file$"),
+    ("csv = per_step.csv", "csv = sub/..", r"^output file name 'sub/\.\.' does not name a file$"),
+    ("summary = summary.txt", "summary = per_step.csv",
+     r"^csv and summary are both written to 'per_step\.csv'$"),
+    ("summary = summary.txt", "summary = ./per_step.csv",
+     r"^csv and summary are both written to 'per_step\.csv'$"),
+], ids=["empty-csv", "dot-summary", "dot-dot-csv", "summary-is-csv", "summary-is-csv-dotted"])
+def test_unusable_output_file_names_are_config_errors(tmp_path, run_calls, capsys,
+                                                      old, new, match):
+    text = serialize_config(tiny_config())
+    assert f"\n{old}\n" in text
+    text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert run_calls == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
+def test_summary_file_is_run_summary_lines(tmp_path, variant):
+    # every line of summary.txt, the header included, comes from run_summary_lines
+    from tumorfem.diagnostics import run_summary_lines
+    from tumorfem.scheme import run
+
+    cfg = tiny_config(variant=variant)
+    cfg_path = tmp_path / "run.cfg"
+    write_config_file(cfg, str(cfg_path))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+    lines = run_summary_lines(run(cfg))
+    assert lines[:3] == ["label=run", f"variant={variant.value}", "steps=3"]
+    assert (tmp_path / "out" / "summary.txt").read_text() == "".join(line + "\n" for line in lines)
 
 
 def test_compare_identical_configs(tmp_path):

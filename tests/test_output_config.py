@@ -474,10 +474,13 @@ def test_parse_rejects_negative_snapshot_every():
         parse_config(text.replace("snapshot_every = 0", "snapshot_every = -5"))
 
 
-def test_readme_config_example_parses():
+def readme_config_example() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config(example)
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_parses():
+    cfg = parse_config(readme_config_example())
     assert (cfg.variant, cfg.label, cfg.mesh.nx) == (SchemeVariant.IMEX_LUMPED, "demo", 40)
 
 
