@@ -1,15 +1,15 @@
 """P1 finite-element assembly with mass lumping.
 
-Provides the lumped mass vector, the variable-coefficient stiffness matrix,
-the consistent mass matrix (needed only by the un-lumped comparison
-scheme), and the discrete norms. Assembly is vectorized over elements,
-and everything that depends only on the mesh is computed once:
+``FemContext`` holds everything that depends only on the mesh: the lumped
+mass vector, the consistent mass matrix (needed only by the un-lumped
+comparison scheme), the stiffness pattern with its scatter operator, the
+energy matrix and a vertex-sum operator. Assembly is vectorized over
+elements:
 
-* ``StiffnessTemplate`` sorts the 9 local pairs of every element once, by
-  the key row * n + col, and that one sorted pass builds the scatter
-  operator ``S``, the stiffness pattern, the consistent mass matrix ``M``
-  and ``mass_slots``, the position of every stiffness slot in ``M``'s
-  pattern.
+* The 9 local pairs of every element are sorted once, by the key
+  row * n + col, and that one sorted pass builds the scatter operator
+  ``S``, the stiffness pattern, the consistent mass matrix ``M`` and
+  ``mass_slots``, the position of every stiffness slot in ``M``'s pattern.
 * ``S`` has one row per stored stiffness entry and one column per element;
   its values are the geometric factors area * grad_a . grad_b, so the
   per-step values for element coefficients ``c`` are ``S @ c``.
@@ -21,15 +21,14 @@ and everything that depends only on the mesh is computed once:
 * Within a slot the contributions keep the order in which a scatter-add
   over the elements visits them, so ``S @ c`` and every entry of ``M``
   are summed in that sequence and equal that scatter-add bit for bit.
-* ``FemContext.vertex_sum`` sums the three vertex values of every element,
-  for coefficients evaluated at vertex averages.
+* ``energy`` is ``M + A_1``, the unit-coefficient stiffness added on the
+  mass pattern, so ``f @ (energy @ f)`` is the squared H1 norm of a
+  nodal field.
 
 All quadrature is exact for P1 data; the only approximation is the
 reduction of a nonlinear diffusion coefficient to one value per element,
 done upstream by evaluating it at the element's vertex averages.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,45 +37,32 @@ from .mesh import Triangulation, element_areas_and_gradients
 
 __all__ = [
     "FemContext",
-    "StiffnessTemplate",
     "build_context",
     "norms",
 ]
 
 
-def _lumped_mass(mesh: Triangulation, areas: np.ndarray) -> np.ndarray:
-    """Lumped mass vector: entry a is the integral of basis function a.
+class FemContext:
+    """The mesh-only operators, built once per mesh and shared by steppers and norms.
 
-    Equals area/3 summed over the elements touching each node, which is
-    also the row sum of the consistent mass matrix.
-    """
-    m = np.zeros(mesh.n_vertices)
-    third = areas / 3.0
-    for loc in range(3):
-        np.add.at(m, mesh.triangles[:, loc], third)
-    return m
-
-
-class StiffnessTemplate:
-    """Fixed CSR patterns, the stiffness scatter operator and the consistent mass.
-
-    The 9 local products area * grad_a . grad_b per element are computed
-    once and stored as the scatter operator ``S`` (stored entries x
-    elements), so ``assemble(coeff)`` is one sparse product ``S @ coeff``.
-    Entries whose geometric factors are all exactly zero are not stored,
-    which keeps the per-step matrices as small as a sparse add that drops
-    zeros would. ``diagonal_slots[a]`` is the position of entry (a, a) in
-    the ``data`` array of every assembled matrix. ``mass`` is the consistent
-    P1 mass matrix, whose local block is (area/12) * [[2,1,1],[1,2,1],[1,1,2]];
-    its pattern holds every vertex pair of an element, and
-    ``mass_slots[s]`` is the position in ``mass.data`` of stiffness slot s.
-    ``areas`` and ``grads`` are the element geometry, as
-    ``element_areas_and_gradients`` returns it.
+    ``lumped[a]`` is the integral of basis function a, area/3 summed over
+    the elements touching node a in element order. ``mass`` is the
+    consistent P1 mass matrix, whose local block is
+    (area/12) * [[2,1,1],[1,2,1],[1,1,2]]; its pattern holds every vertex
+    pair of an element, and ``mass_slots[s]`` is the position in
+    ``mass.data`` of stiffness slot s. ``diagonal_slots[a]`` is the position
+    of entry (a, a) in the ``data`` array of every assembled stiffness.
+    ``energy`` is ``M + A_1`` on the mass pattern, sharing its ``indices``
+    and ``indptr``. ``vertex_sum`` is the (elements x vertices) matrix with
+    a unit entry for each vertex of each element, so ``vertex_sum @ f / 3.0``
+    gives the vertex averages of a nodal field in the same sum order as
+    ``f[triangles].mean(axis=1)``.
     """
 
-    def __init__(self, mesh: Triangulation, areas: np.ndarray, grads: np.ndarray):
+    def __init__(self, mesh: Triangulation):
         n = mesh.n_vertices
         nt = mesh.n_triangles
+        areas, grads = element_areas_and_gradients(mesh)
         # Entry e = (3a + b) * nt + t is the local pair (a, b) of element t,
         # keyed by its slot row * n + col. Its geometric factor is symmetric.
         keys = np.empty((3, 3, nt), dtype=np.int64)
@@ -85,6 +71,7 @@ class StiffnessTemplate:
             np.add(mesh.triangles[:, a] * n, mesh.triangles.T, out=keys[a])
             for b in range(a, 3):
                 geom[a, b] = geom[b, a] = areas * np.einsum("ij,ij->i", grads[:, a], grads[:, b])
+        del grads
         # The sort is stable, so the entries of one slot stay in increasing e,
         # the order a scatter-add would sum them in. S and the mass are built
         # from their CSR arrays directly: a COO conversion would sort each
@@ -126,88 +113,62 @@ class StiffnessTemplate:
         # Every assembled matrix shares the pattern; a structural change in place raises.
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
-        self._n = n
-        self.n_triangles = nt
-
-    def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
-
-        On a non-obtuse mesh the result has nonpositive off-diagonal entries
-        and zero row sums. Each call returns a new ``data`` array, which may
-        be modified in place; ``indices`` and ``indptr`` are the template's
-        own read-only arrays, so an in-place structural operation such as
-        ``eliminate_zeros()`` raises instead of changing the template.
-        """
-        coeff = np.asarray(coeff, dtype=float)
-        if coeff.shape != (self.n_triangles,):
-            raise ValueError(
-                f"coefficient array has shape {coeff.shape}, expected ({self.n_triangles},)"
-            )
-        if np.any(coeff < 0.0):
-            raise ValueError("stiffness coefficients must be nonnegative")
-        return sp.csr_matrix(
-            (self._scatter @ coeff, self._indices, self._indptr),
-            shape=(self._n, self._n),
+        energy_data = self.mass.data.copy()
+        energy_data[self.mass_slots] += self._scatter @ np.ones(nt)
+        self.energy = sp.csr_matrix((energy_data, self.mass.indices, self.mass.indptr), shape=(n, n))
+        # bincount sums in index order, local vertex 0 of every element first,
+        # the order of a scatter-add over the local vertices.
+        self.lumped = np.bincount(mesh.triangles.T.ravel(), np.tile(areas / 3.0, 3), n)
+        self.vertex_sum = sp.csr_matrix(
+            (
+                np.ones(3 * nt),
+                mesh.triangles.astype(np.int32).ravel(),
+                np.arange(0, 3 * nt + 1, 3, dtype=np.int32),
+            ),
+            shape=(nt, n),
         )
-
-
-@dataclass(frozen=True)
-class FemContext:
-    """Everything assemble-once for a fixed mesh, shared by steppers and norms.
-
-    ``vertex_sum`` is the (elements x vertices) matrix with a unit entry for
-    each vertex of each element, so ``vertex_sum @ f / 3.0`` gives the
-    vertex averages of a nodal field in the same sum order as
-    ``f[triangles].mean(axis=1)``. ``mass_slots`` is the template's map from
-    the slots of every assembled stiffness into ``mass.data``.
-    """
-
-    mesh: Triangulation
-    lumped: np.ndarray
-    unit_stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    mass_slots: np.ndarray = field(repr=False)
-    stiffness_template: StiffnessTemplate = field(repr=False)
-    vertex_sum: sp.csr_matrix = field(repr=False)
+        self.mesh = mesh
 
     @property
     def n_vertices(self) -> int:
         return self.mesh.n_vertices
 
+    def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
+        """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
+
+        On a non-obtuse mesh the result has nonpositive off-diagonal entries
+        and zero row sums. Entries whose geometric factors are all exactly
+        zero are not stored. Each call returns a new ``data`` array, which
+        may be modified in place; ``indices`` and ``indptr`` are the
+        context's own read-only arrays, so an in-place structural operation
+        such as ``eliminate_zeros()`` raises instead of changing them.
+        """
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.shape != (self.mesh.n_triangles,):
+            raise ValueError(
+                f"coefficient array has shape {coeff.shape}, expected ({self.mesh.n_triangles},)"
+            )
+        if np.any(coeff < 0.0):
+            raise ValueError("stiffness coefficients must be nonnegative")
+        return sp.csr_matrix(
+            (self._scatter @ coeff, self._indices, self._indptr), shape=self.mass.shape
+        )
+
+
+StiffnessTemplate = FemContext  # only perfbench's tracer uses this name
+
 
 def build_context(mesh: Triangulation) -> FemContext:
-    areas, grads = element_areas_and_gradients(mesh)
-    template = StiffnessTemplate(mesh, areas, grads)
-    del grads
-    nt = mesh.n_triangles
-    vertex_sum = sp.csr_matrix(
-        (
-            np.ones(3 * nt),
-            mesh.triangles.astype(np.int32).ravel(),
-            np.arange(0, 3 * nt + 1, 3, dtype=np.int32),
-        ),
-        shape=(nt, mesh.n_vertices),
-    )
-    return FemContext(
-        mesh=mesh,
-        lumped=_lumped_mass(mesh, areas),
-        unit_stiffness=template.assemble(np.ones(nt)),
-        mass=template.mass,
-        mass_slots=template.mass_slots,
-        stiffness_template=template,
-        vertex_sum=vertex_sum,
-    )
+    return FemContext(mesh)
 
 
-def norms(ctx: FemContext, f: np.ndarray) -> tuple[float, float]:
-    """(L2 norm, H1 seminorm) of a nodal field.
+def norms(ctx: FemContext, f: np.ndarray) -> float:
+    """Squared H1 norm ``||f||_L2^2 + |f|_H1^2`` of a nodal field, as ``f @ (energy @ f)``.
 
-    Both use exact P1 quadrature via the consistent mass and unit stiffness
-    matrices.
+    Exact P1 quadrature; the consistent mass and the unit stiffness enter
+    through ``ctx.energy``.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] != ctx.n_vertices:
         raise ValueError("field length does not match mesh")
-    l2 = float(np.sqrt(max(0.0, f @ (ctx.mass @ f))))
-    h1_semi = float(np.sqrt(max(0.0, f @ (ctx.unit_stiffness @ f))))
-    return l2, h1_semi
+    return max(0.0, float(f @ (ctx.energy @ f)))

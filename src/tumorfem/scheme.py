@@ -213,8 +213,8 @@ def step(
     the lumped terms added in place at its diagonal slots, rounded as
     ``(A_aa + m_a / dt) + m_a * decay_a``; it therefore has the stiffness
     pattern and equals ``diags(m / dt) + A + diags(m * decay)`` bit for bit.
-    Only its ``data`` is written: the pattern arrays belong to the stiffness
-    template and are read-only. Before it is solved, the system must pass
+    Only its ``data`` is written: the pattern arrays belong to the FEM
+    context and are read-only. Before it is solved, the system must pass
     the M-matrix certificate; a violation raises ``SchemeError`` naming the
     step and the offending row.
 
@@ -233,8 +233,8 @@ def step(
     k = state.step + 1
     T, N, Phi = state.T, state.N, state.Phi
     m, M = ctx.lumped, ctx.mass
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, T, Phi, p))
-    diag = ctx.stiffness_template.diagonal_slots
+    A = ctx.assemble(element_diffusivity(ctx, T, Phi, p))
+    diag = ctx.diagonal_slots
     if split:
         P, root = model.vascular_factors(Phi, T, p.K)
         source, decay = model.imex_coefficients_T(T, N, Phi, P, root, p)
@@ -291,8 +291,8 @@ def run(
 ) -> RunReport:
     """Execute the configured number of steps and collect per-step diagnostics.
 
-    The accumulated energy is dt * sum_k ||T^k||_{H1}^2 over the computed
-    steps. Lumped variants refuse meshes that fail the non-obtuse audit.
+    The accumulated energy is dt * sum_k T^k . (M + A_1) T^k, the squared
+    H1 norms of the computed steps. Lumped variants refuse meshes that fail the non-obtuse audit.
     ``on_step(mesh, state)``, when given, sees the initial state and the
     state after every step. No file is written here; the output options are
     for the caller, e.g. ``output.write_run_outputs(report)``.
@@ -315,8 +315,7 @@ def run(
     energy = 0.0
     for _ in range(config.n_steps):
         state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver)
-        l2, h1 = norms(ctx, state.T)
-        energy += config.dt * (l2 * l2 + h1 * h1)
+        energy += config.dt * norms(ctx, state.T)
         d.energy_acc = energy
         diags.append(d)
         if on_step is not None:

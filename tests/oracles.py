@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from tumorfem.config import ConstantProfile, RunConfig
-from tumorfem.mesh import Triangulation
+from tumorfem.fem import FemContext
+from tumorfem.mesh import Triangulation, element_areas_and_gradients
 from tumorfem.model import ModelParams, vascular_factors
 
 
@@ -30,6 +31,29 @@ def discrete_laplacian_apply(
     if stiffness_unit.shape[1] != n.shape[0] or lumped.shape[0] != n.shape[0]:
         raise ValueError("dimension mismatch in discrete Laplacian")
     return (stiffness_unit @ n) / lumped
+
+
+def unit_stiffness(ctx: FemContext) -> sp.csr_matrix:
+    """The stiffness matrix with coefficient 1 on every element."""
+    return ctx.assemble(np.ones(ctx.mesh.n_triangles))
+
+
+def l2_and_h1(ctx: FemContext, f: np.ndarray) -> tuple[float, float]:
+    """(L2 norm, H1 seminorm) of a nodal field, from the consistent mass and
+    the unit stiffness as two separate quadratic forms."""
+    l2 = float(np.sqrt(max(0.0, f @ (ctx.mass @ f))))
+    h1 = float(np.sqrt(max(0.0, f @ (unit_stiffness(ctx) @ f))))
+    return l2, h1
+
+
+def add_at_lumped(mesh: Triangulation) -> np.ndarray:
+    """Lumped mass by a scatter-add of area/3 over each local vertex in turn."""
+    areas, _ = element_areas_and_gradients(mesh)
+    m = np.zeros(mesh.n_vertices)
+    third = areas / 3.0
+    for loc in range(3):
+        np.add.at(m, mesh.triangles[:, loc], third)
+    return m
 
 
 def norm_mesh_h(mesh: Triangulation) -> float:

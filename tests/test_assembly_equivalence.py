@@ -39,6 +39,8 @@ from tumorfem.model import (
 )
 from tumorfem.scheme import element_diffusivity, run, step
 
+from oracles import unit_stiffness
+
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
     gamma=0.008, delta=0.8, K=1.0,
@@ -155,7 +157,7 @@ def add_at_mass(mesh):
 def searchsorted_mass_slots(ctx):
     """Position in ``mass.data`` of every stiffness slot, by searching the
     row-major keys of the stiffness pattern among those of the mass pattern."""
-    M, A = ctx.mass, ctx.unit_stiffness
+    M, A = ctx.mass, unit_stiffness(ctx)
     rows = np.arange(ctx.n_vertices, dtype=np.int64)
     mass_keys = np.repeat(rows, np.diff(M.indptr)) * len(rows) + M.indices
     stiffness_keys = np.repeat(rows, np.diff(A.indptr)) * len(rows) + A.indices
@@ -180,7 +182,7 @@ def test_scatter_operator_matches_add_at(make_mesh):
     mesh = make_mesh()
     coeff = np.random.default_rng(3).uniform(0.0, 2.0, mesh.n_triangles)
     coeff[::7] = 0.0
-    A = build_context(mesh).stiffness_template.assemble(coeff)
+    A = build_context(mesh).assemble(coeff)
     ref, zero_slots = add_at_stiffness(mesh, coeff)
     assert np.array_equal(A.toarray(), ref.toarray())
     assert zero_slots.any()
@@ -209,7 +211,7 @@ def test_mass_slots_match_searchsorted_map(make_mesh):
     ctx = build_context(make_mesh())
     slots = ctx.mass_slots
     assert np.array_equal(slots, searchsorted_mass_slots(ctx))
-    assert np.array_equal(ctx.mass.indices[slots], ctx.unit_stiffness.indices)
+    assert np.array_equal(ctx.mass.indices[slots], unit_stiffness(ctx).indices)
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "explicit"])
@@ -268,7 +270,7 @@ def test_consistent_system_matches_sparse_sum(make_mesh, monkeypatch):
     (B,) = systems
 
     M = ctx.mass
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
+    A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, p))
     P, root = vascular_factors(state.Phi, state.T, p.K)
     _, decay = imex_coefficients_T(state.T, state.N, state.Phi, P, root, p)
     expected = (M.multiply(1.0 / dt) + A + M @ sp.diags(decay)).tocsr()
@@ -305,7 +307,7 @@ def test_vertex_sum_diffusivity_matches_fancy_index_mean(make_mesh):
 @pytest.mark.parametrize("nx, ny, nnz", [(3, 4, 82), (40, 40, 8_241)])
 def test_structured_nnz_drops_hypotenuse_slots(nx, ny, nnz):
     mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
-    template = build_context(mesh).stiffness_template
+    template = build_context(mesh)
     A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
     assert len(template.diagonal_slots) == mesh.n_vertices
@@ -314,14 +316,14 @@ def test_structured_nnz_drops_hypotenuse_slots(nx, ny, nnz):
 def test_graded_nnz_drops_one_edge_per_cell():
     nx, ny = 6, 8
     mesh = graded_mesh(nx, ny, seed=5)
-    A = build_context(mesh).stiffness_template.assemble(np.ones(mesh.n_triangles))
+    A = build_context(mesh).assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
 
 
 def test_acute_mesh_keeps_every_slot():
     mesh = acute_mesh(5, 4)
     assert audit_angles(mesh).strictly_acute
-    template = build_context(mesh).stiffness_template
+    template = build_context(mesh)
     A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * n_edges(mesh)
     assert np.all(A.data != 0.0)
@@ -349,9 +351,9 @@ def test_split_step_nodal_updates_equal_independent_node_updates(make_mesh, lump
 
 
 def test_assembled_matrices_share_the_read_only_pattern():
-    template = build_context(graded_mesh(6, 8, seed=5)).stiffness_template
-    coeff = np.random.default_rng(8).uniform(0.0, 2.0, template.n_triangles)
-    A, A2 = template.assemble(coeff), template.assemble(coeff)
+    ctx = build_context(graded_mesh(6, 8, seed=5))
+    coeff = np.random.default_rng(8).uniform(0.0, 2.0, ctx.mesh.n_triangles)
+    A, A2 = ctx.assemble(coeff), ctx.assemble(coeff)
     assert not A.indices.flags.writeable
     assert not A.indptr.flags.writeable
     assert np.shares_memory(A.indices, A2.indices)
@@ -364,7 +366,7 @@ def test_assembled_matrices_share_the_read_only_pattern():
     A.data[:] = 0.0
     with pytest.raises(ValueError):
         A.eliminate_zeros()
-    assert np.array_equal(template.assemble(coeff).toarray(), A2.toarray())
+    assert np.array_equal(ctx.assemble(coeff).toarray(), A2.toarray())
 
 
 @pytest.mark.parametrize("lumped, split", [(True, True), (True, False), (False, True)],
@@ -374,9 +376,10 @@ def test_steps_leave_template_and_unit_stiffness_unchanged(lumped, split):
     ctx = build_context(mesh)
 
     def fixed_arrays():
-        t, S, U = ctx.stiffness_template, ctx.stiffness_template._scatter, ctx.unit_stiffness
-        return (t._indices, t._indptr, t.diagonal_slots, S.data, S.indices, S.indptr,
-                U.data, U.indices, U.indptr, ctx.mass.data, ctx.mass.indices, ctx.mass.indptr)
+        S, E = ctx._scatter, ctx.energy
+        return (ctx._indices, ctx._indptr, ctx.diagonal_slots, S.data, S.indices, S.indptr,
+                E.data, E.indices, E.indptr, ctx.mass.data, ctx.mass.indices, ctx.mass.indptr,
+                ctx.lumped, ctx.mass_slots)
 
     before = [a.copy() for a in fixed_arrays()]
     state = random_state(mesh, seed=4)

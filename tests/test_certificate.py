@@ -23,6 +23,7 @@ from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_fro
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import SchemeError, step
 
+from oracles import unit_stiffness
 from test_assembly_equivalence import PARAMS, graded_mesh, random_state, right_angled_mesh
 
 
@@ -57,8 +58,8 @@ MESHES = {
 
 def lumped_system(ctx, seed, dt=0.05):
     rng = np.random.default_rng(seed)
-    B = ctx.stiffness_template.assemble(rng.uniform(0.0, 2.0, ctx.mesh.n_triangles))
-    B.data[ctx.stiffness_template.diagonal_slots] += ctx.lumped / dt
+    B = ctx.assemble(rng.uniform(0.0, 2.0, ctx.mesh.n_triangles))
+    B.data[ctx.diagonal_slots] += ctx.lumped / dt
     return B
 
 
@@ -101,7 +102,7 @@ PERTURBATIONS = {
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_certificate_agrees_with_sparse_oracle(make_mesh, kind):
     ctx = build_context(make_mesh())
-    slots = ctx.stiffness_template.diagonal_slots
+    slots = ctx.diagonal_slots
     B = lumped_system(ctx, seed=4)
     assert verdict(lambda M: scheme._certify_m_matrix(M, slots, 3), B) is None
     assert verdict(lambda M: oracle_m_matrix(M, 3), B) is None
@@ -118,7 +119,7 @@ def test_assembled_systems_are_bitwise_symmetric(make_mesh):
     ctx = build_context(make_mesh())
     rng = np.random.default_rng(12)
     for _ in range(3):
-        A = ctx.stiffness_template.assemble(rng.uniform(0.0, 2.0, ctx.mesh.n_triangles))
+        A = ctx.assemble(rng.uniform(0.0, 2.0, ctx.mesh.n_triangles))
         assert (A != A.T).nnz == 0
     B = lumped_system(ctx, seed=13)
     assert (B != B.T).nnz == 0
@@ -131,7 +132,7 @@ def test_rotated_mesh_passes_audit_and_certificate(angle):
     mesh = rotated_mesh(20, angle)
     assert audit_angles(mesh).non_obtuse
     ctx = build_context(mesh)
-    off = ctx.unit_stiffness.copy()
+    off = unit_stiffness(ctx).copy()
     off.setdiag(0.0)
     assert off.data.max() > 0.0
     for split in (True, False):
@@ -186,7 +187,7 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
             state, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), lumped=True, split=split)
     assert len(systems) == 5
 
-    B, slots = systems[-1], ctx.stiffness_template.diagonal_slots
+    B, slots = systems[-1], ctx.diagonal_slots
     off = np.setdiff1d(np.arange(B.nnz), slots)
     slot = off[data.draw(st.integers(0, len(off) - 1))]
     B.data[slot] = -B.data[slot]

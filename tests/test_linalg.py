@@ -132,8 +132,8 @@ def tumor_system(nx, seed):
     """A lumped tumor system: stiffness with random coefficients plus a scaled lumped mass."""
     ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
     rng = np.random.default_rng(seed)
-    A = ctx.stiffness_template.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
-    A.data[ctx.stiffness_template.diagonal_slots] += ctx.lumped * rng.uniform(10.0, 100.0)
+    A = ctx.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
+    A.data[ctx.diagonal_slots] += ctx.lumped * rng.uniform(10.0, 100.0)
     return A
 
 
@@ -141,7 +141,7 @@ def consistent_tumor_system(nx, seed):
     """A consistent-mass tumor system: mass / dt, stiffness and mass times a nodal decay."""
     ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
     rng = np.random.default_rng(seed)
-    A = ctx.stiffness_template.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
+    A = ctx.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
     decay = rng.uniform(0.0, 2.0, ctx.n_vertices)
     return (ctx.mass.multiply(rng.uniform(10.0, 100.0)) + A + ctx.mass @ sp.diags(decay)).tocsr()
 

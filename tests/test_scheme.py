@@ -172,7 +172,7 @@ def test_step_system_residual_self_check():
     cfg = small_config(nx=10)
     state = initial_state(cfg, mesh)
     new, diag = imex_lumped(state, ctx, PARAMS, cfg.dt, solver=cfg.solver)
-    A = ctx.stiffness_template.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
+    A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
     P, root = vascular_factors(state.Phi, state.T, PARAMS.K)
     src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, PARAMS)
     B = (sp.diags(ctx.lumped / cfg.dt) + A + sp.diags(ctx.lumped * dec)).tocsr()
