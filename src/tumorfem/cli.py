@@ -137,7 +137,7 @@ def _run_and_summarize(cfg: RunConfig):
     """Run one config and write its CSV, summary and VTK snapshots."""
     out = cfg.output
     # an unusable directory fails here, before the run computes anything
-    os.makedirs(out.directory, exist_ok=True)
+    output_mod.make_directories(out)
     on_step = None
     if out.snapshot_every > 0:
         geometry = ""

@@ -63,7 +63,9 @@ class GaussianProfile:
 
     def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
         r2 = (nodes[:, 0] - self.center[0]) ** 2 + (nodes[:, 1] - self.center[1]) ** 2
-        v = self.base + self.amplitude * np.exp(-r2 / self.width**2)
+        # A subnormal width**2 overflows the quotient to inf, and exp(-inf) is the 0 wanted.
+        with np.errstate(over="ignore"):
+            v = self.base + self.amplitude * np.exp(-r2 / self.width**2)
         return np.minimum(np.maximum(v, 0.0), K)
 
 

@@ -20,6 +20,7 @@ from . import diagnostics
 from .mesh import Triangulation
 
 if TYPE_CHECKING:
+    from .config import OutputOptions
     from .scheme import RunReport
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "write_vtk",
     "write_compare_csv",
     "write_snapshot",
+    "make_directories",
     "write_run_outputs",
 ]
 
@@ -100,10 +102,17 @@ def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
     )
 
 
+def make_directories(out: OutputOptions) -> None:
+    """Create ``out.directory`` and the directories the CSV and summary names lead into."""
+    os.makedirs(out.directory, exist_ok=True)
+    for name in (out.csv_name, out.summary_name):
+        os.makedirs(os.path.dirname(os.path.join(out.directory, name)), exist_ok=True)
+
+
 def write_run_outputs(report: RunReport) -> None:
     """Write the per-step CSV and the full summary, the bytes ``tumorfem run`` writes."""
     out = report.config.output
-    os.makedirs(out.directory, exist_ok=True)
+    make_directories(out)
     write_csv(report, os.path.join(out.directory, out.csv_name))
     _write_text(
         os.path.join(out.directory, out.summary_name),

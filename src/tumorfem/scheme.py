@@ -10,7 +10,9 @@ and reaction treatment (split or explicit):
 
 * ``IMEX_LUMPED`` is the production scheme: lumped mass everywhere. On a
   non-obtuse mesh its tumor system matrix is an M-matrix, so the fields
-  provably stay inside [0, K] (and N never decreases).
+  provably stay inside [0, K] (and N never decreases). One monotone sweep
+  after CG makes T >= 0 hold as computed, and a step whose fields break
+  a lower bound raises ``SchemeError``.
 * ``EXPLICIT_LUMPED`` keeps the implicit lumped diffusion but moves the
   unsplit reactions wholesale to the right-hand side, assembled with the
   consistent mass matrix. It is the comparison scheme whose bound
@@ -59,7 +61,8 @@ __all__ = [
 
 
 class SchemeError(RuntimeError):
-    """A step failed (no convergence, non-finite values, no M-matrix); carries the step index."""
+    """A step failed (no convergence, non-finite values, no M-matrix, a broken
+    lower bound); carries the step index."""
 
     def __init__(self, step: int, message: str):
         super().__init__(step, message)  # args rebuild the error when unpickled
@@ -133,14 +136,19 @@ def element_diffusivity(ctx: FemContext, T: np.ndarray, Phi: np.ndarray, p: Mode
     return p.kappa1 * model.vascular_fraction(phi_avg, t_avg, p.K) + p.kappa0
 
 
-def _check_finite(d: StepDiagnostics) -> None:
-    # NaN propagates through min and max and an infinity is one of them, so
-    # finite extrema mean finite fields.
+def _check_fields(d: StepDiagnostics, nonnegative: bool) -> None:
+    """Raise ``SchemeError`` for a non-finite field, or a negative one if ``nonnegative``.
+
+    Reads only the extrema in ``d``: NaN propagates through min and max and
+    an infinity is one of them, so finite extrema mean finite fields.
+    """
     for name, lo, hi in (
         ("T", d.min_t, d.max_t), ("N", d.min_n, d.max_n), ("Phi", d.min_phi, d.max_phi)
     ):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise SchemeError(d.step, f"non-finite values in {name}")
+        if nonnegative and lo < 0.0:
+            raise SchemeError(d.step, f"{name} breaks its lower bound 0 (min {lo:.3e})")
 
 
 def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -> None:
@@ -176,6 +184,21 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
     row_sums = B @ np.ones(len(diag))
     if not row_sums.min() >= -tol:
         fail(f"is not row diagonally dominant in row {int(np.argmin(row_sums))}")
+
+
+def _monotone_sweep(B: sp.csr_matrix, diagonal_slots: np.ndarray, rhs: np.ndarray,
+                    x: np.ndarray, K: float) -> np.ndarray:
+    """One Jacobi sweep ``D^-1 (rhs + N clip(x, 0, K))`` for ``B = D - N``.
+
+    ``N`` holds the negated negative entries of B: its diagonal is zero, and
+    the positive off-diagonal entries the certificate lets pass as rounding
+    are left out. For ``rhs >= 0`` every term is nonnegative, so the result
+    is nonnegative exactly. The exact solution is the sweep's fixed point,
+    and the sweep moves no iterate farther from it in the max norm
+    (Varga, Matrix Iterative Analysis, 1962, ch. 3).
+    """
+    off = sp.csr_matrix((np.maximum(-B.data, 0.0), B.indices, B.indptr), shape=B.shape)
+    return (rhs + off @ np.clip(x, 0.0, K)) / B.data[diagonal_slots]
 
 
 def _solve(solve, B, rhs, x0, solver: SolverOptions, step: int):
@@ -224,9 +247,11 @@ def step(
     diags(decay)`` bit for bit. Only its ``data`` is new: ``indices`` and
     ``indptr`` are the mass matrix's own.
 
-    A solver failure (no convergence, breakdown, non-finite residual)
-    raises ``SchemeError`` naming the step, and a non-finite value in a new
-    field one naming the field.
+    Split lumped steps return ``_monotone_sweep`` of the CG solution, and
+    split steps report the residual of the returned solution. A solver
+    failure (no convergence, breakdown, non-finite residual) raises
+    ``SchemeError`` naming the step, and a non-finite value in a new field,
+    or a negative one in a split lumped step, one naming the field.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -257,21 +282,22 @@ def step(
     if lumped:
         _certify_m_matrix(B, diag, k)
         res = _solve(cg_solve, B, rhs, T, solver, k)
-        residual = res.residual
     else:
         res = _solve(bicgstab_solve, B, rhs, T, solver, k)
-        rhs_norm = float(np.linalg.norm(rhs))
-        residual = float(np.linalg.norm(rhs - B @ res.x)) / rhs_norm if rhs_norm else 0.0
-
+    t_new, residual = res.x, res.residual
     if split:
-        phi_new = model.update_phi_node(T, res.x, N, Phi, root, dt, p)
-        n_new = model.update_n_node(res.x, N, phi_new, root, dt, p)
+        if lumped:
+            t_new = _monotone_sweep(B, diag, rhs, t_new, p.K)
+        rhs_norm = float(np.linalg.norm(rhs))
+        residual = float(np.linalg.norm(rhs - B @ t_new)) / rhs_norm if rhs_norm else 0.0
+        phi_new = model.update_phi_node(T, t_new, N, Phi, root, dt, p)
+        n_new = model.update_n_node(t_new, N, phi_new, root, dt, p)
     else:
         phi_new = Phi + dt * (M @ f3) / m
         n_new = N + dt * (M @ f2) / m
-    new = State(T=res.x, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
+    new = State(T=t_new, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
     d = _field_diag(new, res.iterations, residual)
-    _check_finite(d)
+    _check_fields(d, nonnegative=lumped and split)
     return new, d
 
 

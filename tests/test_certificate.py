@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -164,12 +164,15 @@ ADMISSIBLE_PARAMS = st.builds(
 @given(
     mesh=right_angled_meshes(),
     p=ADMISSIBLE_PARAMS,
-    dt=st.floats(1e-3, 0.5),
+    dt=st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
     tol=st.floats(1e-12, 1e-4),
     split=st.booleans(),
     data=st.data(),
 )
 def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, data):
+    # The bound proof puts no limit on dt. The explicit reactions of the
+    # comparison scheme grow without bound for large dt until they overflow.
+    assume(split or dt <= 0.5)
     ctx = build_context(mesh)
     fields = p.K * data.draw(
         hnp.arrays(np.float64, (3, mesh.n_vertices), elements=st.floats(0.0, 1.0))
@@ -184,7 +187,13 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
 
     with mock.patch.object(scheme, "_certify_m_matrix", recording):
         for _ in range(5):
-            state, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), lumped=True, split=split)
+            new, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), lumped=True, split=split)
+            if split:
+                # Exact, at every tolerance: the monotone sweep makes T
+                # nonnegative as computed, and N never decreases.
+                assert new.T.min() >= 0.0
+                assert np.all(new.N >= state.N)
+            state = new
     assert len(systems) == 5
 
     B, slots = systems[-1], ctx.diagonal_slots

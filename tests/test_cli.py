@@ -362,6 +362,33 @@ def test_gaussian_width_with_unusable_square_is_config_error(tmp_path, run_calls
     assert not (out_dir / "per_step.csv").exists()
 
 
+def test_gaussian_width_with_subnormal_square_evaluates_without_warning():
+    # 1e-160 squared is subnormal but nonzero, so the width is accepted; every
+    # node off the center then overflows the exponent's quotient to inf, which
+    # the suite's error::RuntimeWarning filter would turn into an error.
+    text = readme_config_example().replace("T_width = 0.015\n", "T_width = 1e-160\n")
+    cfg = parse_config(text)
+    assert cfg.initial.T.width == 1e-160
+    mesh = build_structured_mesh(4, 4, 1.0, 1.0)
+    values = cfg.initial.T.evaluate(mesh.nodes, cfg.params.K)
+    center = (mesh.nodes == (0.5, 0.5)).all(axis=1)
+    assert values[center].tolist() == [1.0]
+    assert not values[~center].any()
+
+
+def test_output_names_under_a_new_directory(tmp_path, capsys):
+    text = readme_config_example()
+    assert "\nsummary = summary.txt\n" in text
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text.replace("\nsummary = summary.txt\n", "\nsummary = sub/s.txt\n")
+                        .replace("\ncsv = per_step.csv\n", "\ncsv = a/b/steps.csv\n"))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "sub" / "s.txt").read_text().startswith("label=demo\n")
+    assert (out_dir / "a" / "b" / "steps.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, match", [
     ("csv = per_step.csv", "csv =", r"^output file name '' does not name a file$"),
     ("summary = summary.txt", "summary = .", r"^output file name '\.' does not name a file$"),

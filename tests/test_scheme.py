@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tumorfem import scheme
+from tumorfem.cli import build_preset
 from tumorfem.config import (
     ConstantProfile,
     GaussianProfile,
@@ -120,18 +121,26 @@ def test_uniform_capacity_tumor_follows_closed_recursion():
 
 
 def test_explicit_equals_imex_without_reactions():
+    # Without reactions both schemes solve the same system with the same CG
+    # run; imex-lumped then returns one monotone sweep of that solution.
     mesh = build_structured_mesh(7, 7, 1.0, 1.0)
     ctx = build_context(mesh)
     rng = np.random.default_rng(5)
     T0 = rng.uniform(0.0, 1.0, mesh.n_vertices)
-    s_imex = State(T=T0.copy(), N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5), step=0, time=0.0)
-    s_expl = State(T=T0.copy(), N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5), step=0, time=0.0)
+    state = State(T=T0, N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5),
+                  step=0, time=0.0)
+    dt = 1e-2
     for _ in range(5):
-        s_imex, _ = imex_lumped(s_imex, ctx, NO_REACTIONS, 1e-2)
-        s_expl, _ = explicit_lumped(s_expl, ctx, NO_REACTIONS, 1e-2)
-    assert np.array_equal(s_imex.T, s_expl.T)
-    assert np.array_equal(s_imex.N, s_expl.N)
-    assert np.array_equal(s_imex.Phi, s_expl.Phi)
+        s_imex, _ = imex_lumped(state, ctx, NO_REACTIONS, dt)
+        s_expl, _ = explicit_lumped(state, ctx, NO_REACTIONS, dt)
+        B = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, NO_REACTIONS))
+        B.data[ctx.diagonal_slots] += ctx.lumped / dt
+        swept = scheme._monotone_sweep(B, ctx.diagonal_slots, ctx.lumped * (state.T / dt),
+                                       s_expl.T, NO_REACTIONS.K)
+        assert np.array_equal(s_imex.T, swept)
+        assert np.array_equal(s_imex.N, s_expl.N)
+        assert np.array_equal(s_imex.Phi, s_expl.Phi)
+        state = s_imex
 
 
 def test_consistent_equals_lumped_on_single_element_constant_fields():
@@ -291,12 +300,50 @@ def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
         return replace(res, x=spoiled(res.x) if field == "T" else state.T.copy())
 
     monkeypatch.setattr(scheme, "cg_solve", cg)
+    # The sweep would project an infinite solver value onto [0, K]; as the
+    # identity it passes the solver's T through as the returned one.
+    monkeypatch.setattr(scheme, "_monotone_sweep", lambda B, slots, rhs, x, K: x)
     monkeypatch.setattr(scheme.model, "update_phi_node",
                         lambda *a: spoiled(state.Phi) if field == "Phi" else state.Phi.copy())
     monkeypatch.setattr(scheme.model, "update_n_node",
                         lambda *a: spoiled(state.N) if field == "N" else state.N.copy())
     with pytest.raises(SchemeError, match=f"step 1: non-finite values in {field}$"):
         imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
+
+
+@pytest.mark.parametrize("field", ["T", "N", "Phi"])
+def test_negative_field_raises_naming_it(monkeypatch, field):
+    # Each new field is a copy of its old value, except one entry of the field
+    # under test at -1e-300. The comparison schemes report such values instead
+    # (test_acceptance, criteria 2 and 3).
+    mesh = build_structured_mesh(6, 6, 1.0, 1.0)
+    ctx = build_context(mesh)
+    state = initial_state(small_config(), mesh)
+
+    def new_value(name):
+        values = getattr(state, name).copy()
+        if name == field:
+            values[5] = -1e-300
+        return values
+
+    monkeypatch.setattr(scheme, "_monotone_sweep", lambda *a: new_value("T"))
+    monkeypatch.setattr(scheme.model, "update_phi_node", lambda *a: new_value("Phi"))
+    monkeypatch.setattr(scheme.model, "update_n_node", lambda *a: new_value("N"))
+    with pytest.raises(SchemeError,
+                       match=rf"^step 1: {field} breaks its lower bound 0 \(min -1\.000e-300\)$"):
+        imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
+
+
+def test_fine_grid_bounds_run_keeps_t_nonnegative_as_computed():
+    # The bounds preset on the 320 x 320 grid, cut to 21 steps. Its far field
+    # is near 1e-300; an unswept CG solve returned it as -2.82e-99 at step 21.
+    cfg = build_preset("bounds-comparison")[0]
+    assert cfg.variant is SchemeVariant.IMEX_LUMPED
+    cfg = replace(cfg, mesh=MeshSpec(nx=320, ny=320, lx=1.0, ly=1.0), tf=21 * cfg.dt)
+    report = run(cfg)
+    assert len(report.steps) == 22
+    assert min(d.min_t for d in report.steps) == 0.0
+    assert max(d.max_t for d in report.steps) <= cfg.params.K
 
 
 def test_nondecreasing_necrosis_in_imex_run():
