@@ -318,7 +318,8 @@ def run(
     """Execute the configured number of steps and collect per-step diagnostics.
 
     The accumulated energy is dt * sum_k T^k . (M + A_1) T^k, the squared
-    H1 norms of the computed steps. Lumped variants refuse meshes that fail the non-obtuse audit.
+    H1 norms of the computed steps. Lumped variants refuse meshes that fail
+    the non-obtuse audit.
     ``on_step(mesh, state)``, when given, sees the initial state and the
     state after every step. No file is written here; the output options are
     for the caller, e.g. ``output.write_run_outputs(report)``.
