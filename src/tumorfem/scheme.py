@@ -151,8 +151,8 @@ def _check_fields(d: StepDiagnostics, nonnegative: bool) -> None:
             raise SchemeError(d.step, f"{name} breaks its lower bound 0 (min {lo:.3e})")
 
 
-def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -> None:
-    """Raise ``SchemeError`` unless B has the sign and dominance structure of an M-matrix.
+def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -> np.ndarray:
+    """Return B's diagonal, or raise ``SchemeError`` unless B is structurally an M-matrix.
 
     With slack ``tol = 1e-12 * max diagonal``: every diagonal entry exceeds
     tol, no off-diagonal entry does and no row sum is below -tol. The slack
@@ -184,28 +184,33 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
     row_sums = B @ np.ones(len(diag))
     if not row_sums.min() >= -tol:
         fail(f"is not row diagonally dominant in row {int(np.argmin(row_sums))}")
+    return diag
 
 
-def _monotone_sweep(B: sp.csr_matrix, diagonal_slots: np.ndarray, rhs: np.ndarray,
+def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
                     x: np.ndarray, K: float) -> np.ndarray:
     """One Jacobi sweep ``D^-1 (rhs + N clip(x, 0, K))`` for ``B = D - N``.
 
-    ``N`` holds the negated negative entries of B: its diagonal is zero, and
-    the positive off-diagonal entries the certificate lets pass as rounding
-    are left out. For ``rhs >= 0`` every term is nonnegative, so the result
-    is nonnegative exactly. The exact solution is the sweep's fixed point,
-    and the sweep moves no iterate farther from it in the max norm
-    (Varga, Matrix Iterative Analysis, 1962, ch. 3).
+    ``d`` is the diagonal ``D`` that ``_certify_m_matrix`` proved positive,
+    and ``-N`` is ``min(B, 0)``: zero on that diagonal and at the positive
+    off-diagonal entries the certificate lets pass as rounding. For
+    ``rhs >= 0`` every term is nonnegative, so the result is nonnegative
+    exactly. The exact solution is the sweep's fixed point, and the sweep
+    moves no iterate farther from it in the max norm (Varga, Matrix
+    Iterative Analysis, 1962, ch. 3).
     """
-    off = sp.csr_matrix((np.maximum(-B.data, 0.0), B.indices, B.indptr), shape=B.shape)
-    return (rhs + off @ np.clip(x, 0.0, K)) / B.data[diagonal_slots]
+    off = sp.csr_matrix((np.minimum(B.data, 0.0), B.indices, B.indptr), shape=B.shape)
+    return (rhs - off @ np.clip(x, 0.0, K)) / d
 
 
 def _solve(solve, B, rhs, x0, solver: SolverOptions, step: int):
+    """``(x, iterations, residual)`` of ``solve``; its ``CgError``, or the
+    ``ValueError`` of a non-finite right-hand side, raises ``SchemeError``."""
     try:
-        return solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
-    except CgError as exc:
+        res = solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
+    except (CgError, ValueError) as exc:
         raise SchemeError(step, str(exc)) from exc
+    return res.x, res.iterations, res.residual
 
 
 def step(
@@ -221,37 +226,35 @@ def step(
     """One step with lumped (else consistent) mass and split (else explicit) reactions.
 
     Explicit reactions are the unsplit ones at the old state, entering as
-    consistent-mass loads; consistent mass with them is no scheme and
-    raises ``ValueError``. The consistent-mass tumor system has positive
-    off-diagonals and a mild asymmetry, so it is solved directly by
-    Jacobi-scaled BiCGSTAB, and the residual reported is recomputed from
-    the returned solution. Its nodal updates equal the lumped ones: the
-    mass matrix acts on both sides of their nodewise-defined interpolants
-    and cancels.
+    consistent-mass loads and as ``decay = 0`` in the system; consistent
+    mass with them is no scheme and raises ``ValueError``. They are
+    evaluated with their nodal updates under the solvers' floating-point
+    policy: an overflow emits no warning, and the non-finite values it
+    leaves fail the solve or the field check. The split reactions take the
+    vascular factors of the old state, computed once per step for the tumor
+    coefficients and both nodal updates.
 
-    The split reactions take the vascular factors of the old state, computed
-    once per step for the tumor coefficients and both nodal updates.
+    Both lumped tumor systems are the freshly assembled stiffness matrix
+    with ``(A_aa + m_a / dt) + m_a * decay_a`` written in place at its
+    diagonal slots; each equals ``diags(m / dt) + A + diags(m * decay)``
+    bit for bit. Only its ``data`` is written: the pattern arrays belong to
+    the FEM context and are read-only. It must pass the M-matrix
+    certificate, which names the step and row of a violation and returns
+    the diagonal it proved positive. Split steps return ``_monotone_sweep``
+    of the CG solution, which divides by that diagonal.
 
-    The lumped tumor system is the freshly assembled stiffness matrix with
-    the lumped terms added in place at its diagonal slots, rounded as
-    ``(A_aa + m_a / dt) + m_a * decay_a``; it therefore has the stiffness
-    pattern and equals ``diags(m / dt) + A + diags(m * decay)`` bit for bit.
-    Only its ``data`` is written: the pattern arrays belong to the FEM
-    context and are read-only. Before it is solved, the system must pass
-    the M-matrix certificate; a violation raises ``SchemeError`` naming the
-    step and the offending row.
+    The consistent system has positive off-diagonals and a mild asymmetry.
+    It is written in place on the mass pattern as ``(M / dt + A) + M *
+    decay[column]``, the stiffness values entering at ``ctx.mass_slots``,
+    equals ``M.multiply(1 / dt) + A + M @ diags(decay)`` bit for bit and is
+    solved by Jacobi-scaled BiCGSTAB. Only its ``data`` is new. Its nodal
+    updates equal the lumped ones: the mass matrix acts on both sides of
+    their nodewise-defined interpolants and cancels.
 
-    The consistent system is written in place on the mass pattern as
-    ``(M / dt + A) + M * decay[column]``, the stiffness values entering at
-    ``ctx.mass_slots``; it equals ``M.multiply(1 / dt) + A + M @
-    diags(decay)`` bit for bit. Only its ``data`` is new: ``indices`` and
-    ``indptr`` are the mass matrix's own.
-
-    Split lumped steps return ``_monotone_sweep`` of the CG solution, and
-    split steps report the residual of the returned solution. A solver
-    failure (no convergence, breakdown, non-finite residual) raises
-    ``SchemeError`` naming the step, and a non-finite value in a new field,
-    or a negative one in a split lumped step, one naming the field.
+    Split steps report the residual of the returned solution. A solver
+    failure, a non-finite right-hand side included, raises ``SchemeError``
+    naming the step, and a non-finite value in a new field, or a negative
+    one in a split lumped step, one naming the field.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -259,44 +262,38 @@ def step(
     T, N, Phi = state.T, state.N, state.Phi
     m, M = ctx.lumped, ctx.mass
     A = ctx.assemble(element_diffusivity(ctx, T, Phi, p))
-    diag = ctx.diagonal_slots
     if split:
         P, root = model.vascular_factors(Phi, T, p.K)
         source, decay = model.imex_coefficients_T(T, N, Phi, P, root, p)
-        if lumped:
-            A.data[diag] = (A.data[diag] + m / dt) + m * decay
-            B = A
-            rhs = m * (T / dt + source)
-        else:
-            data = M.data * (1.0 / dt)
-            data[ctx.mass_slots] += A.data
-            data += M.data * decay[M.indices]
-            B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
-            rhs = M @ (T / dt + source)
     else:
-        f1, f2, f3 = model.reactions(T, N, Phi, p)
-        A.data[diag] = A.data[diag] + m / dt
-        B = A
-        rhs = m * (T / dt) + M @ f1
-
+        with np.errstate(over="ignore", invalid="ignore"):
+            f1, f2, f3 = model.reactions(T, N, Phi, p)
+            phi_new = Phi + dt * (M @ f3) / m
+            n_new = N + dt * (M @ f2) / m
+        decay = 0.0
     if lumped:
-        _certify_m_matrix(B, diag, k)
-        res = _solve(cg_solve, B, rhs, T, solver, k)
+        diag = ctx.diagonal_slots
+        A.data[diag] = (A.data[diag] + m / dt) + m * decay
+        B = A
+        rhs = m * (T / dt + source) if split else m * (T / dt) + M @ f1
+        D = _certify_m_matrix(B, diag, k)
     else:
-        res = _solve(bicgstab_solve, B, rhs, T, solver, k)
-    t_new, residual = res.x, res.residual
+        data = M.data * (1.0 / dt)
+        data[ctx.mass_slots] += A.data
+        data += M.data * decay[M.indices]
+        B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+        rhs = M @ (T / dt + source)
+    solve = cg_solve if lumped else bicgstab_solve
+    t_new, iterations, residual = _solve(solve, B, rhs, T, solver, k)
     if split:
         if lumped:
-            t_new = _monotone_sweep(B, diag, rhs, t_new, p.K)
+            t_new = _monotone_sweep(B, D, rhs, t_new, p.K)
         rhs_norm = float(np.linalg.norm(rhs))
         residual = float(np.linalg.norm(rhs - B @ t_new)) / rhs_norm if rhs_norm else 0.0
         phi_new = model.update_phi_node(T, t_new, N, Phi, root, dt, p)
         n_new = model.update_n_node(t_new, N, phi_new, root, dt, p)
-    else:
-        phi_new = Phi + dt * (M @ f3) / m
-        n_new = N + dt * (M @ f2) / m
     new = State(T=t_new, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
-    d = _field_diag(new, res.iterations, residual)
+    d = _field_diag(new, iterations, residual)
     _check_fields(d, nonnegative=lumped and split)
     return new, d
 

@@ -16,8 +16,8 @@ from dataclasses import replace
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from tumorfem.cli import TABLE_BOUNDS, build_preset
-from tumorfem.config import SchemeVariant, SolverOptions
+from tumorfem.cli import TABLE_BOUNDS, build_preset, main
+from tumorfem.config import MeshSpec, SchemeVariant, SolverOptions
 from tumorfem.diagnostics import (
     classify_equilibrium,
     envelope_check_far,
@@ -25,7 +25,9 @@ from tumorfem.diagnostics import (
     scalar_comparison_oracle,
 )
 from tumorfem.fem import build_context
-from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
+from tumorfem.mesh import (
+    audit_angles, build_structured_mesh, triangulation_from_arrays, write_mesh,
+)
 from tumorfem.model import (
     ModelParams,
     State,
@@ -41,7 +43,9 @@ from tumorfem.scheme import (
 
 from oracles import (
     discrete_laplacian_apply, gronwall_constants, imex_reactions, l2_and_h1, unit_stiffness,
+    write_config_file,
 )
+from test_assembly_equivalence import acute_mesh
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -97,6 +101,29 @@ def test_criterion_2_explicit_scheme_violates_bounds(bounds_runs):
     assert violated, "explicit scheme stayed inside the bounds for 10 steps"
     worst = min(d.min_t for d in early)
     _pass(2, f"first violation at step {violated[0]}, min T reaches {worst:.3e}")
+
+
+def test_criteria_1_and_2_on_an_acute_mesh_file(tmp_path):
+    """Both bounds runs on a strictly acute mesh that the command line reads from a file."""
+    lattice = acute_mesh(40, 44)
+    mesh = triangulation_from_arrays(lattice.nodes / 40.5, lattice.triangles)
+    assert mesh.n_vertices == 1845 and audit_angles(mesh).strictly_acute
+    write_mesh(mesh, tmp_path / "acute.mesh")
+    rows = {}
+    for cfg in build_preset("bounds-comparison"):
+        cfg = replace(cfg, mesh=MeshSpec(path=str(tmp_path / "acute.mesh")))
+        write_config_file(cfg, str(tmp_path / "run.cfg"))
+        out = tmp_path / cfg.variant.value
+        assert main(["run", str(tmp_path / "run.cfg"), "--output-dir", str(out)]) == 0
+        rows[cfg.variant] = np.genfromtxt(out / "per_step.csv", delimiter=",", names=True)
+    imex = rows[SchemeVariant.IMEX_LUMPED]
+    for name in ("minT", "minN", "minPhi"):
+        assert np.all(imex[name] >= 0.0)
+    explicit_min_t = rows[SchemeVariant.EXPLICIT_LUMPED]["minT"]
+    assert np.any(explicit_min_t < 0.0)
+    _pass(1, f"acute mesh file, {mesh.n_vertices} nodes: imex-lumped min T = "
+             f"{imex['minT'].min():.3e}; explicit-lumped min T = {explicit_min_t.min():.3e}, "
+             f"below 0 on {np.count_nonzero(explicit_min_t < 0.0)} of {len(imex) - 1} steps")
 
 
 def test_criterion_3_consistent_mass_violates_positivity(lumping_runs):

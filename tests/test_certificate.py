@@ -183,7 +183,7 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
 
     def recording(B, diagonal_slots, k):
         systems.append(B.copy())
-        certify(B, diagonal_slots, k)
+        return certify(B, diagonal_slots, k)
 
     with mock.patch.object(scheme, "_certify_m_matrix", recording):
         for _ in range(5):
@@ -202,3 +202,32 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
     B.data[slot] = -B.data[slot]
     with pytest.raises(SchemeError, match="positive off-diagonal"):
         certify(B, slots, 5)
+
+
+@pytest.mark.parametrize("mesh", [build_structured_mesh(7, 6, 1.0, 1.0), graded_mesh(6, 8, seed=5)],
+                         ids=["structured", "graded"])
+def test_field_at_capacity_exceeds_k_by_rounding_only(mesh):
+    # With N = Phi = 0 and alpha = beta1 = 0 the tumor field only diffuses,
+    # so the exact T stays in [0, K]. As computed, T >= 0 holds exactly and
+    # T <= K up to rounding: each step can add a few units in the last place
+    # and the diffusion damps them, so the excess builds up, then levels off.
+    # Measured on these draws (20 per mesh, dt from 1e-6 to 1e3, 30 steps
+    # each): T > K on 990 of 1,200 steps, by at most 2 eps per step taken and
+    # 32 eps (7.1e-15 relative) in all. The bound allows 4 eps per step taken,
+    # twice the measured rate.
+    ctx = build_context(mesh)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(0)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        rates = rng.uniform(0.0, 2.0, 4)
+        p = ModelParams(kappa1=rng.uniform(0.0, 0.1), kappa0=rng.uniform(1e-4, 0.1),
+                        rho=rates[0], alpha=0.0, beta1=0.0, beta2=rates[1], gamma=rates[2],
+                        delta=rates[3], K=rng.uniform(0.1, 10.0))
+        dt = 10.0 ** rng.uniform(-6.0, 3.0)
+        T = p.K * (1.0 - 1e-16 * rng.uniform(size=n))
+        state = State(T=T, N=np.zeros(n), Phi=np.zeros(n), step=0, time=0.0)
+        for k in range(1, 31):
+            state, _ = step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=True, split=True)
+            assert state.T.min() >= 0.0
+            assert state.T.max() <= p.K * (1.0 + 4 * k * eps)

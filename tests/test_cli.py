@@ -172,6 +172,24 @@ def test_overflowing_right_hand_side_is_numerical_failure(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_diverging_explicit_run_is_numerical_failure(tmp_path, capsys):
+    # The README config on the comparison scheme with rates and a step that
+    # make it diverge: max |T| is 8.1e128 after step 7, and the explicit
+    # reactions of step 8 overflow. That is a numerical failure, reported on
+    # one stderr line without a RuntimeWarning, not a config error.
+    text = readme_config_example()
+    for old, new in [("variant = imex-lumped", "variant = explicit-lumped"),
+                     ("rho = 1.0", "rho = 2.0"), ("alpha = 0.8", "alpha = 2.0"),
+                     ("dt = 0.01", "dt = 10.0"), ("tf = 1.0", "tf = 100.0")]:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg_path = tmp_path / "diverging.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 8: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mesh_text, message", [
     ("3 1\n0.0 0.0\nnan 0.0\n0.0 1.0\n0 1 2\n", "non-finite"),
     ("4 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n5.0 5.0\n0 1 2\n", "belongs to no element"),

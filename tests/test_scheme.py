@@ -135,8 +135,8 @@ def test_explicit_equals_imex_without_reactions():
         s_expl, _ = explicit_lumped(state, ctx, NO_REACTIONS, dt)
         B = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, NO_REACTIONS))
         B.data[ctx.diagonal_slots] += ctx.lumped / dt
-        swept = scheme._monotone_sweep(B, ctx.diagonal_slots, ctx.lumped * (state.T / dt),
-                                       s_expl.T, NO_REACTIONS.K)
+        swept = scheme._monotone_sweep(B, B.data[ctx.diagonal_slots],
+                                       ctx.lumped * (state.T / dt), s_expl.T, NO_REACTIONS.K)
         assert np.array_equal(s_imex.T, swept)
         assert np.array_equal(s_imex.N, s_expl.N)
         assert np.array_equal(s_imex.Phi, s_expl.Phi)
@@ -227,7 +227,7 @@ def test_certificate_runs_once_per_lumped_step(monkeypatch):
 
     def counting(B, diagonal_slots, k):
         calls.append(k)
-        certify(B, diagonal_slots, k)
+        return certify(B, diagonal_slots, k)
 
     monkeypatch.setattr(scheme, "_certify_m_matrix", counting)
     for variant in SchemeVariant:
@@ -302,7 +302,7 @@ def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
     monkeypatch.setattr(scheme, "cg_solve", cg)
     # The sweep would project an infinite solver value onto [0, K]; as the
     # identity it passes the solver's T through as the returned one.
-    monkeypatch.setattr(scheme, "_monotone_sweep", lambda B, slots, rhs, x, K: x)
+    monkeypatch.setattr(scheme, "_monotone_sweep", lambda B, D, rhs, x, K: x)
     monkeypatch.setattr(scheme.model, "update_phi_node",
                         lambda *a: spoiled(state.Phi) if field == "Phi" else state.Phi.copy())
     monkeypatch.setattr(scheme.model, "update_n_node",
