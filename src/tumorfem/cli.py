@@ -75,54 +75,33 @@ TABLE_LUMPING = ModelParams(
 
 ENERGY_SWEEP_STEPS = (10, 60, 110, 160, 210, 260, 310, 360, 410, 460, 510)
 
-
-def _preset_config(params, mesh, dt, tf, variant, label) -> RunConfig:
-    return RunConfig(
-        mesh=mesh,
-        params=params,
-        dt=dt,
-        tf=tf,
-        variant=variant,
-        initial=_PRESET_INITIAL,
-        solver=_PRESET_SOLVER,
-        output=OutputOptions(),
-        label=label,
-    )
+_LUMPED_PAIR = (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED)
+# One row per preset: label prefix, parameters, cells per side of the unit
+# square, final time and schemes. The energy sweep runs ENERGY_SWEEP_STEPS,
+# the others 100 steps.
+_PRESETS = {
+    "bounds-comparison": ("bounds", TABLE_BOUNDS, 40, 1.0, _LUMPED_PAIR),
+    "energy-sweep": ("energy", TABLE_ENERGY, 40, 0.01, _LUMPED_PAIR),
+    "lumping-comparison": ("lumping", TABLE_LUMPING, 10, 1.0,
+                           (SchemeVariant.IMEX_LUMPED, SchemeVariant.IMEX_CONSISTENT)),
+}
 
 
 def build_preset(name: str) -> list[RunConfig]:
-    """The bundled runs of one named experiment preset."""
-    if name == "bounds-comparison":
-        mesh = MeshSpec(nx=40, ny=40, lx=1.0, ly=1.0)
-        return [
-            _preset_config(TABLE_BOUNDS, mesh, 1e-2, 1.0, SchemeVariant.IMEX_LUMPED,
-                           "bounds-imex-lumped"),
-            _preset_config(TABLE_BOUNDS, mesh, 1e-2, 1.0, SchemeVariant.EXPLICIT_LUMPED,
-                           "bounds-explicit-lumped"),
-        ]
-    if name == "energy-sweep":
-        mesh = MeshSpec(nx=40, ny=40, lx=1.0, ly=1.0)
-        configs = []
-        for kf in ENERGY_SWEEP_STEPS:
-            for variant in (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED):
-                configs.append(
-                    _preset_config(
-                        TABLE_ENERGY, mesh, 0.01 / kf, 0.01, variant,
-                        f"energy-{variant.value}-Kf{kf:03d}",
-                    )
-                )
-        return configs
-    if name == "lumping-comparison":
-        mesh = MeshSpec(nx=10, ny=10, lx=1.0, ly=1.0)
-        return [
-            _preset_config(TABLE_LUMPING, mesh, 1e-2, 1.0, SchemeVariant.IMEX_LUMPED,
-                           "lumping-imex-lumped"),
-            _preset_config(TABLE_LUMPING, mesh, 1e-2, 1.0, SchemeVariant.IMEX_CONSISTENT,
-                           "lumping-imex-consistent"),
-        ]
-    raise ConfigError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-    )
+    """The bundled runs of one named experiment preset, labelled
+    ``<prefix>-<variant>``, with ``-KfNNN`` for the step count of the sweep."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    prefix, params, cells, tf, variants = _PRESETS[name]
+    sweep = name == "energy-sweep"
+    mesh = MeshSpec(nx=cells, ny=cells, lx=1.0, ly=1.0)
+    return [
+        RunConfig(mesh=mesh, params=params, dt=tf / steps, tf=tf, variant=variant,
+                  initial=_PRESET_INITIAL, solver=_PRESET_SOLVER, output=OutputOptions(),
+                  label=f"{prefix}-{variant.value}" + (f"-Kf{steps:03d}" if sweep else ""))
+        for steps in (ENERGY_SWEEP_STEPS if sweep else (100,))
+        for variant in variants
+    ]
 
 
 def _with_output(cfg: RunConfig, directory: str, snapshot_every: int | None) -> RunConfig:
