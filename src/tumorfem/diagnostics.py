@@ -107,12 +107,14 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
                           np.empty(0), np.empty(0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> EnvelopeReport:
     """Decay envelopes valid when necrosis starts within eps of capacity.
 
     Requires min N0 >= K - eps. Pure exponentials with rates
     beta1 (K - eps) - rho eps / K for T and beta2 (K - eps) - gamma eps / K
-    for Phi; at eps = 0 these reduce to rates beta1 K and beta2 K.
+    for Phi; at eps = 0 these reduce to rates beta1 K and beta2 K. A
+    negative rate can overflow an envelope to +inf, a vacuous bound.
     """
     first = report.steps[0]
     rate_t = p.beta1 * (p.K - eps) - p.rho * eps / p.K
@@ -126,13 +128,14 @@ def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> Enve
                     first.max_phi * np.exp(-rate_phi * times))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify_equilibrium(final: State, p: ModelParams, tol: float) -> EquilibriumReport:
     """Label the final state by which fields sit below ``tol`` in max norm.
 
     P1: all three vanish. P2: tumor and vasculature vanish, necrosis
     persists. P3: tumor and necrosis vanish, vasculature persists (the
     unstable family). Anything else is "none". The reaction values at the
-    final state are reported as residuals.
+    final state are reported as residuals, +inf where they overflow.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

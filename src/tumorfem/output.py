@@ -103,9 +103,11 @@ def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
 
 
 def make_directories(out: OutputOptions) -> None:
-    """Create ``out.directory`` and the directories the CSV and summary names lead into."""
+    """Create ``out.directory`` and the directories the CSV and summary names,
+    and the VTK prefix when snapshots are on, lead into."""
     os.makedirs(out.directory, exist_ok=True)
-    for name in (out.csv_name, out.summary_name):
+    prefix = (out.vtk_prefix,) if out.snapshot_every > 0 else ()
+    for name in (out.csv_name, out.summary_name, *prefix):
         os.makedirs(os.path.dirname(os.path.join(out.directory, name)), exist_ok=True)
 
 

@@ -70,12 +70,17 @@ def right_angled_mesh(dx, dy, flip):
     return triangulation_from_arrays(nodes, triangles)
 
 
-def graded_mesh(nx, ny, seed):
-    """Random x/y spacing and a random diagonal per cell."""
+def graded_mesh(nx, ny, seed, halvings=0):
+    """Random x/y spacing and a random diagonal per cell. Each of ``halvings``
+    halves every cell, each sub-cell keeping its parent's diagonal, so the
+    meshes of one seed are nested."""
     rng = np.random.default_rng(seed)
     dx = rng.uniform(0.2, 1.0, nx)
     dy = rng.uniform(0.2, 1.0, ny)
-    return right_angled_mesh(dx, dy, rng.random((ny, nx)) < 0.5)
+    flip = rng.random((ny, nx)) < 0.5
+    r = 2 ** halvings
+    return right_angled_mesh(np.repeat(dx / r, r), np.repeat(dy / r, r),
+                             np.repeat(np.repeat(flip, r, axis=0), r, axis=1))
 
 
 def acute_mesh(nx, ny):

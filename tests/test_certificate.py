@@ -7,6 +7,7 @@ with one entry perturbed. Symmetry is no longer checked per step, because assemb
 it exact; a test checks that instead.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_fro
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import SchemeError, step
 
-from oracles import unit_stiffness
+from oracles import gronwall_constants, unit_stiffness
 from test_assembly_equivalence import PARAMS, graded_mesh, random_state, right_angled_mesh
 
 
@@ -152,6 +153,31 @@ def right_angled_meshes(draw):
     return right_angled_mesh(dx, dy, draw(st.lists(row, min_size=ny, max_size=ny)))
 
 
+EPS = np.finfo(float).eps
+
+
+def gronwall_ceiling(n0, c1, c2, t):
+    """n0 e^{c1 t} + c2 g(t), g(t) = expm1(c1 t) / c1, the solution of
+    y' = c1 y + c2, y(0) = n0; +inf, without a warning, where it overflows.
+
+    g is written t expm1(x) / x with x = c1 t, and g = t where x is 0, so a
+    c1 whose product with t underflows (a subnormal c1) also gives c2 t.
+    """
+    x = c1 * t
+    with np.errstate(over="ignore"):
+        g = t * (np.expm1(x) / x) if x else t
+        return (n0 * np.exp(x) if n0 else 0.0) + (c2 * g if c2 else 0.0)
+
+
+def test_gronwall_ceiling_limits():
+    assert gronwall_ceiling(0.5, 0.0, 3.0, 2.0) == 6.5
+    assert gronwall_ceiling(0.0, 5e-324, 3.0, 0.3) == pytest.approx(0.9, rel=1e-15)
+    assert gronwall_ceiling(1.0, 1.0, 1.0, 1.0) == pytest.approx(2 * np.e - 1, rel=1e-15)
+    assert gronwall_ceiling(0.0, 40.0, 0.0, 1e3) == 0.0
+    assert gronwall_ceiling(1.0, 40.0, 2.0, 1e3) == np.inf
+    assert gronwall_ceiling(0.0, 1.0, 1e300, 1e3) == np.inf
+
+
 RATE = st.floats(0.0, 2.0)
 ADMISSIBLE_PARAMS = st.builds(
     ModelParams,
@@ -185,14 +211,27 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
         systems.append(B.copy())
         return certify(B, diagonal_slots, k)
 
+    n0_max = float(state.N.max())
     with mock.patch.object(scheme, "_certify_m_matrix", recording):
-        for _ in range(5):
+        for k in range(1, 6):
             new, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), lumped=True, split=split)
             if split:
                 # Exact, at every tolerance: the monotone sweep makes T
                 # nonnegative as computed, and N never decreases.
                 assert new.T.min() >= 0.0
                 assert np.all(new.N >= state.N)
+                # The Gronwall ceiling. Its constants assume T, Phi <= K, and
+                # as computed they exceed K by about 2 eps per step at most
+                # (test_field_at_capacity_exceeds_k_by_rounding_only), so they
+                # are taken at capacity K (1 + 4 k eps), which is checked. Each
+                # step rounds N's update, seven operations on nonnegative
+                # terms, by at most 8 eps relative, and the ceiling by 8 eps
+                # more: hence the factor 1 + 8 (k + 1) eps.
+                k_hi = p.K * (1.0 + 4 * k * EPS)
+                assert max(new.T.max(), new.Phi.max()) <= k_hi
+                c1, c2 = gronwall_constants(replace(p, K=k_hi))
+                ceiling = gronwall_ceiling(n0_max, c1, c2, new.time)
+                assert new.N.max() <= ceiling * (1.0 + 8 * (k + 1) * EPS)
             state = new
     assert len(systems) == 5
 

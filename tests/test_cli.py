@@ -190,6 +190,29 @@ def test_diverging_explicit_run_is_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure: step 8: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("variant", ["imex-lumped", "explicit-lumped"])
+def test_run_with_overflowing_summary_diagnostics_is_quiet(tmp_path, capsys, variant):
+    # The README config with a huge growth rate and a long step finishes, and
+    # its summary overflows: the near-K tumor envelope has a negative rate, and
+    # explicit-lumped's final reactions exceed the float range. Both are
+    # evaluated without a RuntimeWarning; an overflowed envelope is +inf, a
+    # vacuous upper bound, and an overflowed residual is reported as inf.
+    text = readme_config_example()
+    for old, new in [("variant = imex-lumped", f"variant = {variant}"), ("rho = 1.0", "rho = 1e6"),
+                     ("alpha = 0.8", "alpha = 2.0"), ("dt = 0.01", "dt = 20"),
+                     ("tf = 1.0", "tf = 100")]:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out_dir / "summary.txt").read_text().splitlines()
+    assert summary[6].startswith("envelope[near-K]: holds=False ")
+    assert summary[7].endswith("residual=inf") == (variant == "explicit-lumped")
+
+
 @pytest.mark.parametrize("mesh_text, message", [
     ("3 1\n0.0 0.0\nnan 0.0\n0.0 1.0\n0 1 2\n", "non-finite"),
     ("4 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n5.0 5.0\n0 1 2\n", "belongs to no element"),
@@ -407,6 +430,32 @@ def test_output_names_under_a_new_directory(tmp_path, capsys):
     assert (out_dir / "a" / "b" / "steps.csv").exists()
 
 
+def test_vtk_prefix_under_a_new_directory(tmp_path, monkeypatch, capsys):
+    # The prefix's directory is created with the output directory, before
+    # the mesh is built, as for the csv and summary names.
+    from tumorfem import cli
+
+    text = readme_config_example()
+    for old, new in [("snapshot_every = 0", "snapshot_every = 50"),
+                     ("vtk_prefix = snapshot", "vtk_prefix = sub/snap")]:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    real_run = cli.run
+
+    def run_after_directories(cfg, **kwargs):
+        assert (out_dir / "sub").is_dir()
+        return real_run(cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run", run_after_directories)
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in (out_dir / "sub").iterdir()) == [
+        "snap_000000.vtk", "snap_000050.vtk", "snap_000100.vtk"]
+
+
 @pytest.mark.parametrize("old, new, match", [
     ("csv = per_step.csv", "csv =", r"^output file name '' does not name a file$"),
     ("summary = summary.txt", "summary = .", r"^output file name '\.' does not name a file$"),
@@ -501,3 +550,21 @@ def test_preset_tables_match_reported_values():
         SchemeVariant.IMEX_LUMPED,
         SchemeVariant.IMEX_CONSISTENT,
     }
+
+    # Every run, in order, by the label perfbench/reference.json is keyed by
+    # and its step, tf / steps.
+    kfs = (10, 60, 110, 160, 210, 260, 310, 360, 410, 460, 510)
+    assert [(c.label, c.dt) for c in bounds + energy + lumping] == [
+        ("bounds-imex-lumped", 1e-2), ("bounds-explicit-lumped", 1e-2),
+        *[(f"energy-{variant}-Kf{kf:03d}", 0.01 / kf)
+          for kf in kfs for variant in ("imex-lumped", "explicit-lumped")],
+        ("lumping-imex-lumped", 1e-2), ("lumping-imex-consistent", 1e-2),
+    ]
+
+
+def test_energy_sweep_reads_its_step_counts_when_built(monkeypatch):
+    from tumorfem import cli
+
+    monkeypatch.setattr(cli, "ENERGY_SWEEP_STEPS", (10,))
+    assert [(c.label, c.n_steps) for c in build_preset("energy-sweep")] == [
+        ("energy-imex-lumped-Kf010", 10), ("energy-explicit-lumped-Kf010", 10)]
