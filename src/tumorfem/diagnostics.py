@@ -135,7 +135,7 @@ def classify_equilibrium(final: State, p: ModelParams, tol: float) -> Equilibriu
     P1: all three vanish. P2: tumor and vasculature vanish, necrosis
     persists. P3: tumor and necrosis vanish, vasculature persists (the
     unstable family). Anything else is "none". The reaction values at the
-    final state are reported as residuals, +inf where they overflow.
+    final state are reported as residuals, inf or nan where they overflow.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
