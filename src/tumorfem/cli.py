@@ -194,11 +194,10 @@ def _cmd_compare(args) -> int:
         print("error: configs use different time grids", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.output_dir or "."
-    report_a = _run_and_summarize(
-        _with_output(cfg_a, os.path.join(out_dir, cfg_a.label + "-a"), args.snapshot_every)
-    )
-    report_b = _run_and_summarize(
-        _with_output(cfg_b, os.path.join(out_dir, cfg_b.label + "-b"), args.snapshot_every)
+    report_a, report_b = (
+        _run_and_summarize(_with_output(cfg, os.path.join(out_dir, f"{cfg.label}-{side}"),
+                                        args.snapshot_every))
+        for cfg, side in ((cfg_a, "a"), (cfg_b, "b"))
     )
     joined = os.path.join(out_dir, "compare.csv")
     output_mod.write_compare_csv(report_a, report_b, joined)

@@ -110,7 +110,7 @@ class MeshSpec:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10
-    maxit: int = 0  # 0 means cg_solve's default, 10 * n
+    maxit: int = 0  # 0 means 10 * n, in the solvers too
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -255,6 +255,14 @@ def _parse_profile(r: _Reader, name: str):
     raise ConfigError(f"[initial] {name}_profile must be 'constant' or 'gaussian', got {kind!r}")
 
 
+def _parse_options(r: _Reader, section: str, cls):
+    """``cls`` read from ``section``: one key per field, in field order, typed like
+    the field's default and defaulting to it. ``csv_name`` is read as ``csv``,
+    ``summary_name`` as ``summary``."""
+    return cls(**{f.name: r.get(section, f.name.removesuffix("_name"), type(f.default), f.default)
+                  for f in fields(cls)})
+
+
 def parse_config(text: str, label: str = "run") -> RunConfig:
     r = _Reader(text)
     # Arguments are evaluated in this order, which fixes the error reported
@@ -266,18 +274,8 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
             params=ModelParams(**{k: r.get("params", k, float) for k in _PARAM_KEYS}),
             variant=_parse_variant(r),
             initial=InitialConditions(**{name: _parse_profile(r, name) for name in _FIELDS}),
-            solver=SolverOptions(
-                tol=r.get("solver", "tol", float, SolverOptions.tol),
-                maxit=r.get("solver", "maxit", int, SolverOptions.maxit),
-            ),
-            output=OutputOptions(
-                directory=r.get("output", "directory", default=OutputOptions.directory),
-                csv_name=r.get("output", "csv", default=OutputOptions.csv_name),
-                summary_name=r.get("output", "summary", default=OutputOptions.summary_name),
-                snapshot_every=r.get("output", "snapshot_every", int,
-                                     OutputOptions.snapshot_every),
-                vtk_prefix=r.get("output", "vtk_prefix", default=OutputOptions.vtk_prefix),
-            ),
+            solver=_parse_options(r, "solver", SolverOptions),
+            output=_parse_options(r, "output", OutputOptions),
             dt=r.get("time", "dt", float),
             tf=r.get("time", "tf", float),
             label=r.get("scheme", "label", default=label),

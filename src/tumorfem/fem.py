@@ -129,10 +129,6 @@ class FemContext:
         )
         self.mesh = mesh
 
-    @property
-    def n_vertices(self) -> int:
-        return self.mesh.n_vertices
-
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.
 
@@ -169,6 +165,6 @@ def norms(ctx: FemContext, f: np.ndarray) -> float:
     through ``ctx.energy``.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape[0] != ctx.n_vertices:
+    if f.shape[0] != ctx.mesh.n_vertices:
         raise ValueError("field length does not match mesh")
     return max(0.0, float(f @ (ctx.energy @ f)))

@@ -55,7 +55,7 @@ class CgError(RuntimeError):
                 f"(relative residual {self.residual:.3e})")
 
 
-def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int | None,
+def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int,
            x0: np.ndarray | None, name: str) -> tuple[CgResult | None, int, float]:
     """Validate a solve; return (its result if it needs no iteration, maxit, ||b||_2)."""
     n = b.shape[0]
@@ -65,14 +65,12 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int | None,
         raise ValueError("tol must be positive")
     if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
         raise ValueError("right-hand side and initial guess must be finite")
-    if n == 0:
-        return CgResult(x=np.empty(0), iterations=0, residual=0.0), 0, 0.0
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
-    return None, 10 * n if maxit is None else maxit, b_norm
+    return None, maxit or 10 * n, b_norm
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -80,18 +78,18 @@ def cg_solve(
     A: sp.csr_matrix,
     b: np.ndarray,
     tol: float = 1e-10,
-    maxit: int | None = None,
+    maxit: int = 0,
     x0: np.ndarray | None = None,
 ) -> CgResult:
     """Conjugate gradient for a symmetric positive definite system.
 
     Stops when ||b - A x||_2 <= tol * ||b||_2; raises ``CgError`` if that
-    does not happen within ``maxit`` iterations (default 10 n). A zero
-    right-hand side returns the zero vector, and an empty system returns an
-    empty solution. Raises ``ValueError`` for a non-finite ``b`` or ``x0``,
-    and ``CgError`` as soon as the norm of ``b`` or of the residual is not
-    finite (entries whose squares overflow, or a non-finite matrix entry).
-    Deterministic for fixed inputs.
+    does not happen within ``maxit`` iterations (0, the default, means
+    10 n). A zero right-hand side returns the zero vector, and an empty
+    system returns an empty solution. Raises ``ValueError`` for a non-finite
+    ``b`` or ``x0``, and ``CgError`` as soon as the norm of ``b`` or of the
+    residual is not finite (entries whose squares overflow, or a non-finite
+    matrix entry). Deterministic for fixed inputs.
     """
     done, maxit, b_norm = _start(A, b, tol, maxit, x0, "CG")
     if done is not None:
@@ -129,7 +127,7 @@ def bicgstab_solve(
     A: sp.csr_matrix,
     b: np.ndarray,
     tol: float = 1e-10,
-    maxit: int | None = None,
+    maxit: int = 0,
     x0: np.ndarray | None = None,
 ) -> CgResult:
     """BiCGSTAB with right Jacobi scaling for a general nonsingular system.
@@ -139,7 +137,7 @@ def bicgstab_solve(
     when ||b - A x||_2 <= tol * ||b||_2, tested after each half step; an
     iteration is one full or final half step (two or one products with A).
     Raises ``CgError`` if that does not happen within ``maxit`` iterations
-    (default 10 n), on a breakdown (``rho = r0 . r``, ``r0 . v`` or
+    (0, the default, means 10 n), on a breakdown (``rho = r0 . r``, ``r0 . v`` or
     ``omega`` exactly zero) and as soon as the norm of ``b`` or of a
     residual is not finite; it never restarts. A zero right-hand side returns the zero vector, an
     empty system an empty solution. Raises ``ValueError`` for a non-finite

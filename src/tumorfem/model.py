@@ -80,10 +80,6 @@ class State:
     time: float
 
 
-def _clip01K(v, K):
-    return np.minimum(np.maximum(v, 0.0), K)
-
-
 def vascular_fraction(phi, t, K):
     """Vascular volume fraction P in [0, 1] for arguments in [0, K].
 
@@ -91,8 +87,8 @@ def vascular_fraction(phi, t, K):
     capped at K so off-range inputs cannot push P above 1. P vanishes
     without vasculature and reaches 1 at (Phi, T) = (K, 0).
     """
-    phip = _clip01K(phi, K)
-    tp = _clip01K(t, K)
+    phip = np.clip(phi, 0.0, K)
+    tp = np.clip(t, 0.0, K)
     return phip / ((phip + K) / 2.0 + tp)
 
 

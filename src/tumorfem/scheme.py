@@ -203,16 +203,6 @@ def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
     return (rhs - off @ np.clip(x, 0.0, K)) / d
 
 
-def _solve(solve, B, rhs, x0, solver: SolverOptions, step: int):
-    """``(x, iterations, residual)`` of ``solve``; its ``CgError``, or the
-    ``ValueError`` of a non-finite right-hand side, raises ``SchemeError``."""
-    try:
-        res = solve(B, rhs, tol=solver.tol, maxit=solver.maxit or None, x0=x0)
-    except (CgError, ValueError) as exc:
-        raise SchemeError(step, str(exc)) from exc
-    return res.x, res.iterations, res.residual
-
-
 def step(
     state: State,
     ctx: FemContext,
@@ -283,8 +273,12 @@ def step(
         data += M.data * decay[M.indices]
         B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
         rhs = M @ (T / dt + source)
-    solve = cg_solve if lumped else bicgstab_solve
-    t_new, iterations, residual = _solve(solve, B, rhs, T, solver, k)
+    try:
+        res = (cg_solve if lumped else bicgstab_solve)(B, rhs, tol=solver.tol,
+                                                       maxit=solver.maxit, x0=T)
+    except (CgError, ValueError) as exc:
+        raise SchemeError(k, str(exc)) from exc
+    t_new, residual = res.x, res.residual
     if split:
         if lumped:
             t_new = _monotone_sweep(B, D, rhs, t_new, p.K)
@@ -293,7 +287,7 @@ def step(
         phi_new = model.update_phi_node(T, t_new, N, Phi, root, dt, p)
         n_new = model.update_n_node(t_new, N, phi_new, root, dt, p)
     new = State(T=t_new, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
-    d = _field_diag(new, iterations, residual)
+    d = _field_diag(new, res.iterations, residual)
     _check_fields(d, nonnegative=lumped and split)
     return new, d
 

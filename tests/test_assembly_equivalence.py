@@ -163,7 +163,7 @@ def searchsorted_mass_slots(ctx):
     """Position in ``mass.data`` of every stiffness slot, by searching the
     row-major keys of the stiffness pattern among those of the mass pattern."""
     M, A = ctx.mass, unit_stiffness(ctx)
-    rows = np.arange(ctx.n_vertices, dtype=np.int64)
+    rows = np.arange(ctx.mesh.n_vertices, dtype=np.int64)
     mass_keys = np.repeat(rows, np.diff(M.indptr)) * len(rows) + M.indices
     stiffness_keys = np.repeat(rows, np.diff(A.indptr)) * len(rows) + A.indices
     return np.searchsorted(mass_keys, stiffness_keys)

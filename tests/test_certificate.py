@@ -107,7 +107,7 @@ def test_certificate_agrees_with_sparse_oracle(make_mesh, kind):
     B = lumped_system(ctx, seed=4)
     assert verdict(lambda M: scheme._certify_m_matrix(M, slots, 3), B) is None
     assert verdict(lambda M: oracle_m_matrix(M, 3), B) is None
-    for row in (0, ctx.n_vertices // 2, ctx.n_vertices - 1):
+    for row in (0, ctx.mesh.n_vertices // 2, ctx.mesh.n_vertices - 1):
         bad, named_row = perturb(B, kind, row)
         expected = verdict(lambda M: oracle_m_matrix(M, 3), bad)
         assert expected is not None and PERTURBATIONS[kind] in expected

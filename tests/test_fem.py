@@ -123,7 +123,7 @@ def test_context_build_memory_per_element_pair():
 
 def test_discrete_laplacian_kills_constants():
     ctx = build_context(build_structured_mesh(5, 5, 1.0, 1.0))
-    v = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), np.full(ctx.n_vertices, 3.7))
+    v = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), np.full(ctx.mesh.n_vertices, 3.7))
     assert np.abs(v).max() <= 1e-12
 
 
@@ -131,7 +131,7 @@ def test_discrete_laplacian_energy_identity():
     rng = np.random.default_rng(4)
     ctx = build_context(build_structured_mesh(8, 6, 1.0, 1.0))
     for _ in range(20):
-        n = rng.standard_normal(ctx.n_vertices)
+        n = rng.standard_normal(ctx.mesh.n_vertices)
         lap = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), n)
         lhs = float(ctx.lumped @ (lap * n))
         _, h1 = l2_and_h1(ctx, n)
@@ -148,7 +148,7 @@ def test_discrete_laplacian_inverse_inequality_constant_bounded():
         ctx = build_context(mesh)
         worst = 0.0
         for _ in range(30):
-            n = rng.standard_normal(ctx.n_vertices)
+            n = rng.standard_normal(ctx.mesh.n_vertices)
             lap = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), n)
             lap_l2, _ = l2_and_h1(ctx, lap)
             l2, h1 = l2_and_h1(ctx, n)
@@ -163,8 +163,8 @@ def test_discrete_laplacian_inverse_inequality_constant_bounded():
 
 def test_norms_zero_and_constant():
     ctx = build_context(build_structured_mesh(4, 4, 1.0, 1.0))
-    assert l2_and_h1(ctx, np.zeros(ctx.n_vertices)) == (0.0, 0.0)
-    f = np.full(ctx.n_vertices, -2.5)
+    assert l2_and_h1(ctx, np.zeros(ctx.mesh.n_vertices)) == (0.0, 0.0)
+    f = np.full(ctx.mesh.n_vertices, -2.5)
     norm_h = float(np.sqrt(ctx.lumped @ (f * f)))
     l2, h1 = l2_and_h1(ctx, f)
     assert norm_h == pytest.approx(2.5, rel=1e-13)
@@ -176,7 +176,7 @@ def test_norm_equivalence_lumped_vs_l2():
     rng = np.random.default_rng(8)
     ctx = build_context(build_structured_mesh(7, 7, 1.0, 1.0))
     for _ in range(30):
-        f = rng.standard_normal(ctx.n_vertices)
+        f = rng.standard_normal(ctx.mesh.n_vertices)
         norm_h = float(np.sqrt(ctx.lumped @ (f * f)))
         l2, _ = l2_and_h1(ctx, f)
         assert l2 <= norm_h * (1.0 + 1e-12)
@@ -202,8 +202,8 @@ def test_energy_form_is_squared_l2_plus_h1(make_mesh):
     # last place; the largest difference seen on these fields is 8.8e-16.
     ctx = build_context(make_mesh())
     rng = np.random.default_rng(6)
-    for f in [*rng.uniform(0.0, 1.0, (20, ctx.n_vertices)),
-              *rng.standard_normal((20, ctx.n_vertices))]:
+    for f in [*rng.uniform(0.0, 1.0, (20, ctx.mesh.n_vertices)),
+              *rng.standard_normal((20, ctx.mesh.n_vertices))]:
         l2, h1 = l2_and_h1(ctx, f)
         assert norms(ctx, f) == pytest.approx(l2 * l2 + h1 * h1, rel=2e-15, abs=0.0)
-    assert norms(ctx, np.zeros(ctx.n_vertices)) == 0.0
+    assert norms(ctx, np.zeros(ctx.mesh.n_vertices)) == 0.0

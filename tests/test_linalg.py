@@ -142,7 +142,7 @@ def consistent_tumor_system(nx, seed):
     ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
     rng = np.random.default_rng(seed)
     A = ctx.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
-    decay = rng.uniform(0.0, 2.0, ctx.n_vertices)
+    decay = rng.uniform(0.0, 2.0, ctx.mesh.n_vertices)
     return (ctx.mass.multiply(rng.uniform(10.0, 100.0)) + A + ctx.mass @ sp.diags(decay)).tocsr()
 
 
