@@ -88,7 +88,7 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
     Requires delta >= gamma / K and n0_min > 0. The vasculature maximum is
     checked against |Phi0| exp(-beta2 n0_min t); the tumor maximum against
     the solution of the scalar comparison equation with forcing from the
-    vasculature envelope (two closed forms, depending on beta1 vs beta2).
+    vasculature envelope, ``scalar_comparison_oracle``.
     """
     if p.delta < p.gamma / p.K:
         reason = "requires delta >= gamma / K"
@@ -205,10 +205,13 @@ def run_summary_lines(report: RunReport) -> list[str]:
 def scalar_comparison_oracle(y0: float, a: float, b: float, c: float, times) -> np.ndarray:
     """Closed-form solution of y' = a exp(-b t) - c y, y(0) = y0, sampled at ``times``.
 
-    Used as a supersolution for the tumor maximum. For b == c the resonant
-    form (y0 + a t) exp(-c t) applies; otherwise the two-exponential form.
+    Used as a supersolution for the tumor maximum. The forced part
+    ``a (exp(-b t) - exp(-c t)) / (c - b)`` is evaluated as
+    ``a t exp(-min(b, c) t) expm1(x) / x`` with ``x = -|c - b| t``, which
+    keeps its digits near resonance and is the resonant ``a t exp(-c t)``
+    where ``x`` is 0.
     """
     t = np.asarray(times, dtype=float)
-    if b == c:
-        return (y0 + a * t) * np.exp(-c * t)
-    return y0 * np.exp(-c * t) + a / (c - b) * (np.exp(-b * t) - np.exp(-c * t))
+    x = -abs(c - b) * t
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    return y0 * np.exp(-c * t) + a * (t * np.exp(-min(b, c) * t) * ratio)

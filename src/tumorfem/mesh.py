@@ -107,8 +107,8 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     end up positively oriented. Raises ``ValueError`` for non-finite
     coordinates, an empty element list, out-of-range indices, repeated
     vertices, vertices no element uses (they would get zero lumped mass),
-    degenerate elements, or an edge shared by more than two elements
-    (non-conforming mesh).
+    an element whose squared edge length overflows, degenerate elements, or
+    an edge shared by more than two elements (non-conforming mesh).
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -131,11 +131,18 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     if not used.all():
         raise ValueError(f"vertex {int(np.argmin(used))} belongs to no element")
 
-    e = _edges(nodes, triangles)
+    with np.errstate(over="ignore"):
+        e = _edges(nodes, triangles)
+        squared = (e * e).sum(-1)
+    finite = np.isfinite(squared).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"element {int(np.argmin(finite))} has an edge whose squared length "
+                         "is not finite")
+    # |det| <= h**2, so no area overflows either. A flip only reverses edges,
+    # so h is the same before and after it.
     flip = _doubled_areas(e) < 0.0
-    # A flip only reverses edges, so h is the same before and after it.
-    h = math.sqrt(float((e * e).sum(-1).max()))
-    del e
+    h = math.sqrt(float(squared.max()))
+    del e, squared
     if np.any(flip):
         triangles = triangles.copy()
         triangles[flip, 1:] = triangles[flip, 2:0:-1]  # swap vertices 1 and 2

@@ -203,6 +203,7 @@ def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
     return (rhs - off @ np.clip(x, 0.0, K)) / d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(
     state: State,
     ctx: FemContext,
@@ -217,12 +218,12 @@ def step(
 
     Explicit reactions are the unsplit ones at the old state, entering as
     consistent-mass loads and as ``decay = 0`` in the system; consistent
-    mass with them is no scheme and raises ``ValueError``. They are
-    evaluated with their nodal updates under the solvers' floating-point
+    mass with them is no scheme and raises ``ValueError``. The split
+    reactions take the vascular factors of the old state, computed once per
+    step for the tumor coefficients and both nodal updates. The whole step,
+    either reaction treatment, runs under the solvers' floating-point
     policy: an overflow emits no warning, and the non-finite values it
-    leaves fail the solve or the field check. The split reactions take the
-    vascular factors of the old state, computed once per step for the tumor
-    coefficients and both nodal updates.
+    leaves fail the solve or the field check.
 
     Both lumped tumor systems are the freshly assembled stiffness matrix
     with ``(A_aa + m_a / dt) + m_a * decay_a`` written in place at its
@@ -256,10 +257,9 @@ def step(
         P, root = model.vascular_factors(Phi, T, p.K)
         source, decay = model.imex_coefficients_T(T, N, Phi, P, root, p)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f1, f2, f3 = model.reactions(T, N, Phi, p)
-            phi_new = Phi + dt * (M @ f3) / m
-            n_new = N + dt * (M @ f2) / m
+        f1, f2, f3 = model.reactions(T, N, Phi, p)
+        phi_new = Phi + dt * (M @ f3) / m
+        n_new = N + dt * (M @ f2) / m
         decay = 0.0
     if lumped:
         diag = ctx.diagonal_slots

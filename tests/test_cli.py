@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from tumorfem.cli import build_preset, main
@@ -190,6 +192,55 @@ def test_diverging_explicit_run_is_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure: step 8: ") and err.count("\n") == 1
 
 
+def test_overflowing_split_nodal_update_is_numerical_failure(tmp_path, capsys):
+    # The README config with a vasculature growth rate and a step whose
+    # product overflows: imex-lumped's vasculature update of step 1 is
+    # inf / inf. The whole step runs under the solvers' floating-point
+    # policy, so that is one stderr line and no RuntimeWarning.
+    text = readme_config_example()
+    for old, new in [("gamma = 0.008", "gamma = 1e300"), ("dt = 0.01", "dt = 1e10"),
+                     ("tf = 1.0", "tf = 1e10")]:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 1: ") and err.count("\n") == 1
+
+
+def test_gaussian_center_far_off_the_mesh_is_quiet(tmp_path, capsys):
+    # A center 1e200 away overflows r**2 to inf, and exp(-inf) leaves the
+    # profile at its base level, 0, without a RuntimeWarning.
+    text = readme_config_example()
+    assert "\nT_center_x = 0.5\n" in text
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text(text.replace("\nT_center_x = 0.5\n", "\nT_center_x = 1e200\n"))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out_dir / "per_step.csv", newline="") as f:
+        first = next(csv.DictReader(f))
+    assert (first["step"], float(first["minT"]), float(first["maxT"])) == ("0", 0.0, 0.0)
+
+
+def test_subnormal_necrosis_rates_give_a_quiet_far_envelope(tmp_path, capsys):
+    # The far-from-K tumor envelope's forcing term once divided by c - b,
+    # here 9.5e-311, overflowing to inf * 0 = nan and a warning.
+    text = readme_config_example()
+    for old, new in [("beta1 = 0.8", "beta1 = 2e-310"), ("beta2 = 0.8", "beta2 = 1e-310")]:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg_path = tmp_path / "subnormal.cfg"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    (far,) = [line for line in (out_dir / "summary.txt").read_text().splitlines()
+              if line.startswith("envelope[far-from-K]: ")]
+    assert "holds=True " in far and "worst_T_margin=0 " in far
+
+
 @pytest.mark.parametrize("variant", ["imex-lumped", "explicit-lumped"])
 def test_run_with_overflowing_summary_diagnostics_is_quiet(tmp_path, capsys, variant):
     # The README config with a huge growth rate and a long step finishes, and
@@ -230,6 +281,29 @@ def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
     write_config_file(replace(tiny_config(), mesh=MeshSpec(path=str(mesh_path))), str(cfg_path))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check-mesh", "run"])
+def test_mesh_whose_geometry_overflows_is_config_error(tmp_path, run_calls, capsys, command):
+    # Finite coordinates whose squared edge lengths overflow once gave h=inf
+    # and a non-obtuse audit from check-mesh, with RuntimeWarnings.
+    mesh_path = tmp_path / "huge.txt"
+    mesh_path.write_text("4 2\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n0 1 2\n0 2 3\n")
+    out_dir = tmp_path / "out"
+    if command == "check-mesh":
+        args = ["check-mesh", str(mesh_path)]
+    else:
+        text = readme_config_example()
+        assert "\ntype = structured\nnx = 40\nny = 40\nlx = 1.0\nly = 1.0\n" in text
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text.replace("\ntype = structured\nnx = 40\nny = 40\nlx = 1.0\nly = 1.0\n",
+                                         f"\ntype = file\npath = {mesh_path}\n"))
+        args = ["run", str(cfg_path), "--output-dir", str(out_dir)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element 0 has an edge whose squared length is not finite\n"
+    assert not (out_dir / "per_step.csv").exists()
 
 
 def test_run_missing_config_is_error(capsys):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -78,6 +80,44 @@ def test_oracle_satisfies_its_ode():
         deriv = (-pts[3] + 8 * pts[2] - 8 * pts[1] + pts[0]) / (12 * h)
         y = scalar_comparison_oracle(y0, a, b, c, [t0])[0]
         assert abs(deriv - (a * np.exp(-b * t0) - c * y)) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["b-above-c", "b-below-c"])
+def test_oracle_one_ulp_off_resonance_is_the_resonant_limit(sign):
+    # The two-exponential quotient a (e^-bt - e^-ct) / (c - b) once lost about
+    # a third of its value here to cancellation. The exact solution is within
+    # a t^2 |c - b| / 2 of the resonant one, below 3e-16 relative on [0, 5].
+    c = 0.76
+    b = c * (1.0 + sign * 2.0**-52)
+    assert b != c
+    t = np.linspace(0.0, 5.0, 21)
+    y = scalar_comparison_oracle(1.0, 0.5, b, c, t)
+    limit = (1.0 + 0.5 * t) * np.exp(-c * t)
+    assert (np.abs(y - limit) <= 1e-15 * limit).all()
+
+
+def test_oracle_near_resonance_matches_an_80_digit_reference():
+    # At |c - b| = 7.6e-13 the old quotient was off by 1.1e-4 relative.
+    y0, a, b, c = 1.0, 0.5, 0.76 * (1.0 + 1e-12), 0.76
+    t = np.linspace(0.0, 10.0, 41)
+    y = scalar_comparison_oracle(y0, a, b, c, t)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        B, C = Decimal(b), Decimal(c)
+        for ti, yi in zip(t, y):
+            T = Decimal(float(ti))
+            exact = (Decimal(y0) * (-C * T).exp()
+                     + Decimal(a) / (C - B) * ((-B * T).exp() - (-C * T).exp()))
+            assert abs(Decimal(float(yi)) - exact) <= Decimal(1e-15) * exact
+
+
+def test_oracle_with_subnormal_rates_is_finite_and_quiet():
+    # 1 / (c - b) overflows for these rates; the suite turns a RuntimeWarning
+    # into an error. With both rates negligible the solution is y0 + a t.
+    t = np.linspace(0.0, 1.0, 101)
+    y = scalar_comparison_oracle(0.95, 0.5, 9.5e-311, 1.9e-310, t)
+    assert np.isfinite(y).all()
+    assert np.abs(y - (0.95 + 0.5 * t)).max() <= 1e-15 * 0.95
 
 
 def test_envelope_far_not_applicable_cases():

@@ -223,6 +223,20 @@ def test_validation_rejects_non_finite_coordinates(bad):
         triangulation_from_arrays([(0.0, 0.0), (bad, 0.0), (0.0, 1.0)], [(0, 1, 2)])
 
 
+def test_validation_rejects_geometry_that_overflows():
+    # Finite coordinates: a squared edge length, or an edge itself, overflows.
+    nodes = [(0.0, 0.0), (1e200, 0.0), (1e200, 1e200), (0.0, 1e200)]
+    with pytest.raises(ValueError, match="^element 0 has an edge whose squared length is not finite$"):
+        triangulation_from_arrays(nodes, [(0, 1, 2), (0, 2, 3)])
+    nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e308, 2.0), (-1e308, 3.0)]
+    with pytest.raises(ValueError, match="^element 1 has an edge whose squared length is not finite$"):
+        triangulation_from_arrays(nodes, [(0, 1, 2), (2, 3, 4)])
+    # Squared lengths near 1e300 stay finite, and so do the areas and the audit.
+    m = triangulation_from_arrays(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]) * 1e150, [(0, 1, 2)])
+    assert m.h == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-15)
+    assert audit_angles(m).non_obtuse
+
+
 def test_validation_rejects_unused_vertex():
     nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
     with pytest.raises(ValueError, match="vertex 3 belongs to no element"):
