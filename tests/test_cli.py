@@ -284,20 +284,21 @@ def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
 
 
 @pytest.mark.parametrize("command", ["check-mesh", "run"])
-def test_mesh_whose_geometry_overflows_is_config_error(tmp_path, run_calls, capsys, command):
+def test_mesh_whose_geometry_overflows_is_config_error(tmp_path, capsys, command):
     # Finite coordinates whose squared edge lengths overflow once gave h=inf
     # and a non-obtuse audit from check-mesh, with RuntimeWarnings.
+    from dataclasses import replace
+
+    from tumorfem.config import MeshSpec
+
     mesh_path = tmp_path / "huge.txt"
     mesh_path.write_text("4 2\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n0 1 2\n0 2 3\n")
     out_dir = tmp_path / "out"
     if command == "check-mesh":
         args = ["check-mesh", str(mesh_path)]
     else:
-        text = readme_config_example()
-        assert "\ntype = structured\nnx = 40\nny = 40\nlx = 1.0\nly = 1.0\n" in text
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(text.replace("\ntype = structured\nnx = 40\nny = 40\nlx = 1.0\nly = 1.0\n",
-                                         f"\ntype = file\npath = {mesh_path}\n"))
+        write_config_file(replace(tiny_config(), mesh=MeshSpec(path=str(mesh_path))), str(cfg_path))
         args = ["run", str(cfg_path), "--output-dir", str(out_dir)]
     assert main(args) == 2
     captured = capsys.readouterr()
