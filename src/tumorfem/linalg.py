@@ -29,6 +29,10 @@ import scipy.sparse as sp
 
 __all__ = ["CgError", "CgResult", "bicgstab_solve", "cg_solve"]
 
+# Solver inputs are zeroed where they fall below this fraction of their
+# vector's largest magnitude (see the module docstring).
+_NEGLIGIBLE = 1e-200
+
 
 @dataclass(frozen=True)
 class CgResult:
@@ -58,11 +62,15 @@ class CgError(RuntimeError):
 def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int,
            x0: np.ndarray | None, name: str) -> tuple[CgResult | None, int, float]:
     """Validate a solve; return (its result if it needs no iteration, maxit, ||b||_2)."""
-    n = b.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
+    n = A.shape[0]
+    if A.shape != (n, n) or np.shape(b) != (n,):
+        raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {np.shape(b)}")
+    if x0 is not None and np.shape(x0) != (n,):
+        raise ValueError(f"dimension mismatch: matrix {A.shape}, initial guess {np.shape(x0)}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if maxit < 0:
+        raise ValueError(f"maxit must be nonnegative, got {maxit}")
     if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
         raise ValueError("right-hand side and initial guess must be finite")
     b_norm = float(np.linalg.norm(b))
@@ -71,6 +79,17 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int,
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
     return None, maxit or 10 * n, b_norm
+
+
+def _drop_negligible(v: np.ndarray) -> np.ndarray:
+    """``v`` with every entry below ``_NEGLIGIBLE`` times its largest magnitude zeroed.
+
+    A zeroed entry keeps its sign, so exact zeros come back unchanged. Returns
+    ``v`` itself when it has no entry to zero, else a new array.
+    """
+    magnitude = np.abs(v)
+    kept = magnitude >= _NEGLIGIBLE * magnitude.max()
+    return v if kept.all() else v * kept
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -95,7 +114,8 @@ def cg_solve(
     if done is not None:
         return done
 
-    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+    b = _drop_negligible(b)
+    x = np.zeros(len(b)) if x0 is None else _drop_negligible(np.array(x0, dtype=float))
     r = b - A @ x
     p = r.copy()
     scratch = np.empty(len(b))
@@ -152,7 +172,8 @@ def bicgstab_solve(
         raise ValueError("Jacobi scaling needs a nonzero diagonal")
     inv_diag = 1.0 / diag
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    b = _drop_negligible(b)
+    x = np.zeros(n) if x0 is None else _drop_negligible(np.array(x0, dtype=float))
     r = b - A @ x
     r0 = r.copy()
     p = np.zeros(n)
