@@ -213,6 +213,7 @@ def step(
     *,
     lumped: bool,
     split: bool,
+    guess: np.ndarray | None = None,
 ) -> tuple[State, StepDiagnostics]:
     """One step with lumped (else consistent) mass and split (else explicit) reactions.
 
@@ -273,9 +274,11 @@ def step(
         data += M.data * decay[M.indices]
         B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
         rhs = M @ (T / dt + source)
+    if guess is None or not np.isfinite(guess).all():
+        guess = T
     try:
         res = (cg_solve if lumped else bicgstab_solve)(B, rhs, tol=solver.tol,
-                                                       maxit=solver.maxit, x0=T)
+                                                       maxit=solver.maxit, x0=guess)
     except (CgError, ValueError) as exc:
         raise SchemeError(k, str(exc)) from exc
     t_new, residual = res.x, res.residual
@@ -290,6 +293,25 @@ def step(
     d = _field_diag(new, res.iterations, residual)
     _check_fields(d, nonnegative=lumped and split)
     return new, d
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _extrapolate(T: np.ndarray, earlier: list[np.ndarray], out: np.ndarray) -> np.ndarray | None:
+    """The start for the next solve, written into ``out``; ``None`` means ``T`` itself.
+
+    With ``T = T^k`` and ``earlier`` holding ``T^{k-1}`` and then ``T^{k-2}``
+    (as far as they exist), the start is ``T^k``, ``2T^k - T^{k-1}`` or
+    ``3T^k - 3T^{k-1} + T^{k-2}``: the polynomial through the last one, two
+    or three fields, evaluated one step ahead (Fischer, CMAME 163, 1998). An
+    overflow leaves a non-finite start, which ``step`` replaces with ``T``.
+    """
+    if not earlier:
+        return None
+    np.subtract(T, earlier[0], out=out)
+    if len(earlier) == 1:
+        return np.add(out, T, out=out)
+    np.multiply(out, 3.0, out=out)
+    return np.add(out, earlier[1], out=out)
 
 
 # run() looks its stepper up here on every call, so a caller may swap an entry
@@ -331,8 +353,13 @@ def run(
     stepper = _STEPPERS[config.variant]
     diags = [_field_diag(state, 0, 0.0)]
     energy = 0.0
+    earlier: list[np.ndarray] = []  # T^{k-1} and T^{k-2}, newest first
+    guess = np.empty(mesh.n_vertices)
     for _ in range(config.n_steps):
-        state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver)
+        T = state.T
+        state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver,
+                           guess=_extrapolate(T, earlier, guess))
+        earlier = [T, *earlier[:1]]
         energy += config.dt * norms(ctx, state.T)
         d.energy_acc = energy
         diags.append(d)
