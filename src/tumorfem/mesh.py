@@ -107,8 +107,9 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     end up positively oriented. Raises ``ValueError`` for non-finite
     coordinates, an empty element list, out-of-range indices, repeated
     vertices, vertices no element uses (they would get zero lumped mass),
-    an element whose squared edge length overflows, degenerate elements, or
-    an edge shared by more than two elements (non-conforming mesh).
+    an element whose squared edge length overflows, degenerate elements, an
+    element so small that its basis gradient products overflow, or an edge
+    shared by more than two elements (non-conforming mesh).
     """
     nodes = np.ascontiguousarray(np.asarray(nodes, dtype=float))
     triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
@@ -140,9 +141,23 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
                          "is not finite")
     # |det| <= h**2, so no area overflows either. A flip only reverses edges,
     # so h is the same before and after it.
-    flip = _doubled_areas(e) < 0.0
+    det = _doubled_areas(e)
+    # Basis k's gradient is e[k] turned 90 degrees over det. Its squared
+    # length is summed here as the stiffness sums it, and bounds the other
+    # products (Cauchy-Schwarz). It overflows on a doubled area below about
+    # the longest edge times 1e-154, a subnormal one for instance.
+    finite = np.ones(len(det), dtype=bool)
+    g = np.empty((len(det), 2))
+    with np.errstate(over="ignore"):
+        for k in range(3):
+            np.divide(e[k], det[:, None], out=g)
+            finite &= np.isfinite(np.einsum("ij,ij->i", g, g))
+    if not finite.all():
+        raise ValueError(f"element {int(np.argmin(finite))} is so small that its basis "
+                         "gradient products are not finite")
+    flip = det < 0.0
     h = math.sqrt(float(squared.max()))
-    del e, squared
+    del e, squared, det, g
     if np.any(flip):
         triangles = triangles.copy()
         triangles[flip, 1:] = triangles[flip, 2:0:-1]  # swap vertices 1 and 2

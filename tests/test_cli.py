@@ -307,6 +307,33 @@ def test_mesh_whose_geometry_overflows_is_config_error(tmp_path, capsys, command
     assert not (out_dir / "per_step.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["check-mesh", "run"])
+def test_mesh_with_subnormal_areas_is_config_error(tmp_path, capsys, command):
+    # The unit-square mesh scaled by 1e-160 has subnormal doubled areas. It
+    # once passed check-mesh as non-obtuse, and run failed at step 1 (exit 1)
+    # on a stiffness whose gradient products had overflowed.
+    from dataclasses import replace
+
+    from tumorfem.config import MeshSpec
+
+    mesh = build_structured_mesh(4, 4, 1.0, 1.0)
+    mesh_path = tmp_path / "tiny.txt"
+    write_mesh(replace(mesh, nodes=mesh.nodes * 1e-160), mesh_path)
+    out_dir = tmp_path / "out"
+    if command == "check-mesh":
+        args = ["check-mesh", str(mesh_path)]
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        write_config_file(replace(tiny_config(), mesh=MeshSpec(path=str(mesh_path))), str(cfg_path))
+        args = ["run", str(cfg_path), "--output-dir", str(out_dir)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: element 0 is so small that its basis gradient products "
+                            "are not finite\n")
+    assert not (out_dir / "per_step.csv").exists()
+
+
 def test_run_missing_config_is_error(capsys):
     assert main(["run"]) == 2
     assert "config" in capsys.readouterr().err

@@ -237,6 +237,22 @@ def test_validation_rejects_geometry_that_overflows():
     assert audit_angles(m).non_obtuse
 
 
+def test_validation_rejects_elements_whose_gradient_products_overflow():
+    # Subnormal doubled areas: the basis gradients' squared lengths overflow.
+    square = build_structured_mesh(4, 4, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^element 0 is so small that its basis gradient "
+                                         "products are not finite$"):
+        triangulation_from_arrays(square.nodes * 1e-160, square.triangles)
+    # Only the second element is that small.
+    nodes = [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.0, 0.0), (1e-160, 0.0), (0.0, 1e-160)]
+    with pytest.raises(ValueError, match="^element 1 is so small"):
+        triangulation_from_arrays(nodes, [(0, 1, 2), (3, 4, 5)])
+    # At 1e-150 the products stay near 1e300 and the mesh passes.
+    m = triangulation_from_arrays(square.nodes * 1e-150, square.triangles)
+    _, grads = element_areas_and_gradients(m)
+    assert np.isfinite(np.einsum("tad,tbd->tab", grads, grads)).all()
+
+
 def test_validation_rejects_unused_vertex():
     nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (5.0, 5.0)]
     with pytest.raises(ValueError, match="vertex 3 belongs to no element"):
