@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -367,3 +369,66 @@ def test_rhs_whose_norm_overflows_raises(solve, name):
     # Every entry is finite, but the stop test against tol * inf would pass at once.
     with pytest.raises(CgError, match=f"{name} right-hand side norm is not finite"):
         solve(sp.identity(4, format="csr"), np.full(4, 1e200))
+
+
+def spanning(n, rng):
+    """Entries of random sign whose magnitudes fall from 1 to 1e-300 along the index."""
+    return rng.choice([-1.0, 1.0], n) * np.logspace(0.0, -300.0, n)
+
+
+def zeroed(v):
+    """``v`` with the entries below 1e-200 times its largest magnitude zeroed, sign kept."""
+    return np.where(np.abs(v) < 1e-200 * np.abs(v).max(), 0.0 * v, v)
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve], ids=["cg", "bicgstab"])
+def test_negligible_inputs_are_zeroed(solve):
+    # A diagonal system with two eigenvalues, which both solvers solve to
+    # rounding. Solved as given, its solution b / 1e12 would run into the
+    # subnormal range (below about 2.2e-308).
+    n = 121
+    rng = np.random.default_rng(47)
+    A = sp.diags(rng.choice([1e12, 2e12], n), format="csr")
+    b, x0 = spanning(n, rng), spanning(n, rng)
+    got = solve(A, b, tol=1e-12, x0=x0)
+    want = solve(A, zeroed(b), tol=1e-12, x0=zeroed(x0))
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(np.signbit(got.x), np.signbit(want.x))
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+    assert not np.any((got.x != 0.0) & (np.abs(got.x) < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve], ids=["cg", "bicgstab"])
+def test_inputs_without_negligible_entries_are_solved_as_given(solve):
+    # Nothing to zero: the solve is the one the inputs describe, bit for bit.
+    A = tumor_system(8, 6)
+    rng = np.random.default_rng(48)
+    b = rng.uniform(1e-150, 1.0, A.shape[0])
+    x0 = rng.uniform(1e-150, 1.0, A.shape[0])
+    if solve is cg_solve:
+        x, iterations, residual, _ = textbook_cg(A, b, 1e-12, 10 * len(b), x0)
+    else:
+        x, iterations, residual, _ = textbook_bicgstab(A, b, 1e-12, 10 * len(b), x0)
+    got = solve(A, b, tol=1e-12, x0=x0)
+    assert np.array_equal(got.x, x)
+    assert (got.iterations, got.residual) == (iterations, residual)
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve], ids=["cg", "bicgstab"])
+def test_negative_maxit_is_rejected(solve):
+    with pytest.raises(ValueError, match="^maxit must be nonnegative, got -1$"):
+        solve(sp.identity(3, format="csr"), np.ones(3), maxit=-1)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (2,), (4,)], ids=["column", "short", "long"])
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve], ids=["cg", "bicgstab"])
+def test_initial_guess_of_the_wrong_shape_is_rejected(solve, shape):
+    message = rf"^dimension mismatch: matrix \(3, 3\), initial guess {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        solve(sp.identity(3, format="csr"), np.ones(3), x0=np.ones(shape))
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve], ids=["cg", "bicgstab"])
+def test_rhs_that_is_not_a_vector_is_rejected(solve):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: matrix \(3, 3\), rhs \(3, 1\)$"):
+        solve(sp.identity(3, format="csr"), np.ones((3, 1)))

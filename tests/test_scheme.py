@@ -17,7 +17,7 @@ from tumorfem.config import (
     SchemeVariant,
     SolverOptions,
 )
-from tumorfem.fem import build_context
+from tumorfem.fem import build_context, norms
 from tumorfem.linalg import CgError
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
@@ -426,3 +426,78 @@ def test_step_errors_survive_a_pickle_round_trip(exc, attrs, text):
     assert type(back) is type(exc)
     assert str(back) == str(exc) == text
     assert [getattr(back, a) for a in attrs] == [getattr(exc, a) for a in attrs]
+
+
+def steps_started_from_the_current_field(cfg):
+    """run()'s per-step diagnostics, with every solve started from T^k."""
+    mesh = cfg.mesh.build()
+    ctx = build_context(mesh)
+    state = initial_state(cfg, mesh)
+    stepper = scheme._STEPPERS[cfg.variant]
+    diags, energy = [], 0.0
+    for _ in range(cfg.n_steps):
+        state, d = stepper(state, ctx, cfg.params, cfg.dt, solver=cfg.solver)
+        energy += cfg.dt * norms(ctx, state.T)
+        d.energy_acc = energy
+        diags.append(d)
+    return diags
+
+
+# Total iterations over the run; started from T^k the solves took 500, 500
+# and 1,245.
+@pytest.mark.parametrize("preset, index, budget", [
+    ("bounds-comparison", 0, 350),
+    ("bounds-comparison", 1, 350),
+    ("lumping-comparison", 1, 1_000),
+], ids=["bounds-imex-lumped", "bounds-explicit-lumped", "lumping-imex-consistent"])
+def test_extrapolated_start_saves_iterations_and_keeps_every_step(preset, index, budget):
+    cfg = build_preset(preset)[index]
+    report = run(cfg)
+    assert sum(d.cg_iters for d in report.steps) <= budget
+    # Both starts solve to tol 1e-12, so the fields agree far inside 1e-10 K.
+    K = cfg.params.K
+    for got, want in zip(report.steps[1:], steps_started_from_the_current_field(cfg), strict=True):
+        assert (got.step, got.time) == (want.step, want.time)
+        for name in ("min_t", "max_t", "min_n", "max_n", "min_phi", "max_phi"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-10 * K
+        assert got.energy_acc == pytest.approx(want.energy_acc, rel=1e-9, abs=0.0)
+    if cfg.variant is SchemeVariant.IMEX_LUMPED:
+        assert min(min(d.min_t, d.min_n, d.min_phi) for d in report.steps) >= 0.0
+    else:
+        assert min(d.min_t for d in report.steps) < 0.0
+
+
+def test_run_starts_each_solve_from_the_extrapolated_fields(monkeypatch):
+    seen = []
+    original = scheme._STEPPERS[SchemeVariant.IMEX_LUMPED]
+
+    def recording(state, *args, guess=None, **kwargs):
+        seen.append((state.T, None if guess is None else guess.copy()))
+        return original(state, *args, guess=guess, **kwargs)
+
+    monkeypatch.setitem(scheme._STEPPERS, SchemeVariant.IMEX_LUMPED, recording)
+    run(small_config(tf=0.05))
+    T = [t for t, _ in seen]
+    guesses = [g for _, g in seen]
+    assert len(seen) == 5
+    assert guesses[0] is None
+    np.testing.assert_allclose(guesses[1], 2.0 * T[1] - T[0], rtol=0.0, atol=4e-15)
+    for k in range(2, len(seen)):
+        np.testing.assert_allclose(guesses[k], 3.0 * T[k] - 3.0 * T[k - 1] + T[k - 2],
+                                   rtol=0.0, atol=4e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("stepper", [imex_lumped, explicit_lumped, imex_consistent],
+                         ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
+def test_non_finite_guess_starts_from_the_current_field(stepper, bad):
+    cfg = small_config()
+    mesh = cfg.mesh.build()
+    ctx = build_context(mesh)
+    state = initial_state(cfg, mesh)
+    guess = 2.0 * state.T
+    guess[3] = bad
+    got, got_d = stepper(state, ctx, cfg.params, cfg.dt, solver=cfg.solver, guess=guess)
+    want, want_d = stepper(state, ctx, cfg.params, cfg.dt, solver=cfg.solver)
+    assert np.array_equal(got.T, want.T)
+    assert got_d == want_d
