@@ -28,7 +28,9 @@ symmetric and solved by conjugate gradient; the consistent one is not,
 and is solved by BiCGSTAB.
 
 The run loop takes a ``config.RunConfig``, is sequential in time and
-writes no files; within a step all nodewise updates are vectorized.
+writes no files; it starts each tumor solve from a quadratic
+extrapolation of the last three tumor fields. Within a step all nodewise
+updates are vectorized.
 Identical configs produce bit-identical reports.
 """
 
@@ -243,6 +245,8 @@ def step(
     updates equal the lumped ones: the mass matrix acts on both sides of
     their nodewise-defined interpolants and cancels.
 
+    The solve starts from ``guess``, or from ``T^k`` when ``guess`` is
+    ``None`` or not finite, so a start that overflowed cannot fail a step.
     Split steps report the residual of the returned solution. A solver
     failure, a non-finite right-hand side included, raises ``SchemeError``
     naming the step, and a non-finite value in a new field, or a negative
@@ -296,22 +300,25 @@ def step(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _extrapolate(T: np.ndarray, earlier: list[np.ndarray], out: np.ndarray) -> np.ndarray | None:
-    """The start for the next solve, written into ``out``; ``None`` means ``T`` itself.
+def _extrapolate(T: np.ndarray, diffs: list[np.ndarray]) -> np.ndarray | None:
+    """The start for the next solve; ``None`` means ``T`` itself.
 
-    With ``T = T^k`` and ``earlier`` holding ``T^{k-1}`` and then ``T^{k-2}``
-    (as far as they exist), the start is ``T^k``, ``2T^k - T^{k-1}`` or
-    ``3T^k - 3T^{k-1} + T^{k-2}``: the polynomial through the last one, two
-    or three fields, evaluated one step ahead (Fischer, CMAME 163, 1998). An
-    overflow leaves a non-finite start, which ``step`` replaces with ``T``.
+    With ``T = T^k`` and ``diffs`` holding ``T^k - T^{k-1}`` and then
+    ``T^{k-1} - T^{k-2}`` (as far as they exist), the start is ``T^k``,
+    ``2T^k - T^{k-1}`` or ``3T^k - 3T^{k-1} + T^{k-2}``: the polynomial
+    through the last one, two or three fields, evaluated one step ahead
+    (Fischer, CMAME 163, 1998). The quadratic start is written over the
+    older difference, which it no longer needs. An overflow leaves a
+    non-finite start, which ``step`` replaces with ``T``.
     """
-    if not earlier:
+    if not diffs:
         return None
-    np.subtract(T, earlier[0], out=out)
-    if len(earlier) == 1:
-        return np.add(out, T, out=out)
-    np.multiply(out, 3.0, out=out)
-    return np.add(out, earlier[1], out=out)
+    if len(diffs) == 1:
+        return T + diffs[0]
+    newer, older = diffs
+    np.subtract(newer, older, out=older)
+    np.add(older, newer, out=older)
+    return np.add(older, T, out=older)
 
 
 # run() looks its stepper up here on every call, so a caller may swap an entry
@@ -332,7 +339,10 @@ def run(
 
     The accumulated energy is dt * sum_k T^k . (M + A_1) T^k, the squared
     H1 norms of the computed steps. Lumped variants refuse meshes that fail
-    the non-obtuse audit.
+    the non-obtuse audit. The solve of step k + 1 starts from
+    ``3T^k - 3T^{k-1} + T^{k-2}`` (step 2 from ``2T^1 - T^0``, step 1 from
+    ``T^0``). For that the loop keeps two arrays of its own, the last two
+    differences of the tumor field, and forms each start over the older one.
     ``on_step(mesh, state)``, when given, sees the initial state and the
     state after every step. No file is written here; the output options are
     for the caller, e.g. ``output.write_run_outputs(report)``.
@@ -353,13 +363,16 @@ def run(
     stepper = _STEPPERS[config.variant]
     diags = [_field_diag(state, 0, 0.0)]
     energy = 0.0
-    earlier: list[np.ndarray] = []  # T^{k-1} and T^{k-2}, newest first
-    guess = np.empty(mesh.n_vertices)
+    diffs: list[np.ndarray] = []  # T^k - T^{k-1}, T^{k-1} - T^{k-2}; the run's own arrays
     for _ in range(config.n_steps):
         T = state.T
+        guess = _extrapolate(T, diffs)
         state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver,
-                           guess=_extrapolate(T, earlier, guess))
-        earlier = [T, *earlier[:1]]
+                           guess=guess)
+        # The solve has copied its start, so its buffer takes the newest
+        # difference; one that overflows only makes the next start non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = [np.subtract(state.T, T, out=guess), *diffs[:1]]
         energy += config.dt * norms(ctx, state.T)
         d.energy_acc = energy
         diags.append(d)
