@@ -27,9 +27,10 @@ switch. The drop perturbs ``b`` by at most ``sqrt(n) * 1e-200 * ||b||``,
 far below any attainable tolerance, and the stop test keeps the true
 ``||b||``. The threshold is the smallest of those tried (1e-100, 1e-150 and
 1e-200 ran equally fast): it perturbs least, and for a vector of order one
-it still keeps every entry about 1e100 above the subnormal range, so its
-products with normal coefficients stay normal. Inputs with no entry to zero are solved bit for
-bit as given, and the inputs themselves are never written.
+it still keeps every entry over 1e100 above the subnormal range, so its
+products with normal coefficients stay normal. Inputs with no entry to
+zero are solved bit for bit as given, and the inputs themselves are never
+written.
 """
 
 from __future__ import annotations
@@ -72,9 +73,27 @@ class CgError(RuntimeError):
                 f"(relative residual {self.residual:.3e})")
 
 
-def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int,
-           x0: np.ndarray | None, name: str) -> tuple[CgResult | None, int, float]:
-    """Validate a solve; return (its result if it needs no iteration, maxit, ||b||_2)."""
+def _negligible(v: np.ndarray) -> np.ndarray | None:
+    """Mask of the entries below ``_NEGLIGIBLE`` times the largest magnitude in ``v``.
+
+    ``None`` if an entry of ``v`` is not finite: the largest magnitude is
+    then NaN or infinite.
+    """
+    magnitude = np.abs(v)
+    top = magnitude.max(initial=0.0)
+    return magnitude < _NEGLIGIBLE * top if math.isfinite(top) else None
+
+
+def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarray | None,
+           name: str) -> tuple[CgResult | None, int, float, np.ndarray, np.ndarray]:
+    """Validate a solve and set up its vectors.
+
+    Returns (its result if it needs no iteration, maxit, ||b||_2, the
+    right-hand side to iterate on, a new first iterate), both vectors with
+    their negligible entries zeroed. A zeroed entry keeps its sign, so exact
+    zeros stay as they are, and ``b`` itself is returned when it has no
+    entry to zero.
+    """
     n = A.shape[0]
     if A.shape != (n, n) or np.shape(b) != (n,):
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {np.shape(b)}")
@@ -84,25 +103,19 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int,
         raise ValueError("tol must be positive")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
-    if not np.isfinite(b).all() or (x0 is not None and not np.isfinite(x0).all()):
+    small_b = _negligible(b)
+    small_x = None if x0 is None else _negligible(x0)
+    if small_b is None or (x0 is not None and small_x is None):
         raise ValueError("right-hand side and initial guess must be finite")
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0
+        return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0, b, b
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
-    return None, maxit or 10 * n, b_norm
-
-
-def _drop_negligible(v: np.ndarray) -> np.ndarray:
-    """``v`` with every entry below ``_NEGLIGIBLE`` times its largest magnitude zeroed.
-
-    A zeroed entry keeps its sign, so exact zeros stay as they are. Returns
-    ``v`` itself when every entry is kept, else a new array.
-    """
-    magnitude = np.abs(v)
-    kept = magnitude >= _NEGLIGIBLE * magnitude.max()
-    return v if kept.all() else v * kept
+    if small_b.any():
+        b = b * ~small_b
+    x = np.zeros(n) if x0 is None else np.multiply(x0, ~small_x, dtype=float)
+    return None, maxit or 10 * n, b_norm, b, x
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -125,12 +138,10 @@ def cg_solve(
     ``b`` or of the residual is not finite (entries whose squares overflow,
     or a non-finite matrix entry). Deterministic for fixed inputs.
     """
-    done, maxit, b_norm = _start(A, b, tol, maxit, x0, "CG")
+    done, maxit, b_norm, b, x = _start(A, b, tol, maxit, x0, "CG")
     if done is not None:
         return done
 
-    b = _drop_negligible(b)
-    x = np.zeros(len(b)) if x0 is None else _drop_negligible(np.array(x0, dtype=float))
     r = b - A @ x
     p = r.copy()
     scratch = np.empty(len(b))
@@ -181,7 +192,7 @@ def bicgstab_solve(
     ``x0`` that is not a vector of length n, a non-finite ``b`` or ``x0`` or
     a zero diagonal entry. Deterministic for fixed inputs.
     """
-    done, maxit, b_norm = _start(A, b, tol, maxit, x0, "BiCGSTAB")
+    done, maxit, b_norm, b, x = _start(A, b, tol, maxit, x0, "BiCGSTAB")
     if done is not None:
         return done
     n = len(b)
@@ -190,8 +201,6 @@ def bicgstab_solve(
         raise ValueError("Jacobi scaling needs a nonzero diagonal")
     inv_diag = 1.0 / diag
 
-    b = _drop_negligible(b)
-    x = np.zeros(n) if x0 is None else _drop_negligible(np.array(x0, dtype=float))
     r = b - A @ x
     r0 = r.copy()
     p = np.zeros(n)
