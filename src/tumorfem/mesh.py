@@ -142,22 +142,22 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     # |det| <= h**2, so no area overflows either. A flip only reverses edges,
     # so h is the same before and after it.
     det = _doubled_areas(e)
-    # Basis k's gradient is e[k] turned 90 degrees over det. Its squared
-    # length is summed here as the stiffness sums it, and bounds the other
-    # products (Cauchy-Schwarz). It overflows on a doubled area below about
-    # the longest edge times 1e-154, a subnormal one for instance.
+    # Basis k's gradient is e[k] turned 90 degrees over det, so its squared
+    # length is (e_x / det)**2 + (e_y / det)**2, the same two terms the
+    # stiffness sums. It bounds the other gradient products (Cauchy-Schwarz)
+    # and overflows on a doubled area below about the longest edge times
+    # 1e-154, a subnormal one for instance.
     finite = np.ones(len(det), dtype=bool)
-    g = np.empty((len(det), 2))
     with np.errstate(over="ignore"):
         for k in range(3):
-            np.divide(e[k], det[:, None], out=g)
-            finite &= np.isfinite(np.einsum("ij,ij->i", g, g))
+            gx, gy = e[k, :, 0] / det, e[k, :, 1] / det
+            finite &= np.isfinite(gx * gx + gy * gy)
     if not finite.all():
         raise ValueError(f"element {int(np.argmin(finite))} is so small that its basis "
                          "gradient products are not finite")
     flip = det < 0.0
     h = math.sqrt(float(squared.max()))
-    del e, squared, det, g
+    del e, squared, det, gx, gy
     if np.any(flip):
         triangles = triangles.copy()
         triangles[flip, 1:] = triangles[flip, 2:0:-1]  # swap vertices 1 and 2
