@@ -12,11 +12,11 @@ and residuals are deterministic and reportable per step:
   13, 1992) with right Jacobi scaling, for the nonsymmetric
   consistent-mass system, whose diagonal the mass matrix dominates.
 
-Both stop on the unpreconditioned relative residual, update preallocated
-buffers in place, and raise ``CgError`` instead of returning an
-unconverged or non-finite iterate. That error is how they report overflow:
-floating-point overflow and invalid operations inside a solve emit no
-numpy warning.
+Both stop on, and return, the unpreconditioned relative residual of the
+returned iterate as their recurrence carries it. They update preallocated
+buffers in place, and raise ``CgError`` instead of returning an unconverged
+or non-finite iterate. That error is how they report overflow: floating-point
+overflow and invalid operations inside a solve emit no numpy warning.
 
 Before the first residual, both zero every entry of ``b`` and of ``x0``
 whose magnitude is below ``_NEGLIGIBLE = 1e-200`` times that vector's
@@ -73,26 +73,30 @@ class CgError(RuntimeError):
                 f"(relative residual {self.residual:.3e})")
 
 
-def _negligible(v: np.ndarray) -> np.ndarray | None:
-    """Mask of the entries below ``_NEGLIGIBLE`` times the largest magnitude in ``v``.
+def _zeroed(v: np.ndarray, copy: bool) -> np.ndarray:
+    """``v`` with its entries below ``_NEGLIGIBLE`` times its largest magnitude zeroed.
 
-    ``None`` if an entry of ``v`` is not finite: the largest magnitude is
-    then NaN or infinite.
+    The one magnitude scan also gives the finiteness verdict: ``ValueError``
+    if an entry is not finite, which makes the largest magnitude NaN or
+    infinite. A zeroed entry keeps its sign, so exact zeros stay as they are;
+    ``v`` itself is returned if none is zeroed, unless ``copy``.
     """
     magnitude = np.abs(v)
     top = magnitude.max(initial=0.0)
-    return magnitude < _NEGLIGIBLE * top if math.isfinite(top) else None
+    if not math.isfinite(top):
+        raise ValueError("right-hand side and initial guess must be finite")
+    floor = _NEGLIGIBLE * top
+    if magnitude.min(initial=floor) < floor:
+        return v * (magnitude >= floor).astype(float)
+    return np.array(v, dtype=float) if copy else v
 
 
 def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarray | None,
            name: str) -> tuple[CgResult | None, int, float, np.ndarray, np.ndarray]:
     """Validate a solve and set up its vectors.
 
-    Returns (its result if it needs no iteration, maxit, ||b||_2, the
-    right-hand side to iterate on, a new first iterate), both vectors with
-    their negligible entries zeroed. A zeroed entry keeps its sign, so exact
-    zeros stay as they are, and ``b`` itself is returned when it has no
-    entry to zero.
+    Returns (its result if it needs no iteration, maxit, ||b||_2, the first
+    residual, a new first iterate), both formed from the ``_zeroed`` inputs.
     """
     n = A.shape[0]
     if A.shape != (n, n) or np.shape(b) != (n,):
@@ -103,19 +107,14 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarr
         raise ValueError("tol must be positive")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
-    small_b = _negligible(b)
-    small_x = None if x0 is None else _negligible(x0)
-    if small_b is None or (x0 is not None and small_x is None):
-        raise ValueError("right-hand side and initial guess must be finite")
+    b_zeroed = _zeroed(b, copy=False)
+    x = np.zeros(n) if x0 is None else _zeroed(x0, copy=True)  # the solvers write x
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0, b, b
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
-    if small_b.any():
-        b = b * ~small_b
-    x = np.zeros(n) if x0 is None else np.multiply(x0, ~small_x, dtype=float)
-    return None, maxit or 10 * n, b_norm, b, x
+    return None, maxit or 10 * n, b_norm, b_zeroed - A @ x, x
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -138,13 +137,12 @@ def cg_solve(
     ``b`` or of the residual is not finite (entries whose squares overflow,
     or a non-finite matrix entry). Deterministic for fixed inputs.
     """
-    done, maxit, b_norm, b, x = _start(A, b, tol, maxit, x0, "CG")
+    done, maxit, b_norm, r, x = _start(A, b, tol, maxit, x0, "CG")
     if done is not None:
         return done
 
-    r = b - A @ x
     p = r.copy()
-    scratch = np.empty(len(b))
+    scratch = np.empty(len(r))
     rr = float(r @ r)
 
     # The updates run in place in the order of x + alpha * p, r - alpha * Ap
@@ -192,16 +190,15 @@ def bicgstab_solve(
     ``x0`` that is not a vector of length n, a non-finite ``b`` or ``x0`` or
     a zero diagonal entry. Deterministic for fixed inputs.
     """
-    done, maxit, b_norm, b, x = _start(A, b, tol, maxit, x0, "BiCGSTAB")
+    done, maxit, b_norm, r, x = _start(A, b, tol, maxit, x0, "BiCGSTAB")
     if done is not None:
         return done
-    n = len(b)
+    n = len(r)
     diag = A.diagonal()
     if not diag.all():
         raise ValueError("Jacobi scaling needs a nonzero diagonal")
     inv_diag = 1.0 / diag
 
-    r = b - A @ x
     r0 = r.copy()
     p = np.zeros(n)
     v = np.zeros(n)

@@ -190,19 +190,22 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
 
 
 def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
-                    x: np.ndarray, K: float) -> np.ndarray:
-    """One Jacobi sweep ``D^-1 (rhs + N clip(x, 0, K))`` for ``B = D - N``.
+                    x: np.ndarray, K: float) -> tuple[np.ndarray, float]:
+    """One Jacobi sweep ``y = D^-1 (rhs + N clip(x, 0, K))`` for ``B = D - N``, and its residual.
 
-    ``d`` is the diagonal ``D`` that ``_certify_m_matrix`` proved positive,
-    and ``-N`` is ``min(B, 0)``: zero on that diagonal and at the positive
-    off-diagonal entries the certificate lets pass as rounding. For
-    ``rhs >= 0`` every term is nonnegative, so the result is nonnegative
-    exactly. The exact solution is the sweep's fixed point, and the sweep
-    moves no iterate farther from it in the max norm (Varga, Matrix
-    Iterative Analysis, 1962, ch. 3).
+    ``d`` is the diagonal ``D`` that ``_certify_m_matrix`` proved positive, and
+    ``-N`` is ``min(B, 0)``, written over ``B.data``: zero on that diagonal and
+    at the positive off-diagonal entries the certificate lets pass as rounding
+    (each at most 1e-12 times the largest diagonal entry), so the relative
+    residual of ``y`` (0 if ``rhs = 0``) is that of ``D - N``. For ``rhs >= 0``
+    every term is nonnegative, so ``y`` is nonnegative exactly. The exact
+    solution is the sweep's fixed point, and the sweep moves no iterate farther
+    from it in the max norm (Varga, Matrix Iterative Analysis, 1962, ch. 3).
     """
-    off = sp.csr_matrix((np.minimum(B.data, 0.0), B.indices, B.indptr), shape=B.shape)
-    return (rhs - off @ np.clip(x, 0.0, K)) / d
+    np.minimum(B.data, 0.0, out=B.data)
+    y = (rhs - B @ np.clip(x, 0.0, K)) / d
+    rhs_norm = float(np.linalg.norm(rhs))
+    return y, float(np.linalg.norm(rhs - d * y - B @ y)) / rhs_norm if rhs_norm else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -247,10 +250,11 @@ def step(
 
     The solve starts from ``guess``, or from ``T^k`` when ``guess`` is
     ``None`` or not finite, so a start that overflowed cannot fail a step.
-    Split steps report the residual of the returned solution. A solver
-    failure, a non-finite right-hand side included, raises ``SchemeError``
-    naming the step, and a non-finite value in a new field, or a negative
-    one in a split lumped step, one naming the field.
+    The residual reported is that of the returned vector: the solver's own,
+    at most ``solver.tol``, or the swept one's in split lumped steps. A
+    solver failure, a non-finite right-hand side included, raises
+    ``SchemeError`` naming the step, and a non-finite value in a new field,
+    or a negative one in a split lumped step, one naming the field.
     """
     if not (lumped or split):
         raise ValueError("no scheme combines consistent mass with explicit reactions")
@@ -288,9 +292,7 @@ def step(
     t_new, residual = res.x, res.residual
     if split:
         if lumped:
-            t_new = _monotone_sweep(B, D, rhs, t_new, p.K)
-        rhs_norm = float(np.linalg.norm(rhs))
-        residual = float(np.linalg.norm(rhs - B @ t_new)) / rhs_norm if rhs_norm else 0.0
+            t_new, residual = _monotone_sweep(B, D, rhs, t_new, p.K)
         phi_new = model.update_phi_node(T, t_new, N, Phi, root, dt, p)
         n_new = model.update_n_node(t_new, N, phi_new, root, dt, p)
     new = State(T=t_new, N=n_new, Phi=phi_new, step=k, time=state.time + dt)

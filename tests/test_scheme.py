@@ -29,6 +29,9 @@ from tumorfem.scheme import (
     step,
 )
 
+from oracles import peak_bytes
+from test_assembly_equivalence import acute_mesh
+
 PARAMS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
     gamma=0.008, delta=0.8, K=1.0,
@@ -135,12 +138,30 @@ def test_explicit_equals_imex_without_reactions():
         s_expl, _ = explicit_lumped(state, ctx, NO_REACTIONS, dt)
         B = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, NO_REACTIONS))
         B.data[ctx.diagonal_slots] += ctx.lumped / dt
-        swept = scheme._monotone_sweep(B, B.data[ctx.diagonal_slots],
-                                       ctx.lumped * (state.T / dt), s_expl.T, NO_REACTIONS.K)
+        swept, _ = scheme._monotone_sweep(B, B.data[ctx.diagonal_slots],
+                                          ctx.lumped * (state.T / dt), s_expl.T, NO_REACTIONS.K)
         assert np.array_equal(s_imex.T, swept)
         assert np.array_equal(s_imex.N, s_expl.N)
         assert np.array_equal(s_imex.Phi, s_expl.Phi)
         state = s_imex
+
+
+def test_monotone_sweep_writes_over_the_system_values():
+    # On an acute mesh the system stores about 7 values per node. The sweep
+    # writes min(B, 0) over them, so all it allocates, a few vectors, stays
+    # below one copy of those values.
+    mesh = acute_mesh(24, 24)
+    ctx = build_context(mesh)
+    rng = np.random.default_rng(3)
+    B = ctx.assemble(rng.uniform(0.5, 2.0, mesh.n_triangles))
+    B.data[ctx.diagonal_slots] += ctx.lumped / 1e-2
+    values = B.data.copy()
+    assert B.nnz >= 6.5 * mesh.n_vertices
+    x = rng.uniform(0.0, 1.0, mesh.n_vertices)
+    peak = peak_bytes(scheme._monotone_sweep, B, values[ctx.diagonal_slots],
+                      ctx.lumped * x / 1e-2, x, 1.0)
+    assert peak < values.nbytes
+    assert np.array_equal(B.data, np.minimum(values, 0.0))
 
 
 def test_consistent_equals_lumped_on_single_element_constant_fields():
@@ -169,24 +190,39 @@ def test_element_diffusivity_range():
     assert coeff.max() <= PARAMS.kappa1 + PARAMS.kappa0
 
 
-def test_step_system_residual_self_check():
+@pytest.mark.parametrize("lumped, split", [(True, True), (True, False), (False, True)],
+                         ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
+def test_step_system_residual_self_check(lumped, split):
     # Post-verify the solved tumor system through a matrix-vector product,
-    # independent of the CG internals.
+    # independent of the CG internals, and the residual the step reports
+    # against that recomputed one.
     import scipy.sparse as sp
 
-    from tumorfem.model import imex_coefficients_T, vascular_factors
+    from tumorfem.model import imex_coefficients_T, reactions, vascular_factors
 
     mesh = build_structured_mesh(10, 10, 1.0, 1.0)
     ctx = build_context(mesh)
     cfg = small_config(nx=10)
     state = initial_state(cfg, mesh)
-    new, diag = imex_lumped(state, ctx, PARAMS, cfg.dt, solver=cfg.solver)
+    new, diag = step(state, ctx, PARAMS, cfg.dt, solver=cfg.solver, lumped=lumped, split=split)
     A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
-    P, root = vascular_factors(state.Phi, state.T, PARAMS.K)
-    src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, PARAMS)
-    B = (sp.diags(ctx.lumped / cfg.dt) + A + sp.diags(ctx.lumped * dec)).tocsr()
-    rhs = ctx.lumped * (state.T / cfg.dt + src)
-    assert np.linalg.norm(rhs - B @ new.T) <= cfg.solver.tol * np.linalg.norm(rhs)
+    m, M = ctx.lumped, ctx.mass
+    if split:
+        P, root = vascular_factors(state.Phi, state.T, PARAMS.K)
+        src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, PARAMS)
+    if lumped and split:
+        B = (sp.diags(m / cfg.dt) + A + sp.diags(m * dec)).tocsr()
+        rhs = m * (state.T / cfg.dt + src)
+    elif lumped:
+        B = (sp.diags(m / cfg.dt) + A).tocsr()
+        rhs = m * state.T / cfg.dt + M @ reactions(state.T, state.N, state.Phi, PARAMS)[0]
+    else:
+        B = (M / cfg.dt + A + M @ sp.diags(dec)).tocsr()
+        rhs = M @ (state.T / cfg.dt + src)
+    rhs_norm = np.linalg.norm(rhs)
+    residual = np.linalg.norm(rhs - B @ new.T) / rhs_norm
+    assert residual <= cfg.solver.tol
+    assert abs(diag.cg_residual - residual) <= 1e-14
     assert diag.cg_iters <= 10 * mesh.n_vertices
 
 
@@ -302,7 +338,7 @@ def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
     monkeypatch.setattr(scheme, "cg_solve", cg)
     # The sweep would project an infinite solver value onto [0, K]; as the
     # identity it passes the solver's T through as the returned one.
-    monkeypatch.setattr(scheme, "_monotone_sweep", lambda B, D, rhs, x, K: x)
+    monkeypatch.setattr(scheme, "_monotone_sweep", lambda B, D, rhs, x, K: (x, 0.0))
     monkeypatch.setattr(scheme.model, "update_phi_node",
                         lambda *a: spoiled(state.Phi) if field == "Phi" else state.Phi.copy())
     monkeypatch.setattr(scheme.model, "update_n_node",
@@ -326,7 +362,7 @@ def test_negative_field_raises_naming_it(monkeypatch, field):
             values[5] = -1e-300
         return values
 
-    monkeypatch.setattr(scheme, "_monotone_sweep", lambda *a: new_value("T"))
+    monkeypatch.setattr(scheme, "_monotone_sweep", lambda *a: (new_value("T"), 0.0))
     monkeypatch.setattr(scheme.model, "update_phi_node", lambda *a: new_value("Phi"))
     monkeypatch.setattr(scheme.model, "update_n_node", lambda *a: new_value("N"))
     with pytest.raises(SchemeError,
