@@ -20,7 +20,7 @@ import argparse
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import output as output_mod
 from .config import (
@@ -44,8 +44,6 @@ __all__ = ["main", "build_preset", "PRESET_NAMES"]
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
-
-PRESET_NAMES = ("bounds-comparison", "energy-sweep", "lumping-comparison")
 
 # Initial data shared by the experiment presets. The tumor seed is a narrow
 # Gaussian at the domain center; necrosis starts near capacity with a small
@@ -85,6 +83,7 @@ _PRESETS = {
     "lumping-comparison": ("lumping", TABLE_LUMPING, 10, 1.0,
                            (SchemeVariant.IMEX_LUMPED, SchemeVariant.IMEX_CONSISTENT)),
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def build_preset(name: str) -> list[RunConfig]:
@@ -104,31 +103,16 @@ def build_preset(name: str) -> list[RunConfig]:
     ]
 
 
-def _with_output(cfg: RunConfig, directory: str, snapshot_every: int | None) -> RunConfig:
-    if snapshot_every is None:
-        snapshot_every = cfg.output.snapshot_every
-    return replace(
-        cfg, output=replace(cfg.output, directory=directory, snapshot_every=snapshot_every)
-    )
+def _with_output(cfg: RunConfig, directory: str, args) -> RunConfig:
+    """``cfg`` writing into ``directory``; a given flag replaces the output option of its name."""
+    given = {f.name: getattr(args, f.name) for f in fields(OutputOptions)
+             if getattr(args, f.name, None) is not None}
+    return replace(cfg, output=replace(cfg.output, directory=directory, **given))
 
 
 def _run_and_summarize(cfg: RunConfig):
     """Run one config and write its CSV, summary and VTK snapshots."""
-    out = cfg.output
-    # an unusable directory fails here, before the run computes anything
-    output_mod.make_directories(out)
-    on_step = None
-    if out.snapshot_every > 0:
-        geometry = ""
-
-        def on_step(mesh, state):
-            # the mesh is fixed for the run: render its VTK text on the first call
-            nonlocal geometry
-            geometry = geometry or output_mod.vtk_geometry(mesh)
-            if state.step % out.snapshot_every == 0 or state.step == cfg.n_steps:
-                output_mod.write_snapshot(out.directory, out.vtk_prefix, geometry, state)
-
-    report = run(cfg, on_step=on_step)
+    report = run(cfg, on_step=output_mod.prepare_outputs(cfg))
     output_mod.write_run_outputs(report)
     return report
 
@@ -155,7 +139,7 @@ def _cmd_run(args) -> int:
         else:
             # an explicit --output-dir wins over the config's own directory
             directory = args.output_dir or cfg.output.directory
-        prepared.append(_with_output(cfg, directory, args.snapshot_every))
+        prepared.append(_with_output(cfg, directory, args))
 
     workers = min(args.threads, len(prepared))
     if workers > 1:
@@ -195,8 +179,7 @@ def _cmd_compare(args) -> int:
         return EXIT_CONFIG
     out_dir = args.output_dir or "."
     report_a, report_b = (
-        _run_and_summarize(_with_output(cfg, os.path.join(out_dir, f"{cfg.label}-{side}"),
-                                        args.snapshot_every))
+        _run_and_summarize(_with_output(cfg, os.path.join(out_dir, f"{cfg.label}-{side}"), args))
         for cfg, side in ((cfg_a, "a"), (cfg_b, "b"))
     )
     joined = os.path.join(out_dir, "compare.csv")

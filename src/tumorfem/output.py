@@ -2,16 +2,16 @@
 
 Floats are written with 17 significant digits so files round-trip exactly;
 plots are produced externally from these files, the package itself draws
-nothing. Each file is rendered to one string and written with one call.
-The VTK geometry is fixed for a run, so a caller renders it once with
-``vtk_geometry`` and passes the text to every snapshot of that run. Each
-VTK block of n values (points, cells, one field) is one ``%`` format over
-a tuple of them.
+nothing. Each file is rendered to one string and written with one call;
+each CSV row, and each VTK block of n values, is one ``%`` format.
+``prepare_outputs(config)`` returns the ``on_step`` that writes a run's
+snapshots over one VTK geometry; ``write_run_outputs`` writes the rest.
 """
 
 from __future__ import annotations
 
 import os
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import diagnostics
 from .mesh import Triangulation
 
 if TYPE_CHECKING:
-    from .config import OutputOptions
+    from .config import OutputOptions, RunConfig
     from .scheme import RunReport
 
 __all__ = [
@@ -30,11 +30,20 @@ __all__ = [
     "write_vtk",
     "write_compare_csv",
     "write_snapshot",
-    "make_directories",
+    "prepare_outputs",
     "write_run_outputs",
 ]
 
-CSV_HEADER = "step,time,minT,maxT,minN,maxN,minPhi,maxPhi,cg_iters,cg_residual,energy_acc"
+# per_step.csv's columns, each with the StepDiagnostics field it holds; a
+# %.17g row writes the integer columns' digits as they are
+_COLUMNS = (
+    ("step", "step"), ("time", "time"), ("minT", "min_t"), ("maxT", "max_t"),
+    ("minN", "min_n"), ("maxN", "max_n"), ("minPhi", "min_phi"), ("maxPhi", "max_phi"),
+    ("cg_iters", "cg_iters"), ("cg_residual", "cg_residual"), ("energy_acc", "energy_acc"),
+)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+# compare.csv pairs the field columns of two runs; the solver columns stay per run
+_COMPARED = [c for c in _COLUMNS[2:] if not c[0].startswith("cg_")]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -44,12 +53,9 @@ def _write_text(path: str, text: str) -> None:
 
 def write_csv(report: RunReport, path: str) -> None:
     """One row per recorded step (step 0 holds the initial diagnostics)."""
-    rows = "".join(
-        f"{d.step},{d.time:.17g},{d.min_t:.17g},{d.max_t:.17g},{d.min_n:.17g},"
-        f"{d.max_n:.17g},{d.min_phi:.17g},{d.max_phi:.17g},{d.cg_iters},"
-        f"{d.cg_residual:.17g},{d.energy_acc:.17g}\n"
-        for d in report.steps
-    )
+    row = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+    values = attrgetter(*(field for _, field in _COLUMNS))
+    rows = "".join(row % values(d) for d in report.steps)
     _write_text(path, f"{CSV_HEADER}\n{rows}")
 
 
@@ -79,44 +85,54 @@ def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> No
     """Joined per-step CSV for side-by-side plotting of two runs on one grid."""
     if len(report_a.steps) != len(report_b.steps):
         raise ValueError("runs have different step counts")
-    cols = ["minT", "maxT", "minN", "maxN", "minPhi", "maxPhi", "energy_acc"]
-    header = "step,time," + ",".join(f"{c}_a" for c in cols) + "," + ",".join(
-        f"{c}_b" for c in cols
-    )
-    attrs = ["min_t", "max_t", "min_n", "max_n", "min_phi", "max_phi", "energy_acc"]
+    header = ",".join(["step,time", *(f"{c}_{s}" for s in "ab" for c, _ in _COMPARED)])
+    row = ",".join(["%.17g"] * (2 + 2 * len(_COMPARED))) + "\n"
+    values = attrgetter(*(field for _, field in _COMPARED))
     rows = [header + "\n"]
     for da, db in zip(report_a.steps, report_b.steps):
         if da.step != db.step or da.time != db.time:
             raise ValueError(f"time grids differ at step {da.step}")
-        values = [getattr(da, a) for a in attrs] + [getattr(db, a) for a in attrs]
-        rows.append(f"{da.step},{da.time:.17g}," + ",".join(f"{v:.17g}" for v in values) + "\n")
+        rows.append(row % (da.step, da.time, *values(da), *values(db)))
     _write_text(path, "".join(rows))
 
 
 def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
     """Write ``state``'s fields on the mesh whose ``vtk_geometry`` is given."""
-    write_vtk(
-        os.path.join(directory, f"{prefix}_{state.step:06d}.vtk"),
-        geometry,
-        {"T": state.T, "N": state.N, "Phi": state.Phi},
-    )
+    path = os.path.join(directory, f"{prefix}_{state.step:06d}.vtk")
+    write_vtk(path, geometry, {"T": state.T, "N": state.N, "Phi": state.Phi})
 
 
-def make_directories(out: OutputOptions) -> None:
+def _make_directories(out: OutputOptions, *names: str) -> None:
     """Create ``out.directory`` and the directories the CSV and summary names,
-    and the VTK prefix when snapshots are on, lead into."""
+    and any further ``names``, lead into."""
     os.makedirs(out.directory, exist_ok=True)
-    prefix = (out.vtk_prefix,) if out.snapshot_every > 0 else ()
-    for name in (out.csv_name, out.summary_name, *prefix):
+    for name in (out.csv_name, out.summary_name, *names):
         os.makedirs(os.path.dirname(os.path.join(out.directory, name)), exist_ok=True)
 
 
+def prepare_outputs(config: RunConfig):
+    """Create the directories of all ``config``'s files; return the ``on_step`` that
+    writes a snapshot every ``snapshot_every`` steps and at the last, or ``None``."""
+    out = config.output
+    _make_directories(out, *((out.vtk_prefix,) if out.snapshot_every else ()))
+    if not out.snapshot_every:
+        return None
+    geometry = ""
+
+    def on_step(mesh: Triangulation, state) -> None:
+        # the mesh is fixed for the run: render its VTK text on the first call
+        nonlocal geometry
+        geometry = geometry or vtk_geometry(mesh)
+        if state.step % out.snapshot_every == 0 or state.step == config.n_steps:
+            write_snapshot(out.directory, out.vtk_prefix, geometry, state)
+
+    return on_step
+
+
 def write_run_outputs(report: RunReport) -> None:
-    """Write the per-step CSV and the full summary, the bytes ``tumorfem run`` writes."""
+    """Write the per-step CSV and the full summary; snapshots need ``prepare_outputs``."""
     out = report.config.output
-    make_directories(out)
+    _make_directories(out)
     write_csv(report, os.path.join(out.directory, out.csv_name))
-    _write_text(
-        os.path.join(out.directory, out.summary_name),
-        "".join(line + "\n" for line in diagnostics.run_summary_lines(report)),
-    )
+    summary = "".join(line + "\n" for line in diagnostics.run_summary_lines(report))
+    _write_text(os.path.join(out.directory, out.summary_name), summary)

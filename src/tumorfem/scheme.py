@@ -346,8 +346,9 @@ def run(
     ``T^0``). For that the loop keeps two arrays of its own, the last two
     differences of the tumor field, and forms each start over the older one.
     ``on_step(mesh, state)``, when given, sees the initial state and the
-    state after every step. No file is written here; the output options are
-    for the caller, e.g. ``output.write_run_outputs(report)``.
+    state after every step. No file is written here: the caller passes
+    ``on_step=output.prepare_outputs(config)`` for the snapshots and calls
+    ``output.write_run_outputs(report)``.
     """
     mesh = config.mesh.build()
     report_angles = audit_angles(mesh)

@@ -45,15 +45,19 @@ def test_run_config_file(tmp_path, capsys):
     assert (out_dir / "summary.txt").exists()
 
 
-def test_snapshots_written(tmp_path):
+@pytest.mark.parametrize("every, steps", [(2, [0, 2, 4]), (3, [0, 3, 4])],
+                         ids=["every-2", "every-3"])
+def test_snapshots_written(tmp_path, every, steps):
+    # every `every` steps and at the last step, over 4 steps
     from tumorfem.config import OutputOptions
 
     cfg_path = tmp_path / "run.cfg"
-    write_config_file(tiny_config(tf=0.04, output=OutputOptions(snapshot_every=2)), str(cfg_path))
+    write_config_file(tiny_config(tf=0.04, output=OutputOptions(snapshot_every=every)),
+                      str(cfg_path))
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
     names = sorted(p.name for p in out_dir.glob("*.vtk"))
-    assert names == ["snapshot_000000.vtk", "snapshot_000002.vtk", "snapshot_000004.vtk"]
+    assert names == [f"snapshot_{step:06d}.vtk" for step in steps]
     assert (out_dir / "per_step.csv").exists()
     assert (out_dir / "summary.txt").exists()
 
@@ -394,6 +398,36 @@ def test_library_writer_default_directory_matches_cli(tmp_path, monkeypatch):
         write()
         for name in ("per_step.csv", "summary.txt"):
             assert (cwd / name).read_bytes() == (cli_dir / name).read_bytes()
+
+
+def test_library_snapshots_match_cli(tmp_path):
+    # run(cfg, on_step=prepare_outputs(cfg)) and write_run_outputs write the
+    # files `tumorfem run` writes, snapshots under a nested prefix included.
+    from tumorfem.config import OutputOptions
+    from tumorfem.output import prepare_outputs, write_run_outputs
+    from tumorfem.scheme import run
+
+    out = OutputOptions(directory=str(tmp_path / "library"), summary_name="sub/s.txt",
+                        snapshot_every=3, vtk_prefix="vtk/snap")
+    cfg = tiny_config(tf=0.04, output=out)
+    write_run_outputs(run(cfg, on_step=prepare_outputs(cfg)))
+    write_config_file(cfg, str(tmp_path / "run.cfg"))
+    assert main(["run", str(tmp_path / "run.cfg"), "--output-dir", str(tmp_path / "cli")]) == 0
+    library = _files(tmp_path / "library")
+    assert sorted(library) == ["per_step.csv", "sub/s.txt", "vtk/snap_000000.vtk",
+                               "vtk/snap_000003.vtk", "vtk/snap_000004.vtk"]
+    assert library == _files(tmp_path / "cli")
+
+
+def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path):
+    from tumorfem.config import OutputOptions
+    from tumorfem.output import write_run_outputs
+    from tumorfem.scheme import run
+
+    out_dir = tmp_path / "out"
+    write_run_outputs(run(tiny_config(output=OutputOptions(
+        directory=str(out_dir), snapshot_every=1, vtk_prefix="vtk/snap"))))
+    assert sorted(p.name for p in out_dir.iterdir()) == ["per_step.csv", "summary.txt"]
 
 
 def test_run_config_path_with_preset_is_usage_error(tmp_path, capsys):
