@@ -85,12 +85,13 @@ class FemContext:
         slot_rows, slot_cols = np.divmod(keys[starts], n)
         del keys
         slot_ptr = np.append(starts, 9 * nt).astype(np.int32)
+        counts = np.diff(slot_ptr)
         shape = (len(starts), nt)
         del starts
         # Mass slot values: area * (2 or 1)/12 summed over the slot's entries.
         factors = np.where(slot_rows == slot_cols, 2.0 / 12.0, 1.0 / 12.0)
         mass_data = (
-            sp.csr_matrix((np.repeat(factors, np.diff(slot_ptr)), elements, slot_ptr), shape=shape)
+            sp.csr_matrix((np.repeat(factors, counts), elements, slot_ptr), shape=shape)
             @ areas
         )
         del factors
@@ -102,8 +103,13 @@ class FemContext:
         # A slot is kept when one of its factors is nonzero, which is when
         # the sum of their magnitudes is.
         kept = sp.csr_matrix((np.abs(geom), elements, slot_ptr), shape=shape) @ np.ones(nt) > 0.0
-        self._scatter = sp.csr_matrix((geom, elements, slot_ptr), shape=shape)[kept]
-        del geom, elements, slot_ptr
+        # S takes the kept slots' entries directly, not a row slice of a full copy.
+        entries = np.repeat(kept, counts)
+        kept_ptr = np.zeros(np.count_nonzero(kept) + 1, dtype=np.int32)
+        np.cumsum(counts[kept], out=kept_ptr[1:])
+        self._scatter = sp.csr_matrix((geom[entries], elements[entries], kept_ptr),
+                                      shape=(len(kept_ptr) - 1, nt))
+        del geom, elements, slot_ptr, counts, entries
         self.mass_slots = np.flatnonzero(kept)
         self._indices = self.mass.indices[self.mass_slots]
         stiffness_rows = slot_rows[kept]

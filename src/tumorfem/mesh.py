@@ -12,7 +12,10 @@ corners p[0], p[1], p[2] lies opposite vertex k, ``e[k] = p[k+2] - p[k+1]``
 (indices mod 3). The signed doubled area ``e[1] x e[2]`` gives orientation
 and degeneracy, ``h`` is the longest ``|e[k]|``, the angle at vertex k lies
 between ``e[k+2]`` and ``-e[k+1]``, and basis k's gradient is ``e[k]``
-turned 90 degrees counter-clockwise over the doubled area.
+turned 90 degrees counter-clockwise over the doubled area. Validation forms
+that array once and takes from it the checks, the orientation, ``h`` and
+the angle audit, which the mesh keeps; ``element_areas_and_gradients``
+forms it again for the FEM context.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -44,6 +47,9 @@ _ANGLE_COS_TOL = 1e-12
 class Triangulation:
     """Immutable 2D triangle mesh.
 
+    ``triangulation_from_arrays`` derives ``h`` and ``angles``;
+    ``dataclasses.replace`` derives neither again.
+
     Attributes
     ----------
     nodes : ndarray, shape (n_vertices, 2)
@@ -52,11 +58,15 @@ class Triangulation:
         Vertex indices per element, normalized to positive orientation.
     h : float
         Longest edge length over all elements.
+    angles : AngleReport
+        The angle audit, computed during validation; ``audit_angles``
+        returns it.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     h: float
+    angles: AngleReport
 
     @property
     def n_vertices(self) -> int:
@@ -124,8 +134,12 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         raise ValueError("mesh has no elements")
     if triangles.min() < 0 or triangles.max() >= len(nodes):
         raise ValueError("triangle vertex index out of range")
-    ordered = np.sort(triangles, axis=1)
-    repeated = np.nonzero((ordered[:, 0] == ordered[:, 1]) | (ordered[:, 1] == ordered[:, 2]))[0]
+    # Each element's vertex indices in increasing order.
+    t0, t1, t2 = triangles.T
+    lo = np.minimum(np.minimum(t0, t1), t2)
+    hi = np.maximum(np.maximum(t0, t1), t2)
+    mid = t0 + t1 + t2 - lo - hi
+    repeated = np.flatnonzero((lo == mid) | (mid == hi))
     if repeated.size:
         raise ValueError(f"element {int(repeated[0])} has repeated vertices")
     used = np.bincount(triangles.ravel(), minlength=len(nodes)) > 0
@@ -152,24 +166,31 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         for k in range(3):
             gx, gy = e[k, :, 0] / det, e[k, :, 1] / det
             finite &= np.isfinite(gx * gx + gy * gy)
+    del gx, gy  # before the audit, which sets the peak
     if not finite.all():
         raise ValueError(f"element {int(np.argmin(finite))} is so small that its basis "
                          "gradient products are not finite")
     flip = det < 0.0
     h = math.sqrt(float(squared.max()))
-    del e, squared, det, gx, gy
+    # A flip reverses the edges and moves the angles between vertices, so
+    # the audit before it sees the same cosines, to the bit.
+    angles = _angle_report(e, np.sqrt(squared, out=squared))
+    del e, squared, det
     if np.any(flip):
         triangles = triangles.copy()
         triangles[flip, 1:] = triangles[flip, 2:0:-1]  # swap vertices 1 and 2
 
-    # Each edge as one key lo * n + hi over its sorted vertex pair.
-    edges = np.concatenate([ordered[:, [0, 1]], ordered[:, [1, 2]], ordered[:, [0, 2]]])
-    keys, counts = np.unique(edges[:, 0] * len(nodes) + edges[:, 1], return_counts=True)
-    if counts.max() > 2:
-        lo, hi = divmod(int(keys[np.argmax(counts > 2)]), len(nodes))
+    # Each edge as one key lo * n + hi over its sorted vertex pair. Sorted,
+    # a key equal to the one two places on belongs to three elements.
+    n = len(nodes)
+    keys = np.concatenate([lo * n + mid, mid * n + hi, lo * n + hi])
+    keys.sort()
+    shared = keys[2:] == keys[:-2]
+    if shared.any():
+        lo, hi = divmod(int(keys[np.argmax(shared)]), n)
         raise ValueError(f"edge ({lo}, {hi}) shared by more than two elements")
 
-    return Triangulation(nodes=nodes, triangles=triangles, h=h)
+    return Triangulation(nodes=nodes, triangles=triangles, h=h, angles=angles)
 
 
 def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulation:
@@ -209,16 +230,8 @@ def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulati
     return triangulation_from_arrays(nodes, triangles)
 
 
-def audit_angles(mesh: Triangulation) -> AngleReport:
-    """Classify the mesh by its worst interior angle.
-
-    ``non_obtuse`` is true when every angle is at most 90 degrees (the
-    condition the positivity-preserving steppers require); ``strictly_acute``
-    when every angle is below 90 degrees. A tie for the worst angle goes to the
-    smallest element index, whatever the vertex order. Report-only, never raises.
-    """
-    e = _edges(mesh.nodes, mesh.triangles)
-    length = np.sqrt((e * e).sum(-1))
+def _angle_report(e: np.ndarray, length: np.ndarray) -> AngleReport:
+    """The angle audit of edge array ``e`` whose edge lengths are ``length``."""
     worst = -np.inf
     worst_elem = -1
     for k in range(3):
@@ -238,6 +251,17 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
         strictly_acute=bool(worst < -_ANGLE_COS_TOL),
         non_obtuse=bool(worst <= _ANGLE_COS_TOL),
     )
+
+
+def audit_angles(mesh: Triangulation) -> AngleReport:
+    """Classify the mesh by its worst interior angle.
+
+    ``non_obtuse`` is true when every angle is at most 90 degrees (the
+    condition the positivity-preserving steppers require); ``strictly_acute``
+    when every angle is below 90 degrees. A tie for the worst angle goes to the
+    smallest element index, whatever the vertex order. Report-only, never raises.
+    """
+    return mesh.angles
 
 
 def element_areas_and_gradients(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import tumorfem.mesh as mesh_module
+from tumorfem.fem import build_context
 from tumorfem.mesh import (
     audit_angles,
     build_structured_mesh,
@@ -145,15 +147,46 @@ def test_areas_and_gradients_equal_the_corner_formulas(make_mesh):
 
 
 def test_mesh_setup_peak_memory_per_element():
-    # One corner gather and one edge array per call peak near 250, 120 and
-    # 120 bytes per element; a second gather or a per-quantity edge copy
-    # breaks these bounds.
+    # Validation forms one corner gather and one edge array and takes the
+    # angle audit from them, peaking near 235 bytes per element;
+    # element_areas_and_gradients forms its own, near 120, and audit_angles
+    # returns the stored report. A second gather or a per-quantity edge
+    # copy breaks these bounds.
     nx = 120
     nt = 2 * nx * nx
     assert peak_bytes(build_structured_mesh, nx, nx, 1.0, 1.0) / nt < 270
     mesh = build_structured_mesh(nx, nx, 1.0, 1.0)
     assert peak_bytes(audit_angles, mesh) / nt < 130
     assert peak_bytes(element_areas_and_gradients, mesh) / nt < 130
+
+
+@pytest.fixture
+def edge_arrays_formed(monkeypatch):
+    """A list that grows by one entry each time an element edge array is formed."""
+    calls = []
+    form = mesh_module._edges
+
+    def counted(nodes, triangles):
+        calls.append(1)
+        return form(nodes, triangles)
+
+    monkeypatch.setattr(mesh_module, "_edges", counted)
+    return calls
+
+
+def test_each_mesh_forms_its_edge_array_once(edge_arrays_formed, tmp_path):
+    mesh = build_structured_mesh(6, 4, 1.0, 1.0)
+    assert len(edge_arrays_formed) == 1
+    write_mesh(mesh, tmp_path / "mesh.txt")
+    read_mesh(tmp_path / "mesh.txt")
+    assert len(edge_arrays_formed) == 2
+    # The audit is computed during validation and kept on the mesh.
+    audit_angles(mesh)
+    assert len(edge_arrays_formed) == 2
+    assert peak_bytes(audit_angles, mesh) < 1024
+    # The FEM context forms the second and last one of a run.
+    build_context(mesh)
+    assert len(edge_arrays_formed) == 3
 
 
 def test_element_geometry_reference_triangle():
@@ -215,6 +248,23 @@ def test_validation_rejects_bad_connectivity():
     tris = [(0, 1, 2), (1, 3, 2), (0, 1, 3), (0, 1, 4)]  # edge (0,1) used three times
     with pytest.raises(ValueError, match="more than two"):
         triangulation_from_arrays(nodes, tris)
+
+
+def test_validation_names_the_first_bad_element_and_the_smallest_bad_edge():
+    nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, -1.0), (2.0, 2.0)]
+    for tris in ([(0, 1, 2), (1, 1, 3), (2, 3, 3)], [(0, 1, 2), (3, 1, 3), (2, 2, 3)]):
+        with pytest.raises(ValueError, match=r"^element 1 has repeated vertices$"):
+            triangulation_from_arrays(nodes, tris)
+    # Edges (2, 3) and (0, 1) each lie in three elements, (2, 3) first in
+    # element order; the error names the smaller.
+    tris = [(2, 3, 5), (2, 3, 1), (3, 2, 0), (0, 1, 4), (0, 1, 2), (1, 0, 3)]
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) shared by more than two elements$"):
+        triangulation_from_arrays(nodes, tris)
+    # Edge (1, 3) is the middle and last, the first and last, and the first
+    # and middle vertex of its three elements.
+    tris = [(0, 1, 3), (1, 2, 3), (1, 3, 4)]
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) shared by more than two elements$"):
+        triangulation_from_arrays(nodes[:5], tris)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
