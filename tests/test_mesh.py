@@ -160,21 +160,15 @@ def test_mesh_setup_peak_memory_per_element():
     assert peak_bytes(element_areas_and_gradients, mesh) / nt < 130
 
 
-@pytest.fixture
-def edge_arrays_formed(monkeypatch):
-    """A list that grows by one entry each time an element edge array is formed."""
-    calls = []
+def test_each_mesh_forms_its_edge_array_once(monkeypatch, tmp_path):
+    edge_arrays_formed = []
     form = mesh_module._edges
 
     def counted(nodes, triangles):
-        calls.append(1)
+        edge_arrays_formed.append(1)
         return form(nodes, triangles)
 
     monkeypatch.setattr(mesh_module, "_edges", counted)
-    return calls
-
-
-def test_each_mesh_forms_its_edge_array_once(edge_arrays_formed, tmp_path):
     mesh = build_structured_mesh(6, 4, 1.0, 1.0)
     assert len(edge_arrays_formed) == 1
     write_mesh(mesh, tmp_path / "mesh.txt")
