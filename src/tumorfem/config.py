@@ -264,7 +264,7 @@ def _parse_options(r: _Reader, section: str, cls):
                   for f in fields(cls)})
 
 
-def parse_config(text: str, label: str = "run") -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     r = _Reader(text)
     # Arguments are evaluated in this order, which fixes the error reported
     # for a file with several. Absent [solver]/[output] keys and label take
@@ -279,7 +279,7 @@ def parse_config(text: str, label: str = "run") -> RunConfig:
             output=_parse_options(r, "output", OutputOptions),
             dt=r.get("time", "dt", float),
             tf=r.get("time", "tf", float),
-            label=r.get("scheme", "label", default=label),
+            label=r.get("scheme", "label", default=RunConfig.label),
         )
     except ConfigError:
         raise

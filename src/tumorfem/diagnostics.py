@@ -111,7 +111,8 @@ def envelope_check_far(report: RunReport, p: ModelParams, n0_min: float) -> Enve
 def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> EnvelopeReport:
     """Decay envelopes valid when necrosis starts within eps of capacity.
 
-    Requires min N0 >= K - eps. Pure exponentials with rates
+    Requires K - min N0 <= eps, tested in that form so that the summary's
+    eps = K - min N0 always applies. Pure exponentials with rates
     beta1 (K - eps) - rho eps / K for T and beta2 (K - eps) - gamma eps / K
     for Phi; at eps = 0 these reduce to rates beta1 K and beta2 K. A
     negative rate can overflow an envelope to +inf, a vacuous bound.
@@ -119,7 +120,7 @@ def envelope_check_near_K(report: RunReport, p: ModelParams, eps: float) -> Enve
     first = report.steps[0]
     rate_t = p.beta1 * (p.K - eps) - p.rho * eps / p.K
     rate_phi = p.beta2 * (p.K - eps) - p.gamma * eps / p.K
-    if first.min_n < p.K - eps:
+    if p.K - first.min_n > eps:
         reason = f"requires initial necrosis >= K - eps everywhere (min N0 = {first.min_n:.6g})"
         return EnvelopeReport("near-K", False, reason, False, eps, rate_phi,
                               np.empty(0), np.empty(0))
@@ -178,7 +179,7 @@ def run_summary_lines(report: RunReport) -> list[str]:
         f"variant={cfg.variant.value}",
         f"steps={cfg.n_steps}",
         f"energy={report.energy:.17g}",
-        f"non_obtuse_mesh={report.non_obtuse}",
+        f"non_obtuse_mesh={report.mesh.angles.non_obtuse}",
     ]
     for rep in (
         envelope_check_far(report, p, n0_min),

@@ -279,13 +279,12 @@ def write_mesh(mesh: Triangulation, path) -> None:
     """Write the ASCII mesh format: ``nv nt``, nv ``x y`` lines, nt ``i j k`` lines.
 
     Coordinates are written with ``repr`` so a read back is bit-identical.
+    The file is rendered to one string and written with one call.
     """
+    nodes = ("%r %r\n" * mesh.n_vertices) % tuple(mesh.nodes.ravel().tolist())
+    triangles = ("%d %d %d\n" * mesh.n_triangles) % tuple(mesh.triangles.ravel().tolist())
     with open(path, "w", encoding="ascii") as f:
-        f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{int(a)} {int(b)} {int(c)}\n")
+        f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n{nodes}{triangles}")
 
 
 def read_mesh(path) -> Triangulation:

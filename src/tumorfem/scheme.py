@@ -104,8 +104,11 @@ class RunReport:
     mesh: Triangulation
     steps: list[StepDiagnostics]
     final_state: State
-    energy: float  # dt * sum over steps of ||T^k||_{H1}^2
-    non_obtuse: bool
+
+    @property
+    def energy(self) -> float:
+        """dt * sum over steps of ||T^k||_{H1}^2: the last step's ``energy_acc``."""
+        return self.steps[-1].energy_acc
 
     def times(self) -> np.ndarray:
         return np.array([d.time for d in self.steps])
@@ -216,15 +219,13 @@ def step(
     dt: float,
     solver: SolverOptions = SolverOptions(),
     *,
-    lumped: bool,
-    split: bool,
+    variant: SchemeVariant,
     guess: np.ndarray | None = None,
 ) -> tuple[State, StepDiagnostics]:
-    """One step with lumped (else consistent) mass and split (else explicit) reactions.
+    """One step of ``variant``: lumped (else consistent) mass, split (else explicit) reactions.
 
     Explicit reactions are the unsplit ones at the old state, entering as
-    consistent-mass loads and as ``decay = 0`` in the system; consistent
-    mass with them is no scheme and raises ``ValueError``. The split
+    consistent-mass loads and as ``decay = 0`` in the system. The split
     reactions take the vascular factors of the old state, computed once per
     step for the tumor coefficients and both nodal updates. The whole step,
     either reaction treatment, runs under the solvers' floating-point
@@ -256,8 +257,7 @@ def step(
     ``SchemeError`` naming the step, and a non-finite value in a new field,
     or a negative one in a split lumped step, one naming the field.
     """
-    if not (lumped or split):
-        raise ValueError("no scheme combines consistent mass with explicit reactions")
+    lumped, split = variant.lumped, variant.split
     k = state.step + 1
     T, N, Phi = state.T, state.N, state.Phi
     m, M = ctx.lumped, ctx.mass
@@ -325,7 +325,7 @@ def _extrapolate(T: np.ndarray, diffs: list[np.ndarray]) -> np.ndarray | None:
 
 # run() looks its stepper up here on every call, so a caller may swap an entry
 # (to time or count steps) without touching the scheme.
-_STEPPERS = {v: partial(step, lumped=v.lumped, split=v.split) for v in SchemeVariant}
+_STEPPERS = {v: partial(step, variant=v) for v in SchemeVariant}
 
 
 def initial_state(config: RunConfig, mesh: Triangulation) -> State:
@@ -382,11 +382,4 @@ def run(
         if on_step is not None:
             on_step(mesh, state)
 
-    return RunReport(
-        config=config,
-        mesh=mesh,
-        steps=diags,
-        final_state=state,
-        energy=energy,
-        non_obtuse=report_angles.non_obtuse,
-    )
+    return RunReport(config=config, mesh=mesh, steps=diags, final_state=state)

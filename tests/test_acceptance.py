@@ -150,7 +150,8 @@ def test_criterion_4_necrosis_monotone_with_gronwall_ceiling():
     assert c2 == pytest.approx(cfg.params.alpha * cfg.params.K + cfg.params.delta * cfg.params.K**2)
     for k in range(1, cfg.n_steps + 1):
         prev_n = state.N
-        state, _ = step(state, ctx, cfg.params, cfg.dt, cfg.solver, lumped=True, split=True)
+        state, _ = step(state, ctx, cfg.params, cfg.dt, cfg.solver,
+                        variant=SchemeVariant.IMEX_LUMPED)
         assert np.all(state.N >= prev_n)
         growth = np.exp(c1 * k * cfg.dt)
         ceiling = n0 * growth + c2 * (growth - 1.0) / c1
@@ -338,7 +339,7 @@ def test_criterion_8_oracle_equivalences():
     expected = 1.0
     worst = 0.0
     for _ in range(100):
-        state, _ = step(state, ctx, p, 1e-2, solver, lumped=True, split=True)
+        state, _ = step(state, ctx, p, 1e-2, solver, variant=SchemeVariant.IMEX_LUMPED)
         expected /= 1.0 + p.alpha * 1e-2
         worst = max(worst, float(np.abs(state.T - expected).max()))
     assert worst <= 1e-10

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from tumorfem import scheme
 from tumorfem.cli import build_preset
-from tumorfem.config import SolverOptions
+from tumorfem.config import SchemeVariant, SolverOptions
 from tumorfem.fem import build_context
 from tumorfem.mesh import (
     audit_angles,
@@ -219,9 +219,10 @@ def test_mass_slots_match_searchsorted_map(make_mesh):
     assert np.array_equal(ctx.mass.indices[slots], unit_stiffness(ctx).indices)
 
 
-@pytest.mark.parametrize("split", [True, False], ids=["split", "explicit"])
+@pytest.mark.parametrize("variant", [SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED],
+                         ids=["split", "explicit"])
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
-def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
+def test_lumped_system_matches_sparse_sum(make_mesh, variant, monkeypatch):
     mesh = make_mesh()
     ctx = build_context(mesh)
     state = random_state(mesh, seed=11)
@@ -235,7 +236,7 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
 
     monkeypatch.setattr(scheme, "cg_solve", capture)
     p = COMPARABLE_TERMS
-    step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=True, split=split)
+    step(state, ctx, p, dt, SolverOptions(tol=1e-12), variant=variant)
     (B,) = systems
     # The stiffness pattern sits inside the mass pattern at the mass slots.
     rows = np.repeat(np.arange(mesh.n_vertices), np.diff(B.indptr))
@@ -245,7 +246,7 @@ def test_lumped_system_matches_sparse_sum(make_mesh, split, monkeypatch):
 
     m = ctx.lumped
     A, _ = add_at_stiffness(mesh, element_diffusivity(ctx, state.T, state.Phi, p))
-    if split:
+    if variant.split:
         P, root = vascular_factors(state.Phi, state.T, p.K)
         _, decay = imex_coefficients_T(state.T, state.N, state.Phi, P, root, p)
         expected = (sp.diags(m / dt) + A + sp.diags(m * decay)).tocsr()
@@ -271,7 +272,7 @@ def test_consistent_system_matches_sparse_sum(make_mesh, monkeypatch):
 
     monkeypatch.setattr(scheme, "bicgstab_solve", capture)
     p = COMPARABLE_TERMS
-    step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=False, split=True)
+    step(state, ctx, p, dt, SolverOptions(tol=1e-12), variant=SchemeVariant.IMEX_CONSISTENT)
     (B,) = systems
 
     M = ctx.mass
@@ -337,14 +338,15 @@ def test_acute_mesh_keeps_every_slot():
     assert np.array_equal(rows[template.diagonal_slots], np.arange(mesh.n_vertices))
 
 
-@pytest.mark.parametrize("lumped", [True, False], ids=["lumped", "consistent"])
+@pytest.mark.parametrize("variant", [SchemeVariant.IMEX_LUMPED, SchemeVariant.IMEX_CONSISTENT],
+                         ids=["lumped", "consistent"])
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
-def test_split_step_nodal_updates_equal_independent_node_updates(make_mesh, lumped):
+def test_split_step_nodal_updates_equal_independent_node_updates(make_mesh, variant):
     mesh = make_mesh()
     ctx = build_context(mesh)
     state = random_state(mesh, seed=17)
     dt = 0.05
-    new, _ = step(state, ctx, PARAMS, dt, SolverOptions(tol=1e-12), lumped=lumped, split=True)
+    new, _ = step(state, ctx, PARAMS, dt, SolverOptions(tol=1e-12), variant=variant)
     # Node by node, each update evaluating its own vascular factors.
     for a in range(mesh.n_vertices):
         tk, nk, phik, tk1 = state.T[a], state.N[a], state.Phi[a], new.T[a]
@@ -374,9 +376,8 @@ def test_assembled_matrices_share_the_read_only_pattern():
     assert np.array_equal(ctx.assemble(coeff).toarray(), A2.toarray())
 
 
-@pytest.mark.parametrize("lumped, split", [(True, True), (True, False), (False, True)],
-                         ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
-def test_steps_leave_template_and_unit_stiffness_unchanged(lumped, split):
+@pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
+def test_steps_leave_template_and_unit_stiffness_unchanged(variant):
     mesh = graded_mesh(6, 8, seed=5)
     ctx = build_context(mesh)
 
@@ -390,6 +391,6 @@ def test_steps_leave_template_and_unit_stiffness_unchanged(lumped, split):
     state = random_state(mesh, seed=4)
     for _ in range(10):
         state, _ = step(state, ctx, COMPARABLE_TERMS, 0.05, SolverOptions(tol=1e-12),
-                        lumped=lumped, split=split)
+                        variant=variant)
     for old, new in zip(before, fixed_arrays(), strict=True):
         assert np.array_equal(old, new)

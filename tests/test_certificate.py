@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tumorfem import scheme
-from tumorfem.config import SolverOptions
+from tumorfem.config import SchemeVariant, SolverOptions
 from tumorfem.fem import build_context
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
@@ -136,11 +136,10 @@ def test_rotated_mesh_passes_audit_and_certificate(angle):
     off = unit_stiffness(ctx).copy()
     off.setdiag(0.0)
     assert off.data.max() > 0.0
-    for split in (True, False):
+    for variant in (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED):
         state = random_state(mesh, seed=1)
         for _ in range(3):
-            state, _ = step(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12),
-                             lumped=True, split=split)
+            state, _ = step(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12), variant=variant)
 
 
 @st.composite
@@ -199,6 +198,7 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
     # The bound proof puts no limit on dt. The explicit reactions of the
     # comparison scheme grow without bound for large dt until they overflow.
     assume(split or dt <= 0.5)
+    variant = SchemeVariant.IMEX_LUMPED if split else SchemeVariant.EXPLICIT_LUMPED
     ctx = build_context(mesh)
     fields = p.K * data.draw(
         hnp.arrays(np.float64, (3, mesh.n_vertices), elements=st.floats(0.0, 1.0))
@@ -214,7 +214,7 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
     n0_max = float(state.N.max())
     with mock.patch.object(scheme, "_certify_m_matrix", recording):
         for k in range(1, 6):
-            new, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), lumped=True, split=split)
+            new, _ = step(state, ctx, p, dt, SolverOptions(tol=tol), variant=variant)
             if split:
                 # Exact, at every tolerance: the monotone sweep makes T
                 # nonnegative as computed, and N never decreases.
@@ -267,6 +267,7 @@ def test_field_at_capacity_exceeds_k_by_rounding_only(mesh):
         T = p.K * (1.0 - 1e-16 * rng.uniform(size=n))
         state = State(T=T, N=np.zeros(n), Phi=np.zeros(n), step=0, time=0.0)
         for k in range(1, 31):
-            state, _ = step(state, ctx, p, dt, SolverOptions(tol=1e-12), lumped=True, split=True)
+            state, _ = step(state, ctx, p, dt, SolverOptions(tol=1e-12),
+                            variant=SchemeVariant.IMEX_LUMPED)
             assert state.T.min() >= 0.0
             assert state.T.max() <= p.K * (1.0 + 4 * k * eps)

@@ -72,7 +72,7 @@ def _final_on(mesh, dt: float, tf: float) -> np.ndarray:
     T, N, Phi = (f.evaluate(mesh.nodes, PARAMS.K) for f in (INITIAL.T, INITIAL.N, INITIAL.Phi))
     state = State(T=T, N=N, Phi=Phi, step=0, time=0.0)
     for _ in range(round(tf / dt)):
-        state, _ = step(state, ctx, PARAMS, dt, SOLVER, lumped=True, split=True)
+        state, _ = step(state, ctx, PARAMS, dt, SOLVER, variant=SchemeVariant.IMEX_LUMPED)
     return np.stack([state.T, state.N, state.Phi])
 
 

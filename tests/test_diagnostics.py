@@ -17,6 +17,7 @@ from tumorfem.diagnostics import (
     classify_equilibrium,
     envelope_check_far,
     envelope_check_near_K,
+    run_summary_lines,
     scalar_comparison_oracle,
 )
 from tumorfem.model import ModelParams, State, reactions
@@ -215,6 +216,21 @@ def test_envelope_near_K_at_eps_zero_uses_capacity_rates():
     max_phi = np.array([d.max_phi for d in report.steps])
     expected = 0.5 * np.exp(-PARAMS.beta2 * PARAMS.K * times) - max_phi
     assert np.allclose(rep.phi_margins, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n0", [0.001, 0.3, 0.499])
+def test_envelope_near_K_applies_at_the_summary_eps(n0):
+    # The summary takes eps = K - min N0, and K - (K - n0) rounds above n0
+    # for 0.001 and 0.3 (not for 0.499); the check must accept its own regime.
+    report = quick_run(
+        InitialConditions(
+            T=ConstantProfile(0.2), N=ConstantProfile(n0), Phi=ConstantProfile(0.5)
+        ),
+        tf=0.02,
+    )
+    assert envelope_check_near_K(report, PARAMS, PARAMS.K - n0).applicable
+    assert any(line.startswith("envelope[near-K]: holds=")
+               for line in run_summary_lines(report))
 
 
 def test_classify_equilibrium_labels():

@@ -322,6 +322,20 @@ def test_mesh_file_round_trip_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("make_mesh", [lambda: build_structured_mesh(5, 3, 2.0, 1.0),
+                                       lambda: graded_mesh(6, 8, seed=5),
+                                       lambda: acute_mesh(8, 6)],
+                         ids=["structured", "graded", "acute"])
+def test_mesh_file_bytes_match_per_line_form(tmp_path, make_mesh):
+    m = make_mesh()
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    lines = [f"{m.n_vertices} {m.n_triangles}\n"]
+    lines += [f"{float(x)!r} {float(y)!r}\n" for x, y in m.nodes]
+    lines += [f"{int(a)} {int(b)} {int(c)}\n" for a, b, c in m.triangles]
+    assert path.read_bytes() == "".join(lines).encode("ascii")
+
+
 def test_read_mesh_rejects_malformed_files(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

@@ -1,6 +1,6 @@
 import functools
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from tumorfem.config import (
 )
 from tumorfem.fem import build_context, norms
 from tumorfem.linalg import CgError
-from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
+from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import (
     SchemeError,
@@ -40,9 +40,9 @@ NO_REACTIONS = ModelParams(
     kappa1=8e-4, kappa0=8e-4, rho=0.0, alpha=0.0, beta1=0.0, beta2=0.0,
     gamma=0.0, delta=0.0, K=1.0,
 )
-imex_lumped = functools.partial(step, lumped=True, split=True)
-explicit_lumped = functools.partial(step, lumped=True, split=False)
-imex_consistent = functools.partial(step, lumped=False, split=True)
+imex_lumped = functools.partial(step, variant=SchemeVariant.IMEX_LUMPED)
+explicit_lumped = functools.partial(step, variant=SchemeVariant.EXPLICIT_LUMPED)
+imex_consistent = functools.partial(step, variant=SchemeVariant.IMEX_CONSISTENT)
 
 
 def small_config(variant=SchemeVariant.IMEX_LUMPED, nx=6, dt=1e-2, tf=0.05, **kw):
@@ -190,9 +190,8 @@ def test_element_diffusivity_range():
     assert coeff.max() <= PARAMS.kappa1 + PARAMS.kappa0
 
 
-@pytest.mark.parametrize("lumped, split", [(True, True), (True, False), (False, True)],
-                         ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
-def test_step_system_residual_self_check(lumped, split):
+@pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
+def test_step_system_residual_self_check(variant):
     # Post-verify the solved tumor system through a matrix-vector product,
     # independent of the CG internals, and the residual the step reports
     # against that recomputed one.
@@ -204,7 +203,8 @@ def test_step_system_residual_self_check(lumped, split):
     ctx = build_context(mesh)
     cfg = small_config(nx=10)
     state = initial_state(cfg, mesh)
-    new, diag = step(state, ctx, PARAMS, cfg.dt, solver=cfg.solver, lumped=lumped, split=split)
+    new, diag = step(state, ctx, PARAMS, cfg.dt, solver=cfg.solver, variant=variant)
+    lumped, split = variant.lumped, variant.split
     A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
     m, M = ctx.lumped, ctx.mass
     if split:
@@ -238,6 +238,15 @@ def test_run_reports_initial_row_and_energy():
     # energy is nondecreasing across steps
     acc = [d.energy_acc for d in report.steps[1:]]
     assert all(b >= a for a, b in zip(acc, acc[1:]))
+
+
+def test_run_report_keeps_no_copies():
+    # The energy is the last step's accumulated value and the audit is the
+    # mesh's own; the report stores neither again.
+    report = run(small_config(tf=0.03))
+    assert [f.name for f in fields(report)] == ["config", "mesh", "steps", "final_state"]
+    assert report.energy == report.steps[-1].energy_acc
+    assert report.mesh.angles is audit_angles(report.mesh)
 
 
 def test_run_zero_steps_yields_only_initial_diagnostics():
@@ -301,7 +310,7 @@ def test_obtuse_mesh_rejected_for_lumped_variants(tmp_path, variant):
     else:
         # the un-lumped variant does not require the audit
         report = run(cfg)
-        assert not report.non_obtuse
+        assert not report.mesh.angles.non_obtuse
 
 
 @pytest.mark.parametrize("stepper", [imex_lumped, explicit_lumped], ids=["imex", "explicit"])
@@ -389,13 +398,6 @@ def test_nondecreasing_necrosis_in_imex_run():
     assert all(b >= a for a, b in zip(mins, mins[1:]))
 
 
-def test_consistent_mass_with_explicit_reactions_is_no_scheme():
-    mesh = build_structured_mesh(2, 2, 1.0, 1.0)
-    state = zero_state(mesh.n_vertices)
-    with pytest.raises(ValueError, match="consistent mass with explicit reactions"):
-        step(state, build_context(mesh), PARAMS, 1e-2, lumped=False, split=False)
-
-
 def test_variants_are_points_on_two_axes():
     axes = {v: (v.lumped, v.split) for v in SchemeVariant}
     assert axes == {
@@ -406,7 +408,7 @@ def test_variants_are_points_on_two_axes():
     for v in SchemeVariant:
         stepper = scheme._STEPPERS[v]
         assert stepper.func is step
-        assert stepper.keywords == {"lumped": v.lumped, "split": v.split}
+        assert stepper.keywords == {"variant": v}
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant))
