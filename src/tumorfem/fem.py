@@ -65,13 +65,15 @@ class FemContext:
         areas, grads = element_areas_and_gradients(mesh)
         # Entry e = (3a + b) * nt + t is the local pair (a, b) of element t,
         # keyed by its slot row * n + col. Its geometric factor is symmetric.
+        grads = grads.transpose(2, 1, 0)  # contiguous component rows, (2, 3, nt)
+        triangles = mesh.triangles.T.copy()
         keys = np.empty((3, 3, nt), dtype=np.int64)
         geom = np.empty((3, 3, nt))
         for a in range(3):
-            np.add(mesh.triangles[:, a] * n, mesh.triangles.T, out=keys[a])
+            np.add(triangles[a] * n, triangles, out=keys[a])
             for b in range(a, 3):
-                geom[a, b] = geom[b, a] = areas * np.einsum("ij,ij->i", grads[:, a], grads[:, b])
-        del grads
+                geom[a, b] = geom[b, a] = areas * np.einsum("ij,ij->j", grads[:, a], grads[:, b])
+        del grads, triangles
         # The sort is stable, so the entries of one slot stay in increasing e,
         # the order a scatter-add would sum them in. S and the mass are built
         # from their CSR arrays directly: a COO conversion would sort each
@@ -79,8 +81,9 @@ class FemContext:
         order = np.argsort(keys.ravel(), kind="stable")
         keys = keys.ravel()[order]
         geom = geom.ravel()[order]
-        elements = np.remainder(order, nt, out=order).astype(np.int32)
-        del order
+        elements = order.astype(np.int32)
+        del order  # before the remainder: a lower resident peak, not a traced one
+        np.remainder(elements, nt, out=elements)
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         slot_rows, slot_cols = np.divmod(keys[starts], n)
         del keys

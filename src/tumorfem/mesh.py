@@ -12,10 +12,11 @@ corners p[0], p[1], p[2] lies opposite vertex k, ``e[k] = p[k+2] - p[k+1]``
 (indices mod 3). The signed doubled area ``e[1] x e[2]`` gives orientation
 and degeneracy, ``h`` is the longest ``|e[k]|``, the angle at vertex k lies
 between ``e[k+2]`` and ``-e[k+1]``, and basis k's gradient is ``e[k]``
-turned 90 degrees counter-clockwise over the doubled area. Validation forms
-that array once and takes from it the checks, the orientation, ``h`` and
-the angle audit, which the mesh keeps; ``element_areas_and_gradients``
-forms it again for the FEM context.
+turned 90 degrees counter-clockwise over the doubled area. The array is
+component-major, shape (3, 2, nt): ``e[k, 0]`` and ``e[k, 1]`` are contiguous
+rows of length nt. Validation forms it once and takes from it the checks,
+the orientation, ``h`` and the angle audit, which the mesh keeps;
+``element_areas_and_gradients`` forms it again and may return a view.
 
 Meshes are immutable after construction and safe to share across threads.
 """
@@ -93,17 +94,19 @@ class AngleReport:
 
 
 def _edges(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Edge vectors opposite each local vertex, ``e[k] = p[k+2] - p[k+1]``, shape (3, nt, 2)."""
-    p = nodes[triangles.T]
-    e = np.empty(p.shape)
-    for k in range(3):
-        np.subtract(p[(k + 2) % 3], p[(k + 1) % 3], out=e[k])
+    """Edge vectors opposite each local vertex, ``e[k] = p[k+2] - p[k+1]``, as
+    rows ``e[k, 0]`` and ``e[k, 1]`` of length nt: shape (3, 2, nt)."""
+    e = np.empty((3, 2, len(triangles)))
+    for c in range(2):
+        p = nodes[:, c][triangles.T]
+        for k in range(3):
+            np.subtract(p[(k + 2) % 3], p[(k + 1) % 3], out=e[k, c])
     return e
 
 
 def _doubled_areas(e: np.ndarray) -> np.ndarray:
     """Signed doubled areas ``e[1] x e[2]``; raises ``ValueError`` if one is zero."""
-    det = e[1, :, 0] * e[2, :, 1] - e[1, :, 1] * e[2, :, 0]
+    det = e[1, 0] * e[2, 1] - e[1, 1] * e[2, 0]
     if np.any(det == 0.0):
         bad = int(np.nonzero(det == 0.0)[0][0])
         raise ValueError(f"element {bad} is degenerate (zero area)")
@@ -148,7 +151,7 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
 
     with np.errstate(over="ignore"):
         e = _edges(nodes, triangles)
-        squared = (e * e).sum(-1)
+        squared = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
     finite = np.isfinite(squared).all(axis=0)
     if not finite.all():
         raise ValueError(f"element {int(np.argmin(finite))} has an edge whose squared length "
@@ -164,7 +167,7 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
     finite = np.ones(len(det), dtype=bool)
     with np.errstate(over="ignore"):
         for k in range(3):
-            gx, gy = e[k, :, 0] / det, e[k, :, 1] / det
+            gx, gy = e[k, 0] / det, e[k, 1] / det
             finite &= np.isfinite(gx * gx + gy * gy)
     del gx, gy  # before the audit, which sets the peak
     if not finite.all():
@@ -196,8 +199,9 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
 def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulation:
     """Uniform right-triangle mesh of the rectangle [0, Lx] x [0, Ly].
 
-    Each of the nx*ny cells is split along the same diagonal, so every
-    element is a right triangle and the mesh passes the non-obtuse audit.
+    Each of the nx*ny cells, in row-major order, is split along the same
+    diagonal into (v00, v10, v11) and (v00, v11, v01), vij being its corner at
+    offset (i, j): every element is right-angled and passes the non-obtuse audit.
 
     Parameters
     ----------
@@ -210,24 +214,16 @@ def build_structured_mesh(nx: int, ny: int, Lx: float, Ly: float) -> Triangulati
         raise ValueError("cell counts must be at least 1")
     if Lx <= 0.0 or Ly <= 0.0:
         raise ValueError("side lengths must be positive")
-    xs = np.linspace(0.0, Lx, nx + 1)
-    ys = np.linspace(0.0, Ly, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    i = np.arange(nx)
-    j = np.arange(ny)
-    I, J = np.meshgrid(i, j, indexing="xy")
-    v00 = (J * (nx + 1) + I).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (nx + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-    return triangulation_from_arrays(nodes, triangles)
+    nodes = np.empty((ny + 1, nx + 1, 2))
+    nodes[..., 0] = np.linspace(0.0, Lx, nx + 1)
+    nodes[..., 1] = np.linspace(0.0, Ly, ny + 1)[:, None]
+    v00 = np.arange(0, ny * (nx + 1), nx + 1)[:, None] + np.arange(nx)
+    triangles = np.empty((ny, nx, 2, 3), dtype=np.int64)
+    triangles[..., 0] = v00[..., None]
+    triangles[:, :, 0, 1] = v00 + 1
+    triangles[:, :, 0, 2] = triangles[:, :, 1, 1] = v00 + (nx + 2)
+    triangles[:, :, 1, 2] = v00 + (nx + 1)
+    return triangulation_from_arrays(nodes.reshape(-1, 2), triangles.reshape(-1, 3))
 
 
 def _angle_report(e: np.ndarray, length: np.ndarray) -> AngleReport:
@@ -237,7 +233,7 @@ def _angle_report(e: np.ndarray, length: np.ndarray) -> AngleReport:
     for k in range(3):
         # The angle at vertex k lies between e[k+2] and -e[k+1]. Negating after
         # the division keeps the -0.0 that right angles give.
-        dot = np.einsum("ij,ij->i", e[(k + 2) % 3], -e[(k + 1) % 3])
+        dot = np.einsum("ij,ij->j", e[(k + 2) % 3], -e[(k + 1) % 3])
         neg = -(dot / (length[(k + 2) % 3] * length[(k + 1) % 3]))
         idx = int(np.argmax(neg))
         if neg[idx] > worst:
@@ -265,14 +261,15 @@ def audit_angles(mesh: Triangulation) -> AngleReport:
 
 
 def element_areas_and_gradients(mesh: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """Areas (n_t,) and P1 basis gradients (n_t, 3, 2) for every element."""
+    """Areas (n_t,) and P1 basis gradients (n_t, 3, 2) for every element; the
+    gradients may be a view whose ``grads[:, k, c]`` are contiguous rows."""
     e = _edges(mesh.nodes, mesh.triangles)
     det = _doubled_areas(e)
     # The gradient of basis k is (-e[k]_y, e[k]_x) over the doubled area.
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    np.divide(e.transpose(1, 0, 2)[..., ::-1], det[:, None, None], out=grads)
-    grads[..., 0] *= -1.0
-    return 0.5 * np.abs(det), grads
+    grads = np.empty((2, 3, len(det)))  # not e itself: a lower resident peak
+    np.divide(e[:, ::-1].transpose(1, 0, 2), det, out=grads)
+    grads[0] *= -1.0
+    return 0.5 * np.abs(det), grads.transpose(2, 1, 0)
 
 
 def write_mesh(mesh: Triangulation, path) -> None:

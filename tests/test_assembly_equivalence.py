@@ -102,6 +102,24 @@ def acute_mesh(nx, ny):
     return triangulation_from_arrays(nodes, triangles)
 
 
+def jittered_mesh(nx, ny, seed):
+    """Structured mesh with every interior node moved by up to a fifth of a
+    cell, so that some angles are obtuse."""
+    mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
+    nodes = mesh.nodes.copy()
+    interior = (nodes > 0.0).all(axis=1) & (nodes < 1.0).all(axis=1)
+    rng = np.random.default_rng(seed)
+    nodes[interior] += rng.uniform(-0.2, 0.2, (int(interior.sum()), 2)) / max(nx, ny)
+    return triangulation_from_arrays(nodes, mesh.triangles)
+
+
+def mixed_orientation(mesh):
+    """The same mesh rebuilt with every other element's last two vertices swapped."""
+    triangles = mesh.triangles.copy()
+    triangles[1::2] = triangles[1::2][:, [0, 2, 1]]
+    return triangulation_from_arrays(mesh.nodes, triangles)
+
+
 MESHES = {
     "structured": lambda: build_structured_mesh(7, 5, 1.3, 0.9),
     "graded": lambda: graded_mesh(6, 8, seed=5),
@@ -182,15 +200,20 @@ def random_state(mesh, seed):
     return State(T=T, N=N, Phi=Phi, step=0, time=0.0)
 
 
-@pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
-def test_scatter_operator_matches_add_at(make_mesh):
-    mesh = make_mesh()
+# Generic geometric factors: no right angle, so no factor is exactly zero.
+JITTERED = {"jittered-mixed": lambda: mixed_orientation(jittered_mesh(8, 8, seed=1))}
+
+
+@pytest.mark.parametrize("name", [*MESHES, *JITTERED])
+def test_scatter_operator_matches_add_at(name):
+    mesh = {**MESHES, **JITTERED}[name]()
     coeff = np.random.default_rng(3).uniform(0.0, 2.0, mesh.n_triangles)
     coeff[::7] = 0.0
     A = build_context(mesh).assemble(coeff)
     ref, zero_slots = add_at_stiffness(mesh, coeff)
     assert np.array_equal(A.toarray(), ref.toarray())
-    assert zero_slots.any()
+    # The right-angled meshes have hypotenuse slots whose factors are all zero.
+    assert zero_slots.any() == (name in MESHES)
     kept = sp.csr_matrix((~zero_slots * 1.0, ref.indices, ref.indptr), shape=ref.shape)
     kept.eliminate_zeros()
     assert np.array_equal(A.indptr, kept.indptr)
@@ -199,9 +222,10 @@ def test_scatter_operator_matches_add_at(make_mesh):
 
 
 ALL_MESHES = {**MESHES, "acute": lambda: acute_mesh(5, 4)}
+MASS_MESHES = {**ALL_MESHES, **JITTERED}
 
 
-@pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
+@pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
 def test_consistent_mass_matches_add_at(make_mesh):
     mesh = make_mesh()
     M, ref = build_context(mesh).mass, add_at_mass(mesh)
@@ -211,7 +235,7 @@ def test_consistent_mass_matches_add_at(make_mesh):
     assert M.has_canonical_format
 
 
-@pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
+@pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
 def test_mass_slots_match_searchsorted_map(make_mesh):
     ctx = build_context(make_mesh())
     slots = ctx.mass_slots

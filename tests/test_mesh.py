@@ -16,7 +16,7 @@ from tumorfem.mesh import (
 )
 
 from oracles import corner_areas_and_gradients, norm_mesh_h, norm_worst_angle, peak_bytes
-from test_assembly_equivalence import acute_mesh, graded_mesh
+from test_assembly_equivalence import acute_mesh, graded_mesh, jittered_mesh
 
 
 def test_single_cell_mesh():
@@ -46,6 +46,22 @@ def test_paper_resolution_mesh_cell_size():
 def test_structured_mesh_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
         build_structured_mesh(*bad)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(7, 5, 1.3, 0.9), (1, 4, 2.0, 0.5), (3, 1, 0.7, 1.9)])
+def test_structured_mesh_equals_a_per_cell_loop(nx, ny, lx, ly):
+    xs, ys = np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1)
+    nodes = [(x, y) for y in ys for x in xs]
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            v00 = j * (nx + 1) + i
+            v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+            triangles += [(v00, v10, v11), (v00, v11, v01)]
+    mesh = build_structured_mesh(nx, ny, lx, ly)
+    assert mesh.nodes.dtype == np.float64 and mesh.triangles.dtype == np.int64
+    assert mesh.nodes.tobytes() == np.array(nodes).tobytes()
+    assert mesh.triangles.tolist() == [list(t) for t in triangles]
 
 
 def test_audit_equilateral_strictly_acute():
@@ -80,17 +96,6 @@ def test_structured_meshes_always_non_obtuse():
         lx, ly = rng.uniform(0.3, 2.5, size=2)
         rep = audit_angles(build_structured_mesh(int(nx), int(ny), lx, ly))
         assert rep.non_obtuse
-
-
-def jittered_mesh(nx, ny, seed):
-    """Structured mesh with every interior node moved by up to a fifth of a
-    cell, so that some angles are obtuse."""
-    mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
-    nodes = mesh.nodes.copy()
-    interior = (nodes > 0.0).all(axis=1) & (nodes < 1.0).all(axis=1)
-    rng = np.random.default_rng(seed)
-    nodes[interior] += rng.uniform(-0.2, 0.2, (int(interior.sum()), 2)) / max(nx, ny)
-    return triangulation_from_arrays(nodes, mesh.triangles)
 
 
 def clockwise(mesh):
@@ -147,11 +152,11 @@ def test_areas_and_gradients_equal_the_corner_formulas(make_mesh):
 
 
 def test_mesh_setup_peak_memory_per_element():
-    # Validation forms one corner gather and one edge array and takes the
-    # angle audit from them, peaking near 235 bytes per element;
-    # element_areas_and_gradients forms its own, near 120, and audit_angles
-    # returns the stored report. A second gather or a per-quantity edge
-    # copy breaks these bounds.
+    # Validation gathers the corners one coordinate at a time into one edge
+    # array and takes the angle audit from it, peaking near 185 bytes per
+    # element; element_areas_and_gradients forms its own, near 120, and
+    # audit_angles returns the stored report. A second gather or a
+    # per-quantity edge copy breaks these bounds.
     nx = 120
     nt = 2 * nx * nx
     assert peak_bytes(build_structured_mesh, nx, nx, 1.0, 1.0) / nt < 270
