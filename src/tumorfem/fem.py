@@ -30,9 +30,12 @@ reduction of a nonlinear diffusion coefficient to one value per element,
 done upstream by evaluating it at the element's vertex averages.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import csr_product
 from .mesh import Triangulation, element_areas_and_gradients
 
 __all__ = [
@@ -114,14 +117,19 @@ class FemContext:
                                       shape=(len(kept_ptr) - 1, nt))
         del geom, elements, slot_ptr, counts, entries
         self.mass_slots = np.flatnonzero(kept)
-        self._indices = self.mass.indices[self.mass_slots]
+        indices = self.mass.indices[self.mass_slots]
         stiffness_rows = slot_rows[kept]
-        self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(stiffness_rows, minlength=n), out=self._indptr[1:])
-        self.diagonal_slots = np.flatnonzero(stiffness_rows == self._indices)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(stiffness_rows, minlength=n), out=indptr[1:])
+        self.diagonal_slots = np.flatnonzero(stiffness_rows == indices)
         # Every assembled matrix shares the pattern; a structural change in place raises.
-        self._indices.flags.writeable = False
-        self._indptr.flags.writeable = False
+        indices.flags.writeable = False
+        indptr.flags.writeable = False
+        # The pattern-only matrix that assemble copies. Its data is one zero
+        # seen through a zero stride, so it holds no value per entry.
+        self._template = sp.csr_matrix(
+            (np.broadcast_to(0.0, indices.shape), indices, indptr), shape=(n, n)
+        )
         energy_data = self.mass.data.copy()
         energy_data[self.mass_slots] += self._scatter @ np.ones(nt)
         self.energy = sp.csr_matrix((energy_data, self.mass.indices, self.mass.indptr), shape=(n, n))
@@ -143,21 +151,24 @@ class FemContext:
 
         On a non-obtuse mesh the result has nonpositive off-diagonal entries
         and zero row sums. Entries whose geometric factors are all exactly
-        zero are not stored. Each call returns a new ``data`` array, which
-        may be modified in place; ``indices`` and ``indptr`` are the
-        context's own read-only arrays, so an in-place structural operation
-        such as ``eliminate_zeros()`` raises instead of changing them.
+        zero are not stored. The result is a shallow copy of the context's
+        pattern-only template with ``data`` set to ``S @ coeff``, so no sparse
+        constructor runs. Each call returns a new ``data`` array, which may
+        be modified in place; ``indices`` and ``indptr`` are the context's
+        own read-only arrays, shared by every assembled matrix, so an
+        in-place structural operation such as ``eliminate_zeros()`` raises
+        instead of changing them.
         """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.shape != (self.mesh.n_triangles,):
             raise ValueError(
                 f"coefficient array has shape {coeff.shape}, expected ({self.mesh.n_triangles},)"
             )
-        if np.any(coeff < 0.0):
+        if coeff.min(initial=0.0) < 0.0:  # NaN passes, as it passes np.any(coeff < 0.0)
             raise ValueError("stiffness coefficients must be nonnegative")
-        return sp.csr_matrix(
-            (self._scatter @ coeff, self._indices, self._indptr), shape=self.mass.shape
-        )
+        A = copy.copy(self._template)
+        A.data = csr_product(self._scatter, coeff)
+        return A
 
 
 StiffnessTemplate = FemContext  # only perfbench's tracer uses this name
@@ -176,4 +187,4 @@ def norms(ctx: FemContext, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != ctx.mesh.n_vertices:
         raise ValueError("field length does not match mesh")
-    return max(0.0, float(f @ (ctx.energy @ f)))
+    return max(0.0, float(f @ csr_product(ctx.energy, f)))

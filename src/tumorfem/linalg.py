@@ -3,7 +3,19 @@
 Matrices are SciPy CSR matrices in canonical form (sorted indices, no
 duplicates); the row-offset / column-index / value triplet is exposed as
 ``A.indptr`` / ``A.indices`` / ``A.data``. Vectors are plain 1-D numpy
-arrays. Two Krylov solvers are written out explicitly, so iteration counts
+arrays.
+
+Every per-step sparse product goes through ``csr_product(A, x)``. It calls
+``csr_matvec`` from ``scipy.sparse._sparsetools``, the compiled kernel that
+``A @ x`` itself ends in, on a zeroed output, so its result is ``A @ x`` bit
+for bit: the same kernel sums each row in the same order from the same
+zero. It skips what ``@`` does around that call (operand dispatch, shape
+and dtype inference), which at n = 1,681 is about a quarter of a
+product's cost. The tests compare it with ``@`` on every matrix a FEM
+context holds, so a SciPy release that moves the private kernel fails
+there.
+
+Two Krylov solvers are written out explicitly, so iteration counts
 and residuals are deterministic and reportable per step:
 
 * ``cg_solve``, unpreconditioned conjugate gradient, for the symmetric
@@ -40,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
-__all__ = ["CgError", "CgResult", "bicgstab_solve", "cg_solve"]
+__all__ = ["CgError", "CgResult", "bicgstab_solve", "cg_solve", "csr_product"]
 
 # Solver inputs are zeroed below this fraction of their vector's largest
 # magnitude (see the module docstring).
@@ -73,22 +86,33 @@ class CgError(RuntimeError):
                 f"(relative residual {self.residual:.3e})")
 
 
-def _zeroed(v: np.ndarray, copy: bool) -> np.ndarray:
-    """``v`` with its entries below ``_NEGLIGIBLE`` times its largest magnitude zeroed.
+def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a CSR matrix ``A`` and a float vector ``x``, bit for bit, as a new array.
+
+    Raises ``ValueError`` if ``x`` is not a vector of A's column count: the
+    kernel would read past its end.
+    """
+    rows, cols = A.shape
+    if x.shape != (cols,):
+        raise ValueError(f"dimension mismatch: matrix {A.shape}, vector {x.shape}")
+    y = np.zeros(rows)
+    csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
+def _zeroed(v: np.ndarray) -> np.ndarray:
+    """``v`` with entries below ``_NEGLIGIBLE`` times its largest magnitude zeroed, as a new array.
 
     The one magnitude scan also gives the finiteness verdict: ``ValueError``
     if an entry is not finite, which makes the largest magnitude NaN or
-    infinite. A zeroed entry keeps its sign, so exact zeros stay as they are;
-    ``v`` itself is returned if none is zeroed, unless ``copy``.
+    infinite. Every entry is multiplied by 1.0 or 0.0, so a kept entry keeps
+    its value and a zeroed one its sign.
     """
     magnitude = np.abs(v)
     top = magnitude.max(initial=0.0)
     if not math.isfinite(top):
         raise ValueError("right-hand side and initial guess must be finite")
-    floor = _NEGLIGIBLE * top
-    if magnitude.min(initial=floor) < floor:
-        return v * (magnitude >= floor).astype(float)
-    return np.array(v, dtype=float) if copy else v
+    return np.multiply(v, magnitude >= _NEGLIGIBLE * top, dtype=float)
 
 
 def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarray | None,
@@ -107,14 +131,15 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarr
         raise ValueError("tol must be positive")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
-    b_zeroed = _zeroed(b, copy=False)
-    x = np.zeros(n) if x0 is None else _zeroed(x0, copy=True)  # the solvers write x
+    r = _zeroed(b)
+    x = np.zeros(n) if x0 is None else _zeroed(x0)  # the solvers write x
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0, b, b
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
-    return None, maxit or 10 * n, b_norm, b_zeroed - A @ x, x
+    r -= csr_product(A, x)
+    return None, maxit or 10 * n, b_norm, r, x
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -141,9 +166,8 @@ def cg_solve(
     if done is not None:
         return done
 
-    p = r.copy()
-    scratch = np.empty(len(r))
     rr = float(r @ r)
+    p = scratch = None  # the first iteration makes them; a start that converged needs neither
 
     # The updates run in place in the order of x + alpha * p, r - alpha * Ap
     # and r + beta * p. The root of r @ r is exactly np.linalg.norm(r) for a
@@ -156,7 +180,9 @@ def cg_solve(
             raise CgError(it, res / b_norm, "CG residual is not finite at iteration {}")
         if it == maxit:
             break
-        Ap = A @ p
+        if p is None:
+            p, scratch = r.copy(), np.empty(len(r))
+        Ap = csr_product(A, p)
         alpha = rr / float(p @ Ap)
         np.add(x, np.multiply(alpha, p, out=scratch), out=x)
         np.subtract(r, np.multiply(alpha, Ap, out=Ap), out=r)
@@ -227,7 +253,7 @@ def bicgstab_solve(
         np.subtract(p, np.multiply(omega, v, out=scratch), out=p)
         np.add(r, np.multiply(beta, p, out=p), out=p)
         np.multiply(inv_diag, p, out=p_hat)
-        v = A @ p_hat
+        v = csr_product(A, p_hat)
         r0v = float(r0 @ v)
         if r0v == 0.0:
             raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (r0 . v = 0) at iteration {}")
@@ -240,7 +266,7 @@ def bicgstab_solve(
         if not math.isfinite(res):
             raise CgError(it + 1, res / b_norm, "BiCGSTAB residual is not finite at iteration {}")
         np.multiply(inv_diag, r, out=s_hat)
-        t = A @ s_hat
+        t = csr_product(A, s_hat)
         tt = float(t @ t)
         omega = float(t @ r) / tt if tt else 0.0
         if omega == 0.0:

@@ -48,7 +48,7 @@ from . import model
 # MeshSpec is imported only for perfbench, which times scheme.MeshSpec.build.
 from .config import MeshSpec, RunConfig, SchemeVariant, SolverOptions
 from .fem import FemContext, build_context, norms
-from .linalg import CgError, bicgstab_solve, cg_solve
+from .linalg import CgError, bicgstab_solve, cg_solve, csr_product
 from .mesh import Triangulation, audit_angles
 from .model import ModelParams, State
 
@@ -136,9 +136,12 @@ def element_diffusivity(ctx: FemContext, T: np.ndarray, Phi: np.ndarray, p: Mode
     elementwise, which preserves the matrix sign structure the bound
     proofs need.
     """
-    t_avg = (ctx.vertex_sum @ T) / 3.0
-    phi_avg = (ctx.vertex_sum @ Phi) / 3.0
-    return p.kappa1 * model.vascular_fraction(phi_avg, t_avg, p.K) + p.kappa0
+    t_avg = csr_product(ctx.vertex_sum, T)
+    t_avg /= 3.0
+    phi_avg = csr_product(ctx.vertex_sum, Phi)
+    phi_avg /= 3.0
+    kappa = model.vascular_fraction(phi_avg, t_avg, p.K)
+    return np.add(np.multiply(p.kappa1, kappa, out=kappa), p.kappa0, out=kappa)
 
 
 def _check_fields(d: StepDiagnostics, nonnegative: bool) -> None:
@@ -186,7 +189,7 @@ def _certify_m_matrix(B: sp.csr_matrix, diagonal_slots: np.ndarray, step: int) -
         above = data > tol
         above[diagonal_slots] = False
         fail(f"has a positive off-diagonal entry in row {row_of(np.argmax(above))}")
-    row_sums = B @ np.ones(len(diag))
+    row_sums = csr_product(B, np.ones(len(diag)))
     if not row_sums.min() >= -tol:
         fail(f"is not row diagonally dominant in row {int(np.argmin(row_sums))}")
     return diag
@@ -206,9 +209,10 @@ def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
     from it in the max norm (Varga, Matrix Iterative Analysis, 1962, ch. 3).
     """
     np.minimum(B.data, 0.0, out=B.data)
-    y = (rhs - B @ np.clip(x, 0.0, K)) / d
+    y = (rhs - csr_product(B, np.clip(x, 0.0, K))) / d
     rhs_norm = float(np.linalg.norm(rhs))
-    return y, float(np.linalg.norm(rhs - d * y - B @ y)) / rhs_norm if rhs_norm else 0.0
+    residual = rhs - d * y - csr_product(B, y)
+    return y, float(np.linalg.norm(residual)) / rhs_norm if rhs_norm else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -267,21 +271,21 @@ def step(
         source, decay = model.imex_coefficients_T(T, N, Phi, P, root, p)
     else:
         f1, f2, f3 = model.reactions(T, N, Phi, p)
-        phi_new = Phi + dt * (M @ f3) / m
-        n_new = N + dt * (M @ f2) / m
+        phi_new = Phi + dt * csr_product(M, f3) / m
+        n_new = N + dt * csr_product(M, f2) / m
         decay = 0.0
     if lumped:
         diag = ctx.diagonal_slots
         A.data[diag] = (A.data[diag] + m / dt) + m * decay
         B = A
-        rhs = m * (T / dt + source) if split else m * (T / dt) + M @ f1
+        rhs = m * (T / dt + source) if split else m * (T / dt) + csr_product(M, f1)
         D = _certify_m_matrix(B, diag, k)
     else:
         data = M.data * (1.0 / dt)
         data[ctx.mass_slots] += A.data
         data += M.data * decay[M.indices]
         B = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
-        rhs = M @ (T / dt + source)
+        rhs = csr_product(M, T / dt + source)
     if guess is None or not np.isfinite(guess).all():
         guess = T
     try:
@@ -302,17 +306,24 @@ def step(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _extrapolate(T: np.ndarray, diffs: list[np.ndarray]) -> np.ndarray | None:
-    """The start for the next solve; ``None`` means ``T`` itself.
+def _extrapolate(T: np.ndarray, previous: np.ndarray | None, buffer: np.ndarray | None,
+                 diffs: list[np.ndarray]) -> np.ndarray | None:
+    """The start for the solve from ``T = T^k``; ``None`` means ``T`` itself.
 
-    With ``T = T^k`` and ``diffs`` holding ``T^k - T^{k-1}`` and then
-    ``T^{k-1} - T^{k-2}`` (as far as they exist), the start is ``T^k``,
-    ``2T^k - T^{k-1}`` or ``3T^k - 3T^{k-1} + T^{k-2}``: the polynomial
-    through the last one, two or three fields, evaluated one step ahead
-    (Fischer, CMAME 163, 1998). The quadratic start is written over the
-    older difference, which it no longer needs. An overflow leaves a
-    non-finite start, which ``step`` replaces with ``T``.
+    ``previous`` is ``T^{k-1}`` (``None`` before the first step) and
+    ``buffer`` the start of the last solve, which that solve has copied.
+    ``T - previous`` is written over ``buffer`` and put in front of
+    ``diffs``, which keeps ``T^k - T^{k-1}`` and then ``T^{k-1} - T^{k-2}``
+    (as far as they exist). The start is ``T^k``, ``2T^k - T^{k-1}`` or
+    ``3T^k - 3T^{k-1} + T^{k-2}``: the polynomial through the last one, two
+    or three fields, evaluated one step ahead (Fischer, CMAME 163, 1998).
+    The quadratic start is written over the older difference, which it no
+    longer needs. An overflow leaves a non-finite difference or start,
+    which only makes a start non-finite, and ``step`` replaces such a start
+    with ``T``.
     """
+    if previous is not None:
+        diffs[:] = [np.subtract(T, previous, out=buffer), *diffs[:1]]
     if not diffs:
         return None
     if len(diffs) == 1:
@@ -367,15 +378,12 @@ def run(
     diags = [_field_diag(state, 0, 0.0)]
     energy = 0.0
     diffs: list[np.ndarray] = []  # T^k - T^{k-1}, T^{k-1} - T^{k-2}; the run's own arrays
+    previous = guess = None
     for _ in range(config.n_steps):
-        T = state.T
-        guess = _extrapolate(T, diffs)
+        guess = _extrapolate(state.T, previous, guess, diffs)
+        previous = state.T
         state, d = stepper(state, ctx, config.params, config.dt, solver=config.solver,
                            guess=guess)
-        # The solve has copied its start, so its buffer takes the newest
-        # difference; one that overflows only makes the next start non-finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs = [np.subtract(state.T, T, out=guess), *diffs[:1]]
         energy += config.dt * norms(ctx, state.T)
         d.energy_acc = energy
         diags.append(d)

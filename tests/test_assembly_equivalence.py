@@ -9,7 +9,9 @@ kept here in that direct form, with a scatter-add for the consistent mass
 and a key search for the map from the stiffness slots into the mass
 pattern. A step evaluates the vascular factors once for all split reactions
 and shares the template's pattern with every matrix it assembles; the
-tests at the end pin both against the independent evaluation.
+tests at the end pin both against the independent evaluation, pin
+``csr_product`` to ``@`` bit for bit on every matrix a context holds, and
+count the sparse constructors a step calls.
 """
 
 from dataclasses import replace
@@ -17,11 +19,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed
 
 from tumorfem import scheme
 from tumorfem.cli import build_preset
 from tumorfem.config import SchemeVariant, SolverOptions
 from tumorfem.fem import build_context
+from tumorfem.linalg import csr_product
 from tumorfem.mesh import (
     audit_angles,
     build_structured_mesh,
@@ -389,6 +393,9 @@ def test_assembled_matrices_share_the_read_only_pattern():
     assert not A.indptr.flags.writeable
     assert np.shares_memory(A.indices, A2.indices)
     assert np.shares_memory(A.indptr, A2.indptr)
+    # The template the matrices are copied from holds no value per entry.
+    assert ctx._template.data.strides == (0,)
+    assert A.indices is ctx._template.indices
     # Only the values are fresh, and they are the caller's to change.
     assert A.data.flags.writeable
     assert not np.shares_memory(A.data, A2.data)
@@ -406,8 +413,8 @@ def test_steps_leave_template_and_unit_stiffness_unchanged(variant):
     ctx = build_context(mesh)
 
     def fixed_arrays():
-        S, E = ctx._scatter, ctx.energy
-        return (ctx._indices, ctx._indptr, ctx.diagonal_slots, S.data, S.indices, S.indptr,
+        P, S, E = ctx._template, ctx._scatter, ctx.energy
+        return (P.data, P.indices, P.indptr, ctx.diagonal_slots, S.data, S.indices, S.indptr,
                 E.data, E.indices, E.indptr, ctx.mass.data, ctx.mass.indices, ctx.mass.indptr,
                 ctx.lumped, ctx.mass_slots)
 
@@ -418,3 +425,55 @@ def test_steps_leave_template_and_unit_stiffness_unchanged(variant):
                         variant=variant)
     for old, new in zip(before, fixed_arrays(), strict=True):
         assert np.array_equal(old, new)
+
+
+def product_inputs(n, rng):
+    """A finite vector with signed zeros and subnormals, and one with infinities and NaN too."""
+    finite = rng.standard_normal(n)
+    finite[rng.choice(n, 4, replace=False)] = [0.0, -0.0, 5e-324, -2.5e-310]
+    special = finite.copy()
+    special[rng.choice(n, 3, replace=False)] = [np.inf, -np.inf, np.nan]
+    return finite, special
+
+
+@pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
+def test_csr_product_equals_matmul_bit_for_bit(make_mesh):
+    mesh = make_mesh()
+    ctx = build_context(mesh)
+    rng = np.random.default_rng(12)
+    B = ctx.assemble(rng.uniform(0.0, 2.0, mesh.n_triangles))
+    B.data[ctx.diagonal_slots] += ctx.lumped / 0.05
+    system = B.copy()
+    np.minimum(B.data, 0.0, out=B.data)  # the sweep's off-diagonal part
+    matrices = {"mass": ctx.mass, "energy": ctx.energy, "vertex_sum": ctx.vertex_sum,
+                "scatter": ctx._scatter, "system": system, "min(system, 0)": B}
+    for name, A in matrices.items():
+        for x in (*product_inputs(A.shape[1], rng), np.full(A.shape[1], -0.0)):
+            got, want = csr_product(A, x), A @ x
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            csr_product(A, np.ones(A.shape[1] + 1))
+
+
+@pytest.mark.parametrize("variant, constructed", [
+    (SchemeVariant.IMEX_LUMPED, 0),
+    (SchemeVariant.EXPLICIT_LUMPED, 0),
+    (SchemeVariant.IMEX_CONSISTENT, 3),  # its system on the mass pattern, one per step
+], ids=lambda v: getattr(v, "value", None))
+def test_lumped_steps_construct_no_sparse_matrix(variant, constructed, monkeypatch):
+    mesh = graded_mesh(6, 8, seed=5)
+    ctx = build_context(mesh)
+    calls = []
+    init = scipy.sparse._compressed._cs_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "__init__", counting_init)
+    state = random_state(mesh, seed=4)
+    for _ in range(3):
+        state, _ = step(state, ctx, COMPARABLE_TERMS, 0.05, SolverOptions(tol=1e-12),
+                        variant=variant)
+    assert len(calls) == constructed
