@@ -69,21 +69,15 @@ class CgResult:
 
 
 class CgError(RuntimeError):
-    """A Krylov solve failed: no convergence, a breakdown or a norm that is not finite.
+    """A Krylov solve failed: no convergence, a breakdown or a norm that is not finite."""
 
-    ``failure`` is the message with ``{}`` where the iteration count goes.
-    """
-
-    def __init__(self, iterations: int, residual: float,
-                 failure: str = "CG did not converge within {} iterations"):
-        super().__init__(iterations, residual, failure)  # args rebuild the error when unpickled
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(message, iterations, residual)  # args rebuild the error when unpickled
         self.iterations = iterations
         self.residual = residual
-        self.failure = failure
 
     def __str__(self) -> str:
-        return (f"{self.failure.format(self.iterations)} "
-                f"(relative residual {self.residual:.3e})")
+        return f"{self.args[0]} (relative residual {self.residual:.3e})"
 
 
 def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -131,13 +125,14 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarr
         raise ValueError("tol must be positive")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
+    b = np.asarray(b, dtype=float)
     r = _zeroed(b)
     x = np.zeros(n) if x0 is None else _zeroed(x0)  # the solvers write x
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(float(b @ b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0, b, b
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
-        raise CgError(0, math.nan, f"{name} right-hand side norm is not finite at iteration {{}}")
+        raise CgError(f"{name} right-hand side norm is not finite at iteration 0", 0, math.nan)
     r -= csr_product(A, x)
     return None, maxit or 10 * n, b_norm, r, x
 
@@ -169,15 +164,13 @@ def cg_solve(
     rr = float(r @ r)
     p = scratch = None  # the first iteration makes them; a start that converged needs neither
 
-    # The updates run in place in the order of x + alpha * p, r - alpha * Ap
-    # and r + beta * p. The root of r @ r is exactly np.linalg.norm(r) for a
-    # 1-D float vector.
+    # The updates run in place in the order of x + alpha * p, r - alpha * Ap and r + beta * p.
     for it in range(maxit + 1):
         res = math.sqrt(rr)
         if res <= tol * b_norm:
             return CgResult(x=x, iterations=it, residual=res / b_norm)
         if not math.isfinite(res):  # NaN and infinity fail the test above
-            raise CgError(it, res / b_norm, "CG residual is not finite at iteration {}")
+            raise CgError(f"CG residual is not finite at iteration {it}", it, res / b_norm)
         if it == maxit:
             break
         if p is None:
@@ -189,7 +182,7 @@ def cg_solve(
         rr_new = float(r @ r)
         np.add(r, np.multiply(rr_new / rr, p, out=p), out=p)
         rr = rr_new
-    raise CgError(maxit, res / b_norm)
+    raise CgError(f"CG did not converge within {maxit} iterations", maxit, res / b_norm)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -243,12 +236,13 @@ def bicgstab_solve(
         if res <= target:
             return CgResult(x=x, iterations=it, residual=res / b_norm)
         if not math.isfinite(res):
-            raise CgError(it, res / b_norm, "BiCGSTAB residual is not finite at iteration {}")
+            raise CgError(f"BiCGSTAB residual is not finite at iteration {it}", it, res / b_norm)
         if it == maxit:
             break
+        k = it + 1  # the iteration this pass makes, reported from here on
         rho = float(r0 @ r)
         if rho == 0.0:
-            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (rho = 0) at iteration {}")
+            raise CgError(f"BiCGSTAB broke down (rho = 0) at iteration {k}", k, res / b_norm)
         beta = (rho / rho_old) * (alpha / omega)
         np.subtract(p, np.multiply(omega, v, out=scratch), out=p)
         np.add(r, np.multiply(beta, p, out=p), out=p)
@@ -256,24 +250,24 @@ def bicgstab_solve(
         v = csr_product(A, p_hat)
         r0v = float(r0 @ v)
         if r0v == 0.0:
-            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (r0 . v = 0) at iteration {}")
+            raise CgError(f"BiCGSTAB broke down (r0 . v = 0) at iteration {k}", k, res / b_norm)
         alpha = rho / r0v
         np.subtract(r, np.multiply(alpha, v, out=scratch), out=r)
         res = math.sqrt(float(r @ r))
         if res <= target:
             np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
-            return CgResult(x=x, iterations=it + 1, residual=res / b_norm)
+            return CgResult(x=x, iterations=k, residual=res / b_norm)
         if not math.isfinite(res):
-            raise CgError(it + 1, res / b_norm, "BiCGSTAB residual is not finite at iteration {}")
+            raise CgError(f"BiCGSTAB residual is not finite at iteration {k}", k, res / b_norm)
         np.multiply(inv_diag, r, out=s_hat)
         t = csr_product(A, s_hat)
         tt = float(t @ t)
         omega = float(t @ r) / tt if tt else 0.0
         if omega == 0.0:
-            raise CgError(it + 1, res / b_norm, "BiCGSTAB broke down (omega = 0) at iteration {}")
+            raise CgError(f"BiCGSTAB broke down (omega = 0) at iteration {k}", k, res / b_norm)
         np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
         np.add(x, np.multiply(omega, s_hat, out=scratch), out=x)
         np.subtract(r, np.multiply(omega, t, out=t), out=r)
         res = math.sqrt(float(r @ r))
         rho_old = rho
-    raise CgError(maxit, res / b_norm, "BiCGSTAB did not converge within {} iterations")
+    raise CgError(f"BiCGSTAB did not converge within {maxit} iterations", maxit, res / b_norm)

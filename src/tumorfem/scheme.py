@@ -210,9 +210,9 @@ def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
     """
     np.minimum(B.data, 0.0, out=B.data)
     y = (rhs - csr_product(B, np.clip(x, 0.0, K))) / d
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = math.sqrt(float(rhs @ rhs))
     residual = rhs - d * y - csr_product(B, y)
-    return y, float(np.linalg.norm(residual)) / rhs_norm if rhs_norm else 0.0
+    return y, math.sqrt(float(residual @ residual)) / rhs_norm if rhs_norm else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -371,6 +371,16 @@ def test_rhs_whose_norm_overflows_raises(solve, name):
         solve(sp.identity(4, format="csr"), np.full(4, 1e200))
 
 
+@pytest.mark.parametrize("solve, matrix", [(cg_solve, random_spd), (bicgstab_solve, random_dominant)],
+                         ids=["cg", "bicgstab"])
+def test_rhs_given_as_a_list_solves_as_its_array(solve, matrix):
+    A = matrix(6, np.random.default_rng(47))
+    b = [1.0, -2.0, 0.5, 3, 0.0, 1e-3]
+    got, want = solve(A, b, tol=1e-12), solve(A, np.array(b, dtype=float), tol=1e-12)
+    assert np.array_equal(got.x, want.x)
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
 def spanning(n, rng):
     """Entries of random sign whose magnitudes fall from 1 to 1e-300 along the index."""
     return rng.choice([-1.0, 1.0], n) * np.logspace(0.0, -300.0, n)

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tumorfem import scheme
 from tumorfem.cli import build_preset
@@ -18,7 +19,7 @@ from tumorfem.config import (
     SolverOptions,
 )
 from tumorfem.fem import build_context, norms
-from tumorfem.linalg import CgError
+from tumorfem.linalg import CgError, bicgstab_solve, cg_solve
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import (
@@ -195,8 +196,6 @@ def test_step_system_residual_self_check(variant):
     # Post-verify the solved tumor system through a matrix-vector product,
     # independent of the CG internals, and the residual the step reports
     # against that recomputed one.
-    import scipy.sparse as sp
-
     from tumorfem.model import imex_coefficients_T, reactions, vascular_factors
 
     mesh = build_structured_mesh(10, 10, 1.0, 1.0)
@@ -447,17 +446,37 @@ def test_on_step_sees_every_state_in_order():
         assert (s.time, float(s.T.min()), float(s.N.max())) == (d.time, d.min_t, d.max_n)
 
 
+def solver_error(solve, A, b, **kwargs):
+    """The ``CgError`` that ``solve`` raises on the system ``A x = b``."""
+    with pytest.raises(CgError) as err:
+        solve(sp.csr_matrix(A), np.array(b), **kwargs)
+    return err.value
+
+
+# The last three cases are raised by the solvers themselves: their texts are
+# what a failed run prints for those exits.
 @pytest.mark.parametrize("exc, attrs, text", [
-    (CgError(5, 1.25e-3), ("iterations", "residual"),
+    (CgError("CG did not converge within 5 iterations", 5, 1.25e-3), ("iterations", "residual"),
      "CG did not converge within 5 iterations (relative residual 1.250e-03)"),
     (SchemeError(3, "system matrix is not row diagonally dominant in row 7"), ("step",),
      "step 3: system matrix is not row diagonally dominant in row 7"),
-    (SchemeError(1, str(CgError(1, 0.5))), ("step",),
+    (SchemeError(1, str(CgError("CG did not converge within 1 iterations", 1, 0.5))), ("step",),
      "step 1: CG did not converge within 1 iterations (relative residual 5.000e-01)"),
-    (CgError(2, 0.25, "BiCGSTAB broke down (rho = 0) at iteration {}"),
-     ("iterations", "residual", "failure"),
+    (CgError("BiCGSTAB broke down (rho = 0) at iteration 2", 2, 0.25),
+     ("iterations", "residual"),
      "BiCGSTAB broke down (rho = 0) at iteration 2 (relative residual 2.500e-01)"),
-], ids=["cg", "scheme", "scheme-from-cg", "bicgstab"])
+    (solver_error(cg_solve, [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]],
+                  [1.0, 0.0, 0.0], maxit=1),
+     ("iterations", "residual"),
+     "CG did not converge within 1 iterations (relative residual 5.000e-01)"),
+    (solver_error(bicgstab_solve, [[1.0, 2.0, -2.0], [-2.0, 1.0, 0.0], [-2.0, -1.0, 1.0]],
+                  [-2.0, -1.0, 0.0]),
+     ("iterations", "residual"),
+     "BiCGSTAB broke down (rho = 0) at iteration 2 (relative residual 9.759e-01)"),
+    (solver_error(bicgstab_solve, np.identity(4), np.full(4, 1e200)), ("iterations",),
+     "BiCGSTAB right-hand side norm is not finite at iteration 0 (relative residual nan)"),
+], ids=["cg", "scheme", "scheme-from-cg", "bicgstab", "cg-maxit", "bicgstab-breakdown",
+        "rhs-norm-overflow"])
 def test_step_errors_survive_a_pickle_round_trip(exc, attrs, text):
     # Worker pools pickle an exception raised in a worker back to the parent.
     back = pickle.loads(pickle.dumps(exc))
