@@ -160,10 +160,6 @@ class FemContext:
         instead of changing them.
         """
         coeff = np.asarray(coeff, dtype=float)
-        if coeff.shape != (self.mesh.n_triangles,):
-            raise ValueError(
-                f"coefficient array has shape {coeff.shape}, expected ({self.mesh.n_triangles},)"
-            )
         if coeff.min(initial=0.0) < 0.0:  # NaN passes, as it passes np.any(coeff < 0.0)
             raise ValueError("stiffness coefficients must be nonnegative")
         A = copy.copy(self._template)
@@ -185,6 +181,4 @@ def norms(ctx: FemContext, f: np.ndarray) -> float:
     through ``ctx.energy``.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape[0] != ctx.mesh.n_vertices:
-        raise ValueError("field length does not match mesh")
     return max(0.0, float(f @ csr_product(ctx.energy, f)))

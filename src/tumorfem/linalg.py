@@ -25,10 +25,11 @@ and residuals are deterministic and reportable per step:
   consistent-mass system, whose diagonal the mass matrix dominates.
 
 Both stop on, and return, the unpreconditioned relative residual of the
-returned iterate as their recurrence carries it. They update preallocated
-buffers in place, and raise ``CgError`` instead of returning an unconverged
-or non-finite iterate. That error is how they report overflow: floating-point
-overflow and invalid operations inside a solve emit no numpy warning.
+returned iterate as their recurrence carries it, and return ``||b||_2``, its
+scale. They update preallocated buffers in place, and raise ``CgError``
+instead of returning an unconverged or non-finite iterate. That error is how
+they report overflow: floating-point overflow and invalid operations inside
+a solve emit no numpy warning.
 
 Before the first residual, both zero every entry of ``b`` and of ``x0``
 whose magnitude is below ``_NEGLIGIBLE = 1e-200`` times that vector's
@@ -66,6 +67,7 @@ class CgResult:
     x: np.ndarray
     iterations: int
     residual: float  # relative 2-norm residual at exit
+    b_norm: float  # ||b||_2, the scale of the stop test
 
 
 class CgError(RuntimeError):
@@ -83,12 +85,12 @@ class CgError(RuntimeError):
 def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for a CSR matrix ``A`` and a float vector ``x``, bit for bit, as a new array.
 
-    Raises ``ValueError`` if ``x`` is not a vector of A's column count: the
-    kernel would read past its end.
+    The one check of the product's shapes: ``ValueError`` if ``x`` is not a
+    vector of A's column count, which the kernel would read past the end of.
     """
     rows, cols = A.shape
     if x.shape != (cols,):
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, vector {x.shape}")
+        raise ValueError(f"dimension mismatch: matrix shape {A.shape}, vector shape {x.shape}")
     y = np.zeros(rows)
     csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, y)
     return y
@@ -130,7 +132,7 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarr
     x = np.zeros(n) if x0 is None else _zeroed(x0)  # the solvers write x
     b_norm = math.sqrt(float(b @ b))
     if b_norm == 0.0:
-        return CgResult(x=np.zeros(n), iterations=0, residual=0.0), 0, 0.0, b, b
+        return CgResult(x=np.zeros(n), iterations=0, residual=0.0, b_norm=0.0), 0, 0.0, b, b
     if not math.isfinite(b_norm):  # finite entries whose squares overflow
         raise CgError(f"{name} right-hand side norm is not finite at iteration 0", 0, math.nan)
     r -= csr_product(A, x)
@@ -168,7 +170,7 @@ def cg_solve(
     for it in range(maxit + 1):
         res = math.sqrt(rr)
         if res <= tol * b_norm:
-            return CgResult(x=x, iterations=it, residual=res / b_norm)
+            return CgResult(x=x, iterations=it, residual=res / b_norm, b_norm=b_norm)
         if not math.isfinite(res):  # NaN and infinity fail the test above
             raise CgError(f"CG residual is not finite at iteration {it}", it, res / b_norm)
         if it == maxit:
@@ -234,7 +236,7 @@ def bicgstab_solve(
     res = math.sqrt(float(r @ r))
     for it in range(maxit + 1):
         if res <= target:
-            return CgResult(x=x, iterations=it, residual=res / b_norm)
+            return CgResult(x=x, iterations=it, residual=res / b_norm, b_norm=b_norm)
         if not math.isfinite(res):
             raise CgError(f"BiCGSTAB residual is not finite at iteration {it}", it, res / b_norm)
         if it == maxit:
@@ -256,7 +258,7 @@ def bicgstab_solve(
         res = math.sqrt(float(r @ r))
         if res <= target:
             np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
-            return CgResult(x=x, iterations=k, residual=res / b_norm)
+            return CgResult(x=x, iterations=k, residual=res / b_norm, b_norm=b_norm)
         if not math.isfinite(res):
             raise CgError(f"BiCGSTAB residual is not finite at iteration {k}", k, res / b_norm)
         np.multiply(inv_diag, r, out=s_hat)

@@ -12,7 +12,7 @@ and reaction treatment (split or explicit):
   non-obtuse mesh its tumor system matrix is an M-matrix, so the fields
   provably stay inside [0, K] (and N never decreases). One monotone sweep
   after CG makes T >= 0 hold as computed, and a step whose fields break
-  a lower bound raises ``SchemeError``.
+  a lower bound, or that lowers N, raises ``SchemeError``.
 * ``EXPLICIT_LUMPED`` keeps the implicit lumped diffusion but moves the
   unsplit reactions wholesale to the right-hand side, assembled with the
   consistent mass matrix. It is the comparison scheme whose bound
@@ -64,7 +64,7 @@ __all__ = [
 
 class SchemeError(RuntimeError):
     """A step failed (no convergence, non-finite values, no M-matrix, a broken
-    lower bound); carries the step index."""
+    lower bound, a falling N); carries the step index."""
 
     def __init__(self, step: int, message: str):
         super().__init__(step, message)  # args rebuild the error when unpickled
@@ -202,17 +202,16 @@ def _monotone_sweep(B: sp.csr_matrix, d: np.ndarray, rhs: np.ndarray,
     ``d`` is the diagonal ``D`` that ``_certify_m_matrix`` proved positive, and
     ``-N`` is ``min(B, 0)``, written over ``B.data``: zero on that diagonal and
     at the positive off-diagonal entries the certificate lets pass as rounding
-    (each at most 1e-12 times the largest diagonal entry), so the relative
-    residual of ``y`` (0 if ``rhs = 0``) is that of ``D - N``. For ``rhs >= 0``
-    every term is nonnegative, so ``y`` is nonnegative exactly. The exact
-    solution is the sweep's fixed point, and the sweep moves no iterate farther
-    from it in the max norm (Varga, Matrix Iterative Analysis, 1962, ch. 3).
+    (each at most 1e-12 times the largest diagonal entry), so the residual
+    returned is ``||rhs - (D - N) y||_2``. For ``rhs >= 0`` every term is
+    nonnegative, so ``y`` is nonnegative exactly. The exact solution is the
+    sweep's fixed point, and the sweep moves no iterate farther from it in the
+    max norm (Varga, Matrix Iterative Analysis, 1962, ch. 3).
     """
     np.minimum(B.data, 0.0, out=B.data)
     y = (rhs - csr_product(B, np.clip(x, 0.0, K))) / d
-    rhs_norm = math.sqrt(float(rhs @ rhs))
     residual = rhs - d * y - csr_product(B, y)
-    return y, math.sqrt(float(residual @ residual)) / rhs_norm if rhs_norm else 0.0
+    return y, math.sqrt(float(residual @ residual))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -258,8 +257,9 @@ def step(
     The residual reported is that of the returned vector: the solver's own,
     at most ``solver.tol``, or the swept one's in split lumped steps. A
     solver failure, a non-finite right-hand side included, raises
-    ``SchemeError`` naming the step, and a non-finite value in a new field,
-    or a negative one in a split lumped step, one naming the field.
+    ``SchemeError`` naming the step, a non-finite value in a new field, or a
+    negative one in a split lumped step, one naming the field, and a fall of
+    N there, one naming its first node (exact: N only gains nonnegative terms).
     """
     lumped, split = variant.lumped, variant.split
     k = state.step + 1
@@ -297,11 +297,14 @@ def step(
     if split:
         if lumped:
             t_new, residual = _monotone_sweep(B, D, rhs, t_new, p.K)
+            residual = residual / res.b_norm if res.b_norm else 0.0
         phi_new = model.update_phi_node(T, t_new, N, Phi, root, dt, p)
         n_new = model.update_n_node(t_new, N, phi_new, root, dt, p)
     new = State(T=t_new, N=n_new, Phi=phi_new, step=k, time=state.time + dt)
     d = _field_diag(new, res.iterations, residual)
     _check_fields(d, nonnegative=lumped and split)
+    if lumped and split and (n_new < N).any():
+        raise SchemeError(k, f"N decreases at node {int(np.argmax(n_new < N))}")
     return new, d
 
 

@@ -79,6 +79,18 @@ def test_stiffness_rejects_negative_coefficients_and_bad_length():
         ctx.assemble(np.ones(3))
 
 
+def test_shape_errors_come_from_the_product_and_name_both_shapes():
+    ctx = build_context(build_structured_mesh(2, 2, 1.0, 1.0))
+    n, nt = ctx.mesh.n_vertices, ctx.mesh.n_triangles
+    with pytest.raises(ValueError, match=rf"^dimension mismatch: matrix shape \({n}, {n}\), "
+                                         r"vector shape \(\)$"):
+        norms(ctx, 3.0)
+    with pytest.raises(ValueError, match=rf"matrix shape \({n}, {n}\), vector shape \({n + 1},\)$"):
+        norms(ctx, np.ones(n + 1))
+    with pytest.raises(ValueError, match=rf"matrix shape \(\d+, {nt}\), vector shape \(3,\)$"):
+        ctx.assemble(np.ones(3))
+
+
 def test_stiffness_m_matrix_sign_pattern():
     rng = np.random.default_rng(21)
     for _ in range(5):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -426,3 +427,18 @@ def test_initial_guess_of_the_wrong_shape_is_rejected(solve, shape):
 def test_rhs_that_is_not_a_vector_is_rejected(solve):
     with pytest.raises(ValueError, match=r"^dimension mismatch: matrix \(3, 3\), rhs \(3, 1\)$"):
         solve(sp.identity(3, format="csr"), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("solve, matrix", [(cg_solve, random_spd), (bicgstab_solve, random_dominant)],
+                         ids=["cg", "bicgstab"])
+def test_result_carries_the_rhs_norm_bit_for_bit(solve, matrix):
+    # The split lumped step scales its swept residual by this norm instead of forming its own.
+    rng = np.random.default_rng(23)
+    A = matrix(20, rng)
+    b = rng.standard_normal(20)
+    iterated = solve(A, b, tol=1e-12)
+    at_start = solve(sp.identity(20, format="csr"), b, x0=b)
+    assert iterated.iterations > 0 and at_start.iterations == 0
+    for res in (iterated, at_start):
+        assert res.b_norm == math.sqrt(float(b @ b))
+    assert solve(A, np.zeros(20)).b_norm == 0.0

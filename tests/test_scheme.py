@@ -378,6 +378,26 @@ def test_negative_field_raises_naming_it(monkeypatch, field):
         imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
 
 
+def test_falling_necrosis_raises_naming_its_first_node(monkeypatch):
+    # Without reactions N^{k+1} equals N^k. One ulp less at two nodes, both
+    # still above the lower bound 0, is a fall, and the step names the first.
+    mesh = build_structured_mesh(6, 6, 1.0, 1.0)
+    ctx = build_context(mesh)
+    state = initial_state(small_config(), mesh)
+    assert state.N.min() > 0.0
+    update = scheme.model.update_n_node
+
+    def lowered(*args):
+        n_new = update(*args)
+        assert np.array_equal(n_new, state.N)
+        n_new[[12, 7]] = np.nextafter(n_new[[12, 7]], -np.inf)
+        return n_new
+
+    monkeypatch.setattr(scheme.model, "update_n_node", lowered)
+    with pytest.raises(SchemeError, match=r"^step 1: N decreases at node 7$"):
+        imex_lumped(state, ctx, NO_REACTIONS, 1e-2)
+
+
 def test_fine_grid_bounds_run_keeps_t_nonnegative_as_computed():
     # The bounds preset on the 320 x 320 grid, cut to 21 steps. Its far field
     # is near 1e-300; an unswept CG solve returned it as -2.82e-99 at step 21.
