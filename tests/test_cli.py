@@ -1,13 +1,17 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
 from tumorfem.cli import build_preset, main
-from tumorfem.config import ConfigError, SchemeVariant, parse_config
+from tumorfem.config import ConfigError, MeshSpec, SchemeVariant, parse_config
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 
 from oracles import serialize_config, write_config_file
-from test_output_config import BAD_MODEL_OR_SOLVER_INPUT, readme_config_example, tiny_config
+from test_assembly_equivalence import acute_mesh
+from test_output_config import (
+    BAD_MODEL_OR_SOLVER_INPUT, readme_block, readme_config_example, tiny_config,
+)
 
 
 def test_check_mesh_ok(tmp_path, capsys):
@@ -27,6 +31,7 @@ def test_check_mesh_obtuse_names_element(tmp_path, capsys):
     assert main(["check-mesh", str(path)]) == 1
     captured = capsys.readouterr()
     assert "element 0" in captured.err
+    assert captured.err == "element 0 has an obtuse angle\n"
 
 
 def test_check_mesh_empty_file_is_config_error(tmp_path, capsys):
@@ -34,6 +39,40 @@ def test_check_mesh_empty_file_is_config_error(tmp_path, capsys):
     path.write_text("")
     assert main(["check-mesh", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_check_mesh_output_does_not_depend_on_vertex_order(tmp_path, capsys):
+    # The strictly acute lattice written counter-clockwise, with each
+    # triangle's last two vertices swapped, and with each triangle reversed.
+    acute = acute_mesh(8, 6)
+    outputs = []
+    for order in ([0, 1, 2], [0, 2, 1], [2, 1, 0]):
+        path = tmp_path / "acute.mesh"
+        write_mesh(replace(acute, triangles=acute.triangles[:, order]), path)
+        assert main(["check-mesh", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "strictly_acute=True non_obtuse=True" in outputs[0]
+    assert outputs == [outputs[0]] * 3
+
+
+def test_run_on_a_mesh_file_does_not_depend_on_vertex_order(tmp_path, capsys):
+    # The README config with snapshots every 50 steps on the acute lattice
+    # scaled into the unit square, written counter-clockwise and with each
+    # triangle's last two vertices swapped: the same stdout and output tree.
+    acute = acute_mesh(24, 20)
+    lattice = replace(acute, nodes=acute.nodes / 24)
+    runs = []
+    for name, order in (("lattice", [0, 1, 2]), ("swapped", [0, 2, 1])):
+        write_mesh(replace(lattice, triangles=lattice.triangles[:, order]), tmp_path / f"{name}.mesh")
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(readme_config_example(
+            ("type = structured\nnx = 40\nny = 40\nlx = 1.0\nly = 1.0",
+             f"type = file\npath = {tmp_path / name}.mesh"),
+            ("snapshot_every = 0", "snapshot_every = 50")))
+        assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / name)]) == 0
+        runs.append((capsys.readouterr().out, _files(tmp_path / name)))
+    assert "snapshot_000100.vtk" in runs[0][1]
+    assert runs[1] == runs[0]
 
 
 def test_run_config_file(tmp_path, capsys):
@@ -159,8 +198,6 @@ def test_cg_nonconvergence_exits_1(tmp_path, capsys):
 ], ids=["imex-lumped", "explicit-lumped", "imex-consistent"])
 def test_non_finite_system_is_numerical_failure(tmp_path, capsys, variant, message):
     # Finite diffusivities whose sums in the stiffness overflow to infinity.
-    from dataclasses import replace
-
     cfg = tiny_config(variant=variant)
     cfg = replace(cfg, params=replace(cfg.params, kappa1=1e308, kappa0=1e308))
     cfg_path = tmp_path / "run.cfg"
@@ -183,14 +220,10 @@ def test_diverging_explicit_run_is_numerical_failure(tmp_path, capsys):
     # make it diverge: max |T| is 8.1e128 after step 7, and the explicit
     # reactions of step 8 overflow. That is a numerical failure, reported on
     # one stderr line without a RuntimeWarning, not a config error.
-    text = readme_config_example()
-    for old, new in [("variant = imex-lumped", "variant = explicit-lumped"),
-                     ("rho = 1.0", "rho = 2.0"), ("alpha = 0.8", "alpha = 2.0"),
-                     ("dt = 0.01", "dt = 10.0"), ("tf = 1.0", "tf = 100.0")]:
-        assert f"\n{old}\n" in text
-        text = text.replace(f"\n{old}\n", f"\n{new}\n")
     cfg_path = tmp_path / "diverging.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_text(readme_config_example(
+        ("variant = imex-lumped", "variant = explicit-lumped"), ("rho = 1.0", "rho = 2.0"),
+        ("alpha = 0.8", "alpha = 2.0"), ("dt = 0.01", "dt = 10.0"), ("tf = 1.0", "tf = 100.0")))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: step 8: ") and err.count("\n") == 1
@@ -201,13 +234,9 @@ def test_overflowing_split_nodal_update_is_numerical_failure(tmp_path, capsys):
     # product overflows: imex-lumped's vasculature update of step 1 is
     # inf / inf. The whole step runs under the solvers' floating-point
     # policy, so that is one stderr line and no RuntimeWarning.
-    text = readme_config_example()
-    for old, new in [("gamma = 0.008", "gamma = 1e300"), ("dt = 0.01", "dt = 1e10"),
-                     ("tf = 1.0", "tf = 1e10")]:
-        assert f"\n{old}\n" in text
-        text = text.replace(f"\n{old}\n", f"\n{new}\n")
     cfg_path = tmp_path / "overflow.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_text(readme_config_example(
+        ("gamma = 0.008", "gamma = 1e300"), ("dt = 0.01", "dt = 1e10"), ("tf = 1.0", "tf = 1e10")))
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: step 1: ") and err.count("\n") == 1
@@ -216,10 +245,8 @@ def test_overflowing_split_nodal_update_is_numerical_failure(tmp_path, capsys):
 def test_gaussian_center_far_off_the_mesh_is_quiet(tmp_path, capsys):
     # A center 1e200 away overflows r**2 to inf, and exp(-inf) leaves the
     # profile at its base level, 0, without a RuntimeWarning.
-    text = readme_config_example()
-    assert "\nT_center_x = 0.5\n" in text
     cfg_path = tmp_path / "far.cfg"
-    cfg_path.write_text(text.replace("\nT_center_x = 0.5\n", "\nT_center_x = 1e200\n"))
+    cfg_path.write_text(readme_config_example(("T_center_x = 0.5", "T_center_x = 1e200")))
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
@@ -231,12 +258,9 @@ def test_gaussian_center_far_off_the_mesh_is_quiet(tmp_path, capsys):
 def test_subnormal_necrosis_rates_give_a_quiet_far_envelope(tmp_path, capsys):
     # The far-from-K tumor envelope's forcing term once divided by c - b,
     # here 9.5e-311, overflowing to inf * 0 = nan and a warning.
-    text = readme_config_example()
-    for old, new in [("beta1 = 0.8", "beta1 = 2e-310"), ("beta2 = 0.8", "beta2 = 1e-310")]:
-        assert f"\n{old}\n" in text
-        text = text.replace(f"\n{old}\n", f"\n{new}\n")
     cfg_path = tmp_path / "subnormal.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_text(readme_config_example(("beta1 = 0.8", "beta1 = 2e-310"),
+                                              ("beta2 = 0.8", "beta2 = 1e-310")))
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
@@ -252,14 +276,10 @@ def test_run_with_overflowing_summary_diagnostics_is_quiet(tmp_path, capsys, var
     # explicit-lumped's final reactions exceed the float range. Both are
     # evaluated without a RuntimeWarning; an overflowed envelope is +inf, a
     # vacuous upper bound, and an overflowed residual is reported as inf.
-    text = readme_config_example()
-    for old, new in [("variant = imex-lumped", f"variant = {variant}"), ("rho = 1.0", "rho = 1e6"),
-                     ("alpha = 0.8", "alpha = 2.0"), ("dt = 0.01", "dt = 20"),
-                     ("tf = 1.0", "tf = 100")]:
-        assert f"\n{old}\n" in text
-        text = text.replace(f"\n{old}\n", f"\n{new}\n")
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_text(readme_config_example(
+        ("variant = imex-lumped", f"variant = {variant}"), ("rho = 1.0", "rho = 1e6"),
+        ("alpha = 0.8", "alpha = 2.0"), ("dt = 0.01", "dt = 20"), ("tf = 1.0", "tf = 100")))
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
@@ -271,12 +291,9 @@ def test_run_with_overflowing_summary_diagnostics_is_quiet(tmp_path, capsys, var
 @pytest.mark.parametrize("mesh_text, message", [
     ("3 1\n0.0 0.0\nnan 0.0\n0.0 1.0\n0 1 2\n", "non-finite"),
     ("4 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n5.0 5.0\n0 1 2\n", "belongs to no element"),
-], ids=["nan-coordinate", "unused-vertex"])
+    ("3.0 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n", "error: mesh file header must be two integers\n"),
+], ids=["nan-coordinate", "unused-vertex", "non-integer-header"])
 def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
-    from dataclasses import replace
-
-    from tumorfem.config import MeshSpec
-
     mesh_path = tmp_path / "bad.txt"
     mesh_path.write_text(mesh_text)
     assert main(["check-mesh", str(mesh_path)]) == 2
@@ -291,10 +308,6 @@ def test_bad_mesh_is_config_error(tmp_path, capsys, mesh_text, message):
 def test_mesh_whose_geometry_overflows_is_config_error(tmp_path, capsys, command):
     # Finite coordinates whose squared edge lengths overflow once gave h=inf
     # and a non-obtuse audit from check-mesh, with RuntimeWarnings.
-    from dataclasses import replace
-
-    from tumorfem.config import MeshSpec
-
     mesh_path = tmp_path / "huge.txt"
     mesh_path.write_text("4 2\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n0 1 2\n0 2 3\n")
     out_dir = tmp_path / "out"
@@ -316,10 +329,6 @@ def test_mesh_with_subnormal_areas_is_config_error(tmp_path, capsys, command):
     # The unit-square mesh scaled by 1e-160 has subnormal doubled areas. It
     # once passed check-mesh as non-obtuse, and run failed at step 1 (exit 1)
     # on a stiffness whose gradient products had overflowed.
-    from dataclasses import replace
-
-    from tumorfem.config import MeshSpec
-
     mesh = build_structured_mesh(4, 4, 1.0, 1.0)
     mesh_path = tmp_path / "tiny.txt"
     write_mesh(replace(mesh, nodes=mesh.nodes * 1e-160), mesh_path)
@@ -336,6 +345,17 @@ def test_mesh_with_subnormal_areas_is_config_error(tmp_path, capsys, command):
     assert captured.err == ("error: element 0 is so small that its basis gradient products "
                             "are not finite\n")
     assert not (out_dir / "per_step.csv").exists()
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "demo.cfg"
+    cfg_path.write_text(readme_config_example())
+    out_dir = tmp_path / "demo"
+    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("demo: 100 steps, energy=")
+    assert captured.err == ""
+    assert sorted(_files(out_dir)) == ["per_step.csv", "summary.txt"]
 
 
 def test_run_missing_config_is_error(capsys):
@@ -361,8 +381,6 @@ def test_preset_round_trip_bit_identical_csv(tmp_path):
     # preset run byte for byte
     cfg = build_preset("lumping-comparison")[0]
     direct_dir = tmp_path / "direct"
-    from dataclasses import replace
-
     from tumorfem.output import write_run_outputs
     from tumorfem.config import OutputOptions
     from tumorfem.scheme import run
@@ -417,6 +435,22 @@ def test_library_snapshots_match_cli(tmp_path):
     assert sorted(library) == ["per_step.csv", "sub/s.txt", "vtk/snap_000000.vtk",
                                "vtk/snap_000003.vtk", "vtk/snap_000004.vtk"]
     assert library == _files(tmp_path / "cli")
+
+
+def test_readme_library_example_writes_the_tree_of_the_console_script(tmp_path, monkeypatch):
+    # The README's python block on the README config with snapshots every 50
+    # steps under a nested prefix, run as a script with the config path as
+    # its argument.
+    cfg_path = tmp_path / "library.cfg"
+    cfg_path.write_text(readme_config_example(
+        ("directory = out", f"directory = {tmp_path / 'library'}"),
+        ("snapshot_every = 0", "snapshot_every = 50"), ("vtk_prefix = snapshot", "vtk_prefix = vtk/snap")))
+    monkeypatch.setattr("sys.argv", ["library.py", str(cfg_path)])
+    exec(compile(readme_block("python"), "library.py", "exec"), {"__name__": "__main__"})
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "console")]) == 0
+    library = _files(tmp_path / "library")
+    assert "vtk/snap_000100.vtk" in library
+    assert library == _files(tmp_path / "console")
 
 
 def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path):
@@ -525,9 +559,7 @@ def test_unusable_output_dir_fails_before_the_run(tmp_path, run_calls, capsys, c
 @pytest.mark.parametrize("width", ["1e200", "1e-200"],
                          ids=["square-overflows", "square-underflows"])
 def test_gaussian_width_with_unusable_square_is_config_error(tmp_path, run_calls, capsys, width):
-    text = readme_config_example()
-    assert "T_width = 0.015\n" in text
-    text = text.replace("T_width = 0.015\n", f"T_width = {width}\n")
+    text = readme_config_example(("T_width = 0.015", f"T_width = {width}"))
     with pytest.raises(ConfigError, match=r"width must be positive with 0 < width\*\*2 < inf"):
         parse_config(text)
     cfg_path = tmp_path / "run.cfg"
@@ -539,11 +571,11 @@ def test_gaussian_width_with_unusable_square_is_config_error(tmp_path, run_calls
     assert not (out_dir / "per_step.csv").exists()
 
 
-def test_gaussian_width_with_subnormal_square_evaluates_without_warning():
+def test_gaussian_width_with_subnormal_square_evaluates_without_warning(tmp_path, capsys):
     # 1e-160 squared is subnormal but nonzero, so the width is accepted; every
     # node off the center then overflows the exponent's quotient to inf, which
     # the suite's error::RuntimeWarning filter would turn into an error.
-    text = readme_config_example().replace("T_width = 0.015\n", "T_width = 1e-160\n")
+    text = readme_config_example(("T_width = 0.015", "T_width = 1e-160"))
     cfg = parse_config(text)
     assert cfg.initial.T.width == 1e-160
     mesh = build_structured_mesh(4, 4, 1.0, 1.0)
@@ -551,14 +583,17 @@ def test_gaussian_width_with_subnormal_square_evaluates_without_warning():
     center = (mesh.nodes == (0.5, 0.5)).all(axis=1)
     assert values[center].tolist() == [1.0]
     assert not values[~center].any()
+    # and a whole run from it is as quiet
+    cfg_path = tmp_path / "spike.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_output_names_under_a_new_directory(tmp_path, capsys):
-    text = readme_config_example()
-    assert "\nsummary = summary.txt\n" in text
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text.replace("\nsummary = summary.txt\n", "\nsummary = sub/s.txt\n")
-                        .replace("\ncsv = per_step.csv\n", "\ncsv = a/b/steps.csv\n"))
+    cfg_path.write_text(readme_config_example(("summary = summary.txt", "summary = sub/s.txt"),
+                                              ("csv = per_step.csv", "csv = a/b/steps.csv")))
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
@@ -571,13 +606,9 @@ def test_vtk_prefix_under_a_new_directory(tmp_path, monkeypatch, capsys):
     # the mesh is built, as for the csv and summary names.
     from tumorfem import cli
 
-    text = readme_config_example()
-    for old, new in [("snapshot_every = 0", "snapshot_every = 50"),
-                     ("vtk_prefix = snapshot", "vtk_prefix = sub/snap")]:
-        assert f"\n{old}\n" in text
-        text = text.replace(f"\n{old}\n", f"\n{new}\n")
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_text(readme_config_example(("snapshot_every = 0", "snapshot_every = 50"),
+                                              ("vtk_prefix = snapshot", "vtk_prefix = sub/snap")))
     out_dir = tmp_path / "out"
     real_run = cli.run
 
@@ -644,6 +675,19 @@ def test_compare_identical_configs(tmp_path):
         assert cells[2 : 2 + ncols] == cells[2 + ncols :]
 
 
+def test_compare_on_the_readme_config_and_a_consistent_copy(tmp_path):
+    demo, consistent = tmp_path / "demo.cfg", tmp_path / "consistent.cfg"
+    demo.write_text(readme_config_example())
+    consistent.write_text(readme_config_example(("variant = imex-lumped", "variant = imex-consistent")))
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", str(demo), str(consistent), "--output-dir", str(out_dir)]) == 0
+    header = (out_dir / "compare.csv").read_text().splitlines()[0]
+    columns = "minT_{0},maxT_{0},minN_{0},maxN_{0},minPhi_{0},maxPhi_{0},energy_acc_{0}"
+    assert header == f"step,time,{columns.format('a')},{columns.format('b')}"
+    assert (out_dir / "demo-a" / "per_step.csv").exists()
+    assert (out_dir / "demo-b" / "per_step.csv").exists()
+
+
 def test_compare_grid_mismatch(tmp_path, capsys):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"
@@ -651,6 +695,9 @@ def test_compare_grid_mismatch(tmp_path, capsys):
     write_config_file(tiny_config(tf=0.02), str(b))
     assert main(["compare", str(a), str(b)]) == 2
     assert "time grids" in capsys.readouterr().err
+    write_config_file(tiny_config(mesh=MeshSpec(nx=4, ny=2, lx=1.0, ly=1.0)), str(b))
+    assert main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().err == "error: configs use different meshes\n"
 
 
 def test_preset_tables_match_reported_values():
@@ -696,6 +743,12 @@ def test_preset_tables_match_reported_values():
           for kf in kfs for variant in ("imex-lumped", "explicit-lumped")],
         ("lumping-imex-lumped", 1e-2), ("lumping-imex-consistent", 1e-2),
     ]
+
+
+def test_unknown_preset_is_config_error():
+    with pytest.raises(ConfigError, match=(r"^unknown preset 'nope'; available: "
+                                           r"bounds-comparison, energy-sweep, lumping-comparison$")):
+        build_preset("nope")
 
 
 def test_energy_sweep_reads_its_step_counts_when_built(monkeypatch):

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from tumorfem.cli import build_preset
 from tumorfem.config import (
     ConstantProfile,
     GaussianProfile,
@@ -137,6 +139,14 @@ def test_envelope_far_not_applicable_cases():
     assert "delta" in rep.reason
     rep2 = envelope_check_far(report, PARAMS, 0.0)
     assert not rep2.applicable
+
+
+def test_energy_sweep_summary_says_the_far_envelope_does_not_apply():
+    # delta = 0.00029 is below gamma / K = 0.0029 in every run of the sweep.
+    sweep = build_preset("energy-sweep")
+    assert {cfg.params for cfg in sweep} == {sweep[0].params}
+    lines = run_summary_lines(run(replace(sweep[0], tf=2 * sweep[0].dt)))
+    assert "envelope[far-from-K]: not applicable (requires delta >= gamma / K)" in lines
 
 
 def test_envelope_far_zero_vasculature_stays_zero():

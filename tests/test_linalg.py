@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tumorfem import linalg
 from tumorfem.fem import build_context
 from tumorfem.linalg import CgError, bicgstab_solve, cg_solve
 from tumorfem.mesh import build_structured_mesh
@@ -343,6 +344,29 @@ def test_bicgstab_breakdown_raises_without_restart(quantity):
     _, iterations, residual, outcome = textbook_bicgstab(A, b, 1e-12, 10 * len(b), np.zeros(len(b)))
     assert outcome == quantity
     assert (err.value.iterations, err.value.residual) == (iterations, residual)
+
+
+def test_bicgstab_non_finite_residual_after_a_half_step_raises(monkeypatch):
+    # v = A p is (inf, -inf), so r0 . v, alpha and the half step's residual
+    # are NaN: the solve stops there, before the half step's product A s_hat.
+    A = sp.csr_matrix(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+    b = np.array([10.0, 10.0])
+    products = []
+    real_product = linalg.csr_product
+
+    def counting_product(A, x):
+        products.append(x)
+        return real_product(A, x)
+
+    monkeypatch.setattr(linalg, "csr_product", counting_product)
+    with pytest.raises(CgError, match=r"^BiCGSTAB residual is not finite at iteration 1 ") as err:
+        bicgstab_solve(A, b, tol=1e-12)
+    assert len(products) == 2  # the start's residual and v
+    with np.errstate(invalid="ignore"):  # the oracle's r0 @ v is inf - inf
+        _, iterations, residual, outcome = textbook_bicgstab(A, b, 1e-12, 20, np.zeros(2))
+    assert (outcome, iterations) == ("non-finite", 1)
+    assert err.value.iterations == iterations
+    assert math.isnan(err.value.residual) and math.isnan(residual)
 
 
 def test_bicgstab_fails_fast_on_a_non_finite_matrix_entry():

@@ -247,6 +247,10 @@ def test_validation_rejects_bad_connectivity():
     tris = [(0, 1, 2), (1, 3, 2), (0, 1, 3), (0, 1, 4)]  # edge (0,1) used three times
     with pytest.raises(ValueError, match="more than two"):
         triangulation_from_arrays(nodes, tris)
+    with pytest.raises(ValueError, match=r"^nodes must be an \(n, 2\) array$"):
+        triangulation_from_arrays([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"^triangles must be an \(m, 3\) array$"):
+        triangulation_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1)])
 
 
 def test_validation_names_the_first_bad_element_and_the_smallest_bad_edge():
@@ -354,3 +358,7 @@ def test_read_mesh_rejects_malformed_files(tmp_path):
     garbage.write_text("3 1\n0 0\n1 zero\n0 1\n0 1 2\n")
     with pytest.raises(ValueError, match="malformed"):
         read_mesh(garbage)
+    header = tmp_path / "header.txt"
+    header.write_text("3 one\n0 0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="^mesh file header must be two integers$"):
+        read_mesh(header)

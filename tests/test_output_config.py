@@ -119,6 +119,10 @@ def test_compare_csv_grid_mismatch(tmp_path):
     rb = run(tiny_config(tf=0.02))
     with pytest.raises(ValueError, match="step counts"):
         write_compare_csv(ra, rb, str(tmp_path / "x.csv"))
+    # as many steps, but of twice the length
+    rc = run(tiny_config(dt=0.02, tf=0.06))
+    with pytest.raises(ValueError, match="^time grids differ at step 1$"):
+        write_compare_csv(ra, rc, str(tmp_path / "x.csv"))
 
 
 # The per-line writers the one-call writers replaced, kept as byte oracles.
@@ -314,6 +318,8 @@ def test_parse_errors_are_informative():
         parse_config(cfg_text.replace("variant = imex-lumped", "variant = magic"))
     with pytest.raises(ConfigError, match="integer step count"):
         parse_config(cfg_text.replace("tf = 0.03", "tf = 0.034"))
+    with pytest.raises(ConfigError, match="^tf must be zero or at least dt$"):
+        parse_config(cfg_text.replace("tf = 0.03", "tf = 0.005"))
     with pytest.raises(ConfigError, match="profile"):
         parse_config(cfg_text.replace("Phi_profile = constant", "Phi_profile = blob"))
     with pytest.raises(ConfigError, match="cannot read"):
@@ -474,9 +480,19 @@ def test_parse_rejects_negative_snapshot_every():
         parse_config(text.replace("snapshot_every = 0", "snapshot_every = -5"))
 
 
-def readme_config_example() -> str:
+def readme_block(language: str) -> str:
+    """The README's first fenced code block in ``language``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_config_example(*edits: tuple[str, str]) -> str:
+    """The README's config example, each ``(old, new)`` of ``edits`` replacing whole lines."""
+    text = readme_block("ini")
+    for old, new in edits:
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    return text
 
 
 def test_readme_config_example_parses():

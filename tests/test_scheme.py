@@ -24,6 +24,7 @@ from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_fro
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import (
     SchemeError,
+    StepDiagnostics,
     element_diffusivity,
     initial_state,
     run,
@@ -520,17 +521,22 @@ def steps_started_from_the_current_field(cfg):
     return diags
 
 
-# Total iterations over the run; started from T^k the solves took 500, 500
-# and 1,245.
+# Total iterations over the run; started from T^k the solves took 500, 500,
+# 516 and 1,245.
 @pytest.mark.parametrize("preset, index, budget", [
     ("bounds-comparison", 0, 350),
     ("bounds-comparison", 1, 350),
+    ("lumping-comparison", 0, 400),
     ("lumping-comparison", 1, 1_000),
-], ids=["bounds-imex-lumped", "bounds-explicit-lumped", "lumping-imex-consistent"])
+], ids=["bounds-imex-lumped", "bounds-explicit-lumped", "lumping-imex-lumped",
+        "lumping-imex-consistent"])
 def test_extrapolated_start_saves_iterations_and_keeps_every_step(preset, index, budget):
     cfg = build_preset(preset)[index]
     report = run(cfg)
     assert sum(d.cg_iters for d in report.steps) <= budget
+    # every reported residual, that of the vector the step returns, is within the preset's tol
+    assert cfg.solver.tol == 1e-12
+    assert max(d.cg_residual for d in report.steps) <= cfg.solver.tol
     # Both starts solve to tol 1e-12, so the fields agree far inside 1e-10 K.
     K = cfg.params.K
     for got, want in zip(report.steps[1:], steps_started_from_the_current_field(cfg), strict=True):
@@ -542,6 +548,17 @@ def test_extrapolated_start_saves_iterations_and_keeps_every_step(preset, index,
         assert min(min(d.min_t, d.min_n, d.min_phi) for d in report.steps) >= 0.0
     else:
         assert min(d.min_t for d in report.steps) < 0.0
+
+
+@pytest.mark.parametrize("field, outside", [
+    ("min_t", -5e-324), ("max_t", np.nextafter(0.7, 1.0)), ("min_n", -5e-324),
+    ("min_phi", -5e-324), ("max_phi", np.nextafter(0.7, 1.0)),
+], ids=["min_t", "max_t", "min_n", "min_phi", "max_phi"])
+def test_bounds_ok_holds_on_each_bound_and_fails_one_ulp_outside(field, outside):
+    at_bounds = StepDiagnostics(step=1, time=0.01, min_t=-0.0, max_t=0.7, min_n=0.0, max_n=2.0,
+                                min_phi=0.0, max_phi=0.7, cg_iters=3, cg_residual=1e-13)
+    assert at_bounds.bounds_ok(0.7)
+    assert not replace(at_bounds, **{field: outside}).bounds_ok(0.7)
 
 
 def test_run_starts_each_solve_from_the_extrapolated_fields(monkeypatch):
