@@ -9,51 +9,8 @@ step. Two comparison variants (fully explicit reactions; no mass lumping)
 are included because they visibly do not.
 """
 
-from .mesh import (
-    AngleReport,
-    Triangulation,
-    audit_angles,
-    build_structured_mesh,
-    read_mesh,
-    triangulation_from_arrays,
-    write_mesh,
-)
-from .model import ModelParams, State, reactions, vascular_fraction
-from .config import (
-    ConstantProfile,
-    GaussianProfile,
-    InitialConditions,
-    MeshSpec,
-    OutputOptions,
-    RunConfig,
-    SchemeVariant,
-    SolverOptions,
-)
-from .scheme import RunReport, run
+from .scheme import run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleReport",
-    "Triangulation",
-    "audit_angles",
-    "build_structured_mesh",
-    "read_mesh",
-    "triangulation_from_arrays",
-    "write_mesh",
-    "ModelParams",
-    "State",
-    "reactions",
-    "vascular_fraction",
-    "ConstantProfile",
-    "GaussianProfile",
-    "InitialConditions",
-    "MeshSpec",
-    "OutputOptions",
-    "RunConfig",
-    "RunReport",
-    "SchemeVariant",
-    "SolverOptions",
-    "run",
-    "__version__",
-]
+__all__ = ["run", "__version__"]

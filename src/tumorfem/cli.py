@@ -20,7 +20,7 @@ import argparse
 import multiprocessing
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import output as output_mod
 from .config import (
@@ -104,10 +104,9 @@ def build_preset(name: str) -> list[RunConfig]:
 
 
 def _with_output(cfg: RunConfig, directory: str, args) -> RunConfig:
-    """``cfg`` writing into ``directory``; a given flag replaces the output option of its name."""
-    given = {f.name: getattr(args, f.name) for f in fields(OutputOptions)
-             if getattr(args, f.name, None) is not None}
-    return replace(cfg, output=replace(cfg.output, directory=directory, **given))
+    """``cfg`` writing into ``directory``, snapshotting every ``--snapshot-every`` steps if given."""
+    every = cfg.output.snapshot_every if args.snapshot_every is None else args.snapshot_every
+    return replace(cfg, output=replace(cfg.output, directory=directory, snapshot_every=every))
 
 
 def _run_and_summarize(cfg: RunConfig):

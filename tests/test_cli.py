@@ -84,17 +84,20 @@ def test_run_config_file(tmp_path, capsys):
     assert (out_dir / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("every, steps", [(2, [0, 2, 4]), (3, [0, 3, 4])],
-                         ids=["every-2", "every-3"])
-def test_snapshots_written(tmp_path, every, steps):
-    # every `every` steps and at the last step, over 4 steps
+@pytest.mark.parametrize("every, flag, steps",
+                         [(2, [], [0, 2, 4]), (3, [], [0, 3, 4]),
+                          (3, ["--snapshot-every", "2"], [0, 2, 4]),
+                          (3, ["--snapshot-every", "0"], [])],
+                         ids=["every-2", "every-3", "flag-2-over-3", "flag-0-over-3"])
+def test_snapshots_written(tmp_path, every, flag, steps):
+    # every `every` steps (or as the flag says) and at the last step, over 4 steps
     from tumorfem.config import OutputOptions
 
     cfg_path = tmp_path / "run.cfg"
     write_config_file(tiny_config(tf=0.04, output=OutputOptions(snapshot_every=every)),
                       str(cfg_path))
     out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
+    assert main(["run", str(cfg_path), *flag, "--output-dir", str(out_dir)]) == 0
     names = sorted(p.name for p in out_dir.glob("*.vtk"))
     assert names == [f"snapshot_{step:06d}.vtk" for step in steps]
     assert (out_dir / "per_step.csv").exists()
