@@ -39,8 +39,6 @@ from .mesh import audit_angles, read_mesh
 from .model import ModelParams
 from .scheme import SchemeError, run
 
-__all__ = ["main", "build_preset", "PRESET_NAMES"]
-
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2

@@ -22,12 +22,6 @@ import numpy as np
 from .mesh import Triangulation, build_structured_mesh, read_mesh
 from .model import ModelParams
 
-__all__ = [
-    "SchemeVariant", "GaussianProfile", "ConstantProfile", "InitialConditions", "MeshSpec",
-    "SolverOptions", "OutputOptions", "RunConfig", "ConfigError", "parse_config",
-    "parse_config_file",
-]
-
 
 class SchemeVariant(enum.Enum):
     """A scheme as two axes: lumped (else consistent) mass, split (else explicit) reactions."""

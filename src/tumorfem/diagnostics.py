@@ -20,16 +20,6 @@ import numpy as np
 from .model import ModelParams, State, reactions
 from .scheme import RunReport
 
-__all__ = [
-    "EnvelopeReport",
-    "EquilibriumReport",
-    "envelope_check_far",
-    "envelope_check_near_K",
-    "classify_equilibrium",
-    "run_summary_lines",
-    "scalar_comparison_oracle",
-]
-
 # The max-norm level below which run_summary_lines counts a field as extinct.
 _EQUILIBRIUM_TOL = 1e-4
 

@@ -38,12 +38,6 @@ import scipy.sparse as sp
 from .linalg import csr_product
 from .mesh import Triangulation, element_areas_and_gradients
 
-__all__ = [
-    "FemContext",
-    "build_context",
-    "norms",
-]
-
 
 class FemContext:
     """The mesh-only operators, built once per mesh and shared by steppers and norms.

@@ -55,8 +55,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-__all__ = ["CgError", "CgResult", "bicgstab_solve", "cg_solve", "csr_product"]
-
 # Solver inputs are zeroed below this fraction of their vector's largest
 # magnitude (see the module docstring).
 _NEGLIGIBLE = 1e-200

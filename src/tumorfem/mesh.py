@@ -28,17 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Triangulation",
-    "AngleReport",
-    "triangulation_from_arrays",
-    "build_structured_mesh",
-    "audit_angles",
-    "element_areas_and_gradients",
-    "read_mesh",
-    "write_mesh",
-]
-
 # Cosine slack when classifying angles: exactly-right angles on meshes with
 # rounded coordinates may evaluate to +-1 ulp around zero.
 _ANGLE_COS_TOL = 1e-12

@@ -22,17 +22,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = [
-    "ModelParams",
-    "State",
-    "vascular_fraction",
-    "vascular_factors",
-    "reactions",
-    "imex_coefficients_T",
-    "update_phi_node",
-    "update_n_node",
-]
-
 
 @dataclass(frozen=True)
 class ModelParams:

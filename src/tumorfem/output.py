@@ -23,17 +23,6 @@ if TYPE_CHECKING:
     from .config import OutputOptions, RunConfig
     from .scheme import RunReport
 
-__all__ = [
-    "CSV_HEADER",
-    "write_csv",
-    "vtk_geometry",
-    "write_vtk",
-    "write_compare_csv",
-    "write_snapshot",
-    "prepare_outputs",
-    "write_run_outputs",
-]
-
 # per_step.csv's columns, each with the StepDiagnostics field it holds; a
 # %.17g row writes the integer columns' digits as they are
 _COLUMNS = (

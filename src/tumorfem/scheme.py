@@ -52,15 +52,6 @@ from .linalg import CgError, bicgstab_solve, cg_solve, csr_product
 from .mesh import Triangulation, audit_angles
 from .model import ModelParams, State
 
-__all__ = [
-    "StepDiagnostics",
-    "RunReport",
-    "SchemeError",
-    "element_diffusivity",
-    "step",
-    "run",
-]
-
 
 class SchemeError(RuntimeError):
     """A step failed (no convergence, non-finite values, no M-matrix, a broken

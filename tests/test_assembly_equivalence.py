@@ -318,7 +318,7 @@ def test_lumping_comparison_consistent_run_iteration_budget():
     # CG on the normal equations took 4,679 iterations here; BiCGSTAB on the
     # system itself takes 1,245.
     _, consistent = build_preset("lumping-comparison")
-    assert consistent.variant is scheme.SchemeVariant.IMEX_CONSISTENT
+    assert consistent.variant is SchemeVariant.IMEX_CONSISTENT
     report = run(consistent)
     assert sum(d.cg_iters for d in report.steps) <= 1_600
     assert min(d.min_t for d in report.steps) < 0.0

@@ -456,6 +456,15 @@ def test_readme_library_example_writes_the_tree_of_the_console_script(tmp_path, 
     assert library == _files(tmp_path / "console")
 
 
+def test_star_import_of_the_package_binds_run_and_version_only():
+    # Importing run loads six submodules into the package; the root's
+    # __all__ keeps them out of a star import and lets __version__ in.
+    namespace = {}
+    exec("from tumorfem import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ["__version__", "run"]
+
+
 def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path):
     from tumorfem.config import OutputOptions
     from tumorfem.output import write_run_outputs
