@@ -25,7 +25,6 @@ from dataclasses import replace
 from . import output as output_mod
 from .config import (
     ConfigError,
-    ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
@@ -51,7 +50,7 @@ EXIT_CONFIG = 2
 _PRESET_INITIAL = InitialConditions(
     T=GaussianProfile(base=0.0, amplitude=1.0, center=(0.5, 0.5), width=0.015),
     N=GaussianProfile(base=1.0, amplitude=-0.05, center=(0.5, 0.5), width=0.05),
-    Phi=ConstantProfile(value=0.5),
+    Phi=GaussianProfile(base=0.5, amplitude=0.0),
 )
 
 _PRESET_SOLVER = SolverOptions(tol=1e-12, maxit=0)

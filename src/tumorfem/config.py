@@ -50,7 +50,7 @@ class GaussianProfile:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.base, self.amplitude, *self.center, self.width))):
-            raise ValueError("Gaussian profile parameters must be finite")
+            raise ValueError("profile parameters must be finite")
         # width * width, not width**2: a float ** raises on overflow
         if not (self.width > 0.0 and 0.0 < self.width * self.width < math.inf):
             raise ValueError("Gaussian profile width must be positive with 0 < width**2 < inf")
@@ -65,25 +65,10 @@ class GaussianProfile:
 
 
 @dataclass(frozen=True)
-class ConstantProfile:
-    value: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("constant profile value must be finite")
-
-    def evaluate(self, nodes: np.ndarray, K: float) -> np.ndarray:
-        return np.full(nodes.shape[0], min(max(self.value, 0.0), K))
-
-
-Profile = GaussianProfile | ConstantProfile
-
-
-@dataclass(frozen=True)
 class InitialConditions:
-    T: Profile
-    N: Profile
-    Phi: Profile
+    T: GaussianProfile
+    N: GaussianProfile
+    Phi: GaussianProfile
 
 
 @dataclass(frozen=True)
@@ -235,8 +220,8 @@ def _parse_variant(r: _Reader) -> SchemeVariant:
 
 def _parse_profile(r: _Reader, name: str):
     kind = r.get("initial", f"{name}_profile").strip()
-    if kind == "constant":
-        return ConstantProfile(value=r.get("initial", f"{name}_value", float))
+    if kind == "constant":  # the Gaussian of amplitude 0, flat at its base
+        return GaussianProfile(base=r.get("initial", f"{name}_value", float), amplitude=0.0)
     if kind == "gaussian":
         return GaussianProfile(
             base=r.get("initial", f"{name}_base", float),

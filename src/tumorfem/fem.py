@@ -161,11 +161,9 @@ class FemContext:
         return A
 
 
-StiffnessTemplate = FemContext  # only perfbench's tracer uses this name
-
-
-def build_context(mesh: Triangulation) -> FemContext:
-    return FemContext(mesh)
+# Two more names for FemContext, kept only for perfbench's tracer: it wraps
+# StiffnessTemplate.assemble and scheme's build_context.
+StiffnessTemplate = build_context = FemContext
 
 
 def norms(ctx: FemContext, f: np.ndarray) -> float:

@@ -26,7 +26,8 @@ and residuals are deterministic and reportable per step:
 
 Both stop on, and return, the unpreconditioned relative residual of the
 returned iterate as their recurrence carries it, and return ``||b||_2``, its
-scale. They update preallocated buffers in place, and raise ``CgError``
+scale. CG updates preallocated buffers in place; BiCGSTAB makes new
+vectors each step, as its reference writes it. Both raise ``CgError``
 instead of returning an unconverged or non-finite iterate. That error is how
 they report overflow: floating-point overflow and invalid operations inside
 a solve emit no numpy warning.
@@ -127,7 +128,7 @@ def _start(A: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int, x0: np.ndarr
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
     b = np.asarray(b, dtype=float)
     r = _zeroed(b)
-    x = np.zeros(n) if x0 is None else _zeroed(x0)  # the solvers write x
+    x = np.zeros(n) if x0 is None else _zeroed(x0)  # CG writes x in place
     b_norm = math.sqrt(float(b @ b))
     if b_norm == 0.0:
         return CgResult(x=np.zeros(n), iterations=0, residual=0.0, b_norm=0.0), 0, 0.0, b, b
@@ -212,25 +213,17 @@ def bicgstab_solve(
     done, maxit, b_norm, r, x = _start(A, b, tol, maxit, x0, "BiCGSTAB")
     if done is not None:
         return done
-    n = len(r)
     diag = A.diagonal()
     if not diag.all():
         raise ValueError("Jacobi scaling needs a nonzero diagonal")
     inv_diag = 1.0 / diag
 
     r0 = r.copy()
-    p = np.zeros(n)
-    v = np.zeros(n)
-    p_hat = np.empty(n)
-    s_hat = np.empty(n)
-    scratch = np.empty(n)
+    p = v = np.zeros(len(r))
     rho_old = alpha = omega = 1.0
     target = tol * b_norm
 
-    # The updates run in place in the order of p = r + beta * (p - omega * v),
-    # s = r - alpha * v, x = (x + alpha * p_hat) + omega * s_hat and
-    # r = s - omega * t; s overwrites r. A NaN or infinite norm fails every
-    # convergence test, so finiteness is tested after it.
+    # A NaN or infinite norm fails every convergence test, so finiteness is tested after it.
     res = math.sqrt(float(r @ r))
     for it in range(maxit + 1):
         if res <= target:
@@ -244,30 +237,28 @@ def bicgstab_solve(
         if rho == 0.0:
             raise CgError(f"BiCGSTAB broke down (rho = 0) at iteration {k}", k, res / b_norm)
         beta = (rho / rho_old) * (alpha / omega)
-        np.subtract(p, np.multiply(omega, v, out=scratch), out=p)
-        np.add(r, np.multiply(beta, p, out=p), out=p)
-        np.multiply(inv_diag, p, out=p_hat)
+        p = r + beta * (p - omega * v)
+        p_hat = inv_diag * p
         v = csr_product(A, p_hat)
         r0v = float(r0 @ v)
         if r0v == 0.0:
             raise CgError(f"BiCGSTAB broke down (r0 . v = 0) at iteration {k}", k, res / b_norm)
         alpha = rho / r0v
-        np.subtract(r, np.multiply(alpha, v, out=scratch), out=r)
-        res = math.sqrt(float(r @ r))
+        x = x + alpha * p_hat
+        s = r - alpha * v
+        res = math.sqrt(float(s @ s))
         if res <= target:
-            np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
             return CgResult(x=x, iterations=k, residual=res / b_norm, b_norm=b_norm)
         if not math.isfinite(res):
             raise CgError(f"BiCGSTAB residual is not finite at iteration {k}", k, res / b_norm)
-        np.multiply(inv_diag, r, out=s_hat)
+        s_hat = inv_diag * s
         t = csr_product(A, s_hat)
         tt = float(t @ t)
-        omega = float(t @ r) / tt if tt else 0.0
+        omega = float(t @ s) / tt if tt else 0.0
         if omega == 0.0:
             raise CgError(f"BiCGSTAB broke down (omega = 0) at iteration {k}", k, res / b_norm)
-        np.add(x, np.multiply(alpha, p_hat, out=scratch), out=x)
-        np.add(x, np.multiply(omega, s_hat, out=scratch), out=x)
-        np.subtract(r, np.multiply(omega, t, out=t), out=r)
+        x = x + omega * s_hat
+        r = s - omega * t
         res = math.sqrt(float(r @ r))
         rho_old = rho
     raise CgError(f"BiCGSTAB did not converge within {maxit} iterations", maxit, res / b_norm)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
-from tumorfem.config import ConstantProfile, RunConfig
+from tumorfem.config import RunConfig
 from tumorfem.fem import FemContext
 from tumorfem.mesh import Triangulation, element_areas_and_gradients
 from tumorfem.model import ModelParams, vascular_factors
@@ -200,8 +200,7 @@ FIELDS = ("T", "N", "Phi")
 
 
 def profile_lines(name: str, profile) -> list[str]:
-    if isinstance(profile, ConstantProfile):
-        return [f"{name}_profile = constant", f"{name}_value = {profile.value!r}"]
+    """A profile's config lines; a constant one is written as its flat Gaussian."""
     return [
         f"{name}_profile = gaussian",
         f"{name}_base = {profile.base!r}",

@@ -24,7 +24,7 @@ from tumorfem.diagnostics import (
     envelope_check_near_K,
     scalar_comparison_oracle,
 )
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.mesh import (
     audit_angles, build_structured_mesh, triangulation_from_arrays, write_mesh,
 )
@@ -142,7 +142,7 @@ def test_criterion_4_necrosis_monotone_with_gronwall_ceiling():
     """Nodewise N monotonicity (exact) and the exponential ceiling, per node."""
     cfg, _ = build_preset("bounds-comparison")
     mesh = cfg.mesh.build()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(cfg, mesh)
     n0 = state.N.copy()
     c1, c2 = gronwall_constants(cfg.params)
@@ -296,7 +296,7 @@ def test_criterion_7_fem_invariants_on_twenty_meshes():
     fields_checked = 0
     for mesh in meshes:
         assert audit_angles(mesh).non_obtuse
-        ctx = build_context(mesh)
+        ctx = FemContext(mesh)
         lumped, mass = ctx.lumped, ctx.mass
         domain_area = _boundary_polygon_area(mesh)
         assert lumped.sum() == pytest.approx(domain_area, rel=1e-12)
@@ -332,7 +332,7 @@ def test_criterion_8_oracle_equivalences():
         gamma=0.008, delta=0.8, K=1.0,
     )
     mesh = build_structured_mesh(20, 20, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     n = mesh.n_vertices
     state = State(T=np.full(n, 1.0), N=np.zeros(n), Phi=np.zeros(n), step=0, time=0.0)
     solver = SolverOptions(tol=1e-14)

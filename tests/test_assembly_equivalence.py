@@ -22,9 +22,9 @@ import scipy.sparse as sp
 import scipy.sparse._compressed
 
 from tumorfem import scheme
-from tumorfem.cli import build_preset
+from tumorfem.cli import TABLE_BOUNDS, build_preset
 from tumorfem.config import SchemeVariant, SolverOptions
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.linalg import csr_product
 from tumorfem.mesh import (
     audit_angles,
@@ -33,7 +33,6 @@ from tumorfem.mesh import (
     triangulation_from_arrays,
 )
 from tumorfem.model import (
-    ModelParams,
     State,
     imex_coefficients_T,
     update_n_node,
@@ -45,13 +44,9 @@ from tumorfem.scheme import element_diffusivity, run, step
 
 from oracles import unit_stiffness
 
-PARAMS = ModelParams(
-    kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
-    gamma=0.008, delta=0.8, K=1.0,
-)
 # Diffusion, time and decay terms of one size, so that a different rounding
 # of the diagonal sum shows in the last bits.
-COMPARABLE_TERMS = replace(PARAMS, kappa1=0.05, kappa0=0.05)
+COMPARABLE_TERMS = replace(TABLE_BOUNDS, kappa1=0.05, kappa0=0.05)
 
 
 def right_angled_mesh(dx, dy, flip):
@@ -200,7 +195,7 @@ def n_edges(mesh):
 def random_state(mesh, seed):
     rng = np.random.default_rng(seed)
     n = mesh.n_vertices
-    T, N, Phi = (rng.uniform(0.0, PARAMS.K, n) for _ in range(3))
+    T, N, Phi = (rng.uniform(0.0, TABLE_BOUNDS.K, n) for _ in range(3))
     return State(T=T, N=N, Phi=Phi, step=0, time=0.0)
 
 
@@ -213,7 +208,7 @@ def test_scatter_operator_matches_add_at(name):
     mesh = {**MESHES, **JITTERED}[name]()
     coeff = np.random.default_rng(3).uniform(0.0, 2.0, mesh.n_triangles)
     coeff[::7] = 0.0
-    A = build_context(mesh).assemble(coeff)
+    A = FemContext(mesh).assemble(coeff)
     ref, zero_slots = add_at_stiffness(mesh, coeff)
     assert np.array_equal(A.toarray(), ref.toarray())
     # The right-angled meshes have hypotenuse slots whose factors are all zero.
@@ -232,7 +227,7 @@ MASS_MESHES = {**ALL_MESHES, **JITTERED}
 @pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
 def test_consistent_mass_matches_add_at(make_mesh):
     mesh = make_mesh()
-    M, ref = build_context(mesh).mass, add_at_mass(mesh)
+    M, ref = FemContext(mesh).mass, add_at_mass(mesh)
     assert np.array_equal(M.indptr, ref.indptr)
     assert np.array_equal(M.indices, ref.indices)
     assert np.array_equal(M.data, ref.data)
@@ -241,7 +236,7 @@ def test_consistent_mass_matches_add_at(make_mesh):
 
 @pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
 def test_mass_slots_match_searchsorted_map(make_mesh):
-    ctx = build_context(make_mesh())
+    ctx = FemContext(make_mesh())
     slots = ctx.mass_slots
     assert np.array_equal(slots, searchsorted_mass_slots(ctx))
     assert np.array_equal(ctx.mass.indices[slots], unit_stiffness(ctx).indices)
@@ -252,7 +247,7 @@ def test_mass_slots_match_searchsorted_map(make_mesh):
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_lumped_system_matches_sparse_sum(make_mesh, variant, monkeypatch):
     mesh = make_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = random_state(mesh, seed=11)
     dt = 0.1
     systems = []
@@ -288,7 +283,7 @@ def test_lumped_system_matches_sparse_sum(make_mesh, variant, monkeypatch):
 @pytest.mark.parametrize("make_mesh", ALL_MESHES.values(), ids=ALL_MESHES.keys())
 def test_consistent_system_matches_sparse_sum(make_mesh, monkeypatch):
     mesh = make_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = random_state(mesh, seed=13)
     dt = 0.1
     systems = []
@@ -327,21 +322,21 @@ def test_lumping_comparison_consistent_run_iteration_budget():
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_vertex_sum_diffusivity_matches_fancy_index_mean(make_mesh):
     mesh = make_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = random_state(mesh, seed=2)
     tris = mesh.triangles
     expected = (
-        PARAMS.kappa1
-        * vascular_fraction(state.Phi[tris].mean(axis=1), state.T[tris].mean(axis=1), PARAMS.K)
-        + PARAMS.kappa0
+        TABLE_BOUNDS.kappa1
+        * vascular_fraction(state.Phi[tris].mean(axis=1), state.T[tris].mean(axis=1), TABLE_BOUNDS.K)
+        + TABLE_BOUNDS.kappa0
     )
-    assert np.array_equal(element_diffusivity(ctx, state.T, state.Phi, PARAMS), expected)
+    assert np.array_equal(element_diffusivity(ctx, state.T, state.Phi, TABLE_BOUNDS), expected)
 
 
 @pytest.mark.parametrize("nx, ny, nnz", [(3, 4, 82), (40, 40, 8_241)])
 def test_structured_nnz_drops_hypotenuse_slots(nx, ny, nnz):
     mesh = build_structured_mesh(nx, ny, 1.0, 1.0)
-    template = build_context(mesh)
+    template = FemContext(mesh)
     A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
     assert len(template.diagonal_slots) == mesh.n_vertices
@@ -350,14 +345,14 @@ def test_structured_nnz_drops_hypotenuse_slots(nx, ny, nnz):
 def test_graded_nnz_drops_one_edge_per_cell():
     nx, ny = 6, 8
     mesh = graded_mesh(nx, ny, seed=5)
-    A = build_context(mesh).assemble(np.ones(mesh.n_triangles))
+    A = FemContext(mesh).assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * (n_edges(mesh) - nx * ny)
 
 
 def test_acute_mesh_keeps_every_slot():
     mesh = acute_mesh(5, 4)
     assert audit_angles(mesh).strictly_acute
-    template = build_context(mesh)
+    template = FemContext(mesh)
     A = template.assemble(np.ones(mesh.n_triangles))
     assert A.nnz == mesh.n_vertices + 2 * n_edges(mesh)
     assert np.all(A.data != 0.0)
@@ -371,22 +366,22 @@ def test_acute_mesh_keeps_every_slot():
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_split_step_nodal_updates_equal_independent_node_updates(make_mesh, variant):
     mesh = make_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = random_state(mesh, seed=17)
     dt = 0.05
-    new, _ = step(state, ctx, PARAMS, dt, SolverOptions(tol=1e-12), variant=variant)
+    new, _ = step(state, ctx, TABLE_BOUNDS, dt, SolverOptions(tol=1e-12), variant=variant)
     # Node by node, each update evaluating its own vascular factors.
     for a in range(mesh.n_vertices):
         tk, nk, phik, tk1 = state.T[a], state.N[a], state.Phi[a], new.T[a]
-        _, root = vascular_factors(phik, tk, PARAMS.K)
-        phi = update_phi_node(tk, tk1, nk, phik, root, dt, PARAMS)
-        n = update_n_node(tk1, nk, phi, root, dt, PARAMS)
+        _, root = vascular_factors(phik, tk, TABLE_BOUNDS.K)
+        phi = update_phi_node(tk, tk1, nk, phik, root, dt, TABLE_BOUNDS)
+        n = update_n_node(tk1, nk, phi, root, dt, TABLE_BOUNDS)
         assert new.Phi[a] == phi
         assert new.N[a] == n
 
 
 def test_assembled_matrices_share_the_read_only_pattern():
-    ctx = build_context(graded_mesh(6, 8, seed=5))
+    ctx = FemContext(graded_mesh(6, 8, seed=5))
     coeff = np.random.default_rng(8).uniform(0.0, 2.0, ctx.mesh.n_triangles)
     A, A2 = ctx.assemble(coeff), ctx.assemble(coeff)
     assert not A.indices.flags.writeable
@@ -410,7 +405,7 @@ def test_assembled_matrices_share_the_read_only_pattern():
 @pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
 def test_steps_leave_template_and_unit_stiffness_unchanged(variant):
     mesh = graded_mesh(6, 8, seed=5)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
 
     def fixed_arrays():
         P, S, E = ctx._template, ctx._scatter, ctx.energy
@@ -439,7 +434,7 @@ def product_inputs(n, rng):
 @pytest.mark.parametrize("make_mesh", MASS_MESHES.values(), ids=MASS_MESHES.keys())
 def test_csr_product_equals_matmul_bit_for_bit(make_mesh):
     mesh = make_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     rng = np.random.default_rng(12)
     B = ctx.assemble(rng.uniform(0.0, 2.0, mesh.n_triangles))
     B.data[ctx.diagonal_slots] += ctx.lumped / 0.05
@@ -463,7 +458,7 @@ def test_csr_product_equals_matmul_bit_for_bit(make_mesh):
 ], ids=lambda v: getattr(v, "value", None))
 def test_lumped_steps_construct_no_sparse_matrix(variant, constructed, monkeypatch):
     mesh = graded_mesh(6, 8, seed=5)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     calls = []
     init = scipy.sparse._compressed._cs_matrix.__init__
 

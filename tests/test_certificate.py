@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tumorfem import scheme
+from tumorfem.cli import TABLE_BOUNDS
 from tumorfem.config import SchemeVariant, SolverOptions
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
 from tumorfem.scheme import SchemeError, step
 
 from oracles import gronwall_constants, unit_stiffness
-from test_assembly_equivalence import PARAMS, graded_mesh, random_state, right_angled_mesh
+from test_assembly_equivalence import graded_mesh, random_state, right_angled_mesh
 
 
 def oracle_m_matrix(B, step):
@@ -102,7 +103,7 @@ PERTURBATIONS = {
 @pytest.mark.parametrize("kind", PERTURBATIONS)
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_certificate_agrees_with_sparse_oracle(make_mesh, kind):
-    ctx = build_context(make_mesh())
+    ctx = FemContext(make_mesh())
     slots = ctx.diagonal_slots
     B = lumped_system(ctx, seed=4)
     assert verdict(lambda M: scheme._certify_m_matrix(M, slots, 3), B) is None
@@ -117,7 +118,7 @@ def test_certificate_agrees_with_sparse_oracle(make_mesh, kind):
 
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_assembled_systems_are_bitwise_symmetric(make_mesh):
-    ctx = build_context(make_mesh())
+    ctx = FemContext(make_mesh())
     rng = np.random.default_rng(12)
     for _ in range(3):
         A = ctx.assemble(rng.uniform(0.0, 2.0, ctx.mesh.n_triangles))
@@ -132,14 +133,14 @@ def test_rotated_mesh_passes_audit_and_certificate(angle):
     # round to tiny positive values; the certificate's slack must absorb them.
     mesh = rotated_mesh(20, angle)
     assert audit_angles(mesh).non_obtuse
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     off = unit_stiffness(ctx).copy()
     off.setdiag(0.0)
     assert off.data.max() > 0.0
     for variant in (SchemeVariant.IMEX_LUMPED, SchemeVariant.EXPLICIT_LUMPED):
         state = random_state(mesh, seed=1)
         for _ in range(3):
-            state, _ = step(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12), variant=variant)
+            state, _ = step(state, ctx, TABLE_BOUNDS, 1e-2, SolverOptions(tol=1e-12), variant=variant)
 
 
 @st.composite
@@ -199,7 +200,7 @@ def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, da
     # comparison scheme grow without bound for large dt until they overflow.
     assume(split or dt <= 0.5)
     variant = SchemeVariant.IMEX_LUMPED if split else SchemeVariant.EXPLICIT_LUMPED
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     fields = p.K * data.draw(
         hnp.arrays(np.float64, (3, mesh.n_vertices), elements=st.floats(0.0, 1.0))
     )
@@ -254,7 +255,7 @@ def test_field_at_capacity_exceeds_k_by_rounding_only(mesh):
     # each): T > K on 990 of 1,200 steps, by at most 2 eps per step taken and
     # 32 eps (7.1e-15 relative) in all. The bound allows 4 eps per step taken,
     # twice the measured rate.
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     n = mesh.n_vertices
     rng = np.random.default_rng(0)
     eps = np.finfo(float).eps

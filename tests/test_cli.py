@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 from tumorfem.cli import build_preset, main
-from tumorfem.config import ConfigError, MeshSpec, SchemeVariant, parse_config
+from tumorfem.config import ConfigError, GaussianProfile, MeshSpec, SchemeVariant, parse_config
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 
+from count_src_lines import code_lines
 from oracles import serialize_config, write_config_file
 from test_assembly_equivalence import acute_mesh
 from test_output_config import (
@@ -465,6 +466,31 @@ def test_star_import_of_the_package_binds_run_and_version_only():
     assert sorted(namespace) == ["__version__", "run"]
 
 
+def test_code_lines_leaves_out_docstrings_comments_and_blank_lines():
+    # Module, class and function docstrings, comment lines and blank lines
+    # are not code; a string that is not a docstring and both lines of a
+    # continued statement are.
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+class Box:
+    """Class docstring."""
+
+    def size(self):
+        """Function
+        docstring."""
+        text = """not a
+docstring"""
+        return len(text) + \\
+            os.sep.count("/")
+'''
+    assert code_lines(source) == 7
+
+
 def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path):
     from tumorfem.config import OutputOptions
     from tumorfem.output import write_run_outputs
@@ -724,7 +750,7 @@ def test_preset_tables_match_reported_values():
     assert (p.gamma, p.delta, p.K) == (0.008, 0.8, 1.0)
     assert bounds[0].dt == 1e-2 and bounds[0].tf == 1.0
     assert bounds[0].mesh.nx == 40 and bounds[0].mesh.lx == 1.0
-    assert all(c.initial.Phi.value == 0.5 for c in bounds)
+    assert all(c.initial.Phi == GaussianProfile(base=0.5, amplitude=0.0) for c in bounds)
 
     energy = build_preset("energy-sweep")
     assert len(energy) == 22

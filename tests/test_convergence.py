@@ -27,7 +27,6 @@ import pytest
 
 from tumorfem.cli import TABLE_BOUNDS
 from tumorfem.config import (
-    ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
@@ -35,7 +34,7 @@ from tumorfem.config import (
     SchemeVariant,
     SolverOptions,
 )
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.mesh import audit_angles, triangulation_from_arrays
 from tumorfem.model import State
 from tumorfem.scheme import run, step
@@ -45,7 +44,7 @@ from test_assembly_equivalence import acute_mesh, graded_mesh
 INITIAL = InitialConditions(
     T=GaussianProfile(base=0.0, amplitude=0.8, center=(0.5, 0.5), width=0.1),
     N=GaussianProfile(base=0.3, amplitude=-0.2, center=(0.5, 0.5), width=0.15),
-    Phi=ConstantProfile(value=0.5),
+    Phi=GaussianProfile(base=0.5, amplitude=0.0),
 )
 PARAMS = replace(TABLE_BOUNDS, kappa1=1e-2, kappa0=1e-2)
 SOLVER = SolverOptions(tol=1e-12, maxit=0)
@@ -68,7 +67,7 @@ def _final_fields(nx: int, dt: float, tf: float) -> np.ndarray:
 
 def _final_on(mesh, dt: float, tf: float) -> np.ndarray:
     """Final (T, N, Phi) of imex-lumped on ``mesh``, one row per field."""
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     T, N, Phi = (f.evaluate(mesh.nodes, PARAMS.K) for f in (INITIAL.T, INITIAL.N, INITIAL.Phi))
     state = State(T=T, N=N, Phi=Phi, step=0, time=0.0)
     for _ in range(round(tf / dt)):

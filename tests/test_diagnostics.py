@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from tumorfem.cli import build_preset
+from tumorfem.cli import TABLE_BOUNDS, build_preset
 from tumorfem.config import (
-    ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
@@ -25,13 +24,13 @@ from tumorfem.diagnostics import (
 from tumorfem.model import ModelParams, State, reactions
 from tumorfem.scheme import run
 
-PARAMS = ModelParams(
-    kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
-    gamma=0.008, delta=0.8, K=1.0,
-)
+
+def flat(value):
+    """The constant initial field ``value``: the Gaussian of amplitude 0."""
+    return GaussianProfile(base=value, amplitude=0.0)
 
 
-def quick_run(initial, tf=0.1, params=PARAMS, nx=8):
+def quick_run(initial, tf=0.1, params=TABLE_BOUNDS, nx=8):
     cfg = RunConfig(
         mesh=MeshSpec(nx=nx, ny=nx, lx=1.0, ly=1.0),
         params=params,
@@ -130,14 +129,14 @@ def test_envelope_far_not_applicable_cases():
     )
     report = quick_run(
         InitialConditions(
-            T=ConstantProfile(0.2), N=ConstantProfile(0.5), Phi=ConstantProfile(0.4)
+            T=flat(0.2), N=flat(0.5), Phi=flat(0.4)
         ),
         tf=0.02,
     )
     rep = envelope_check_far(report, bad, 0.5)
     assert not rep.applicable
     assert "delta" in rep.reason
-    rep2 = envelope_check_far(report, PARAMS, 0.0)
+    rep2 = envelope_check_far(report, TABLE_BOUNDS, 0.0)
     assert not rep2.applicable
 
 
@@ -152,11 +151,11 @@ def test_energy_sweep_summary_says_the_far_envelope_does_not_apply():
 def test_envelope_far_zero_vasculature_stays_zero():
     report = quick_run(
         InitialConditions(
-            T=GaussianProfile(width=0.2), N=ConstantProfile(0.5), Phi=ConstantProfile(0.0)
+            T=GaussianProfile(width=0.2), N=flat(0.5), Phi=flat(0.0)
         ),
         tf=0.05,
     )
-    rep = envelope_check_far(report, PARAMS, 0.5)
+    rep = envelope_check_far(report, TABLE_BOUNDS, 0.5)
     assert rep.applicable
     assert rep.holds
     # envelope for Phi is identically zero and the field stays on it
@@ -166,11 +165,11 @@ def test_envelope_far_zero_vasculature_stays_zero():
 def test_envelope_far_uniform_fields_hold():
     report = quick_run(
         InitialConditions(
-            T=ConstantProfile(0.8), N=ConstantProfile(0.4), Phi=ConstantProfile(0.5)
+            T=flat(0.8), N=flat(0.4), Phi=flat(0.5)
         ),
         tf=0.5,
     )
-    rep = envelope_check_far(report, PARAMS, 0.4)
+    rep = envelope_check_far(report, TABLE_BOUNDS, 0.4)
     assert rep.applicable
     assert rep.holds
     assert rep.worst_t_margin >= 0.0
@@ -180,11 +179,11 @@ def test_envelope_far_uniform_fields_hold():
 def test_envelope_near_K_requires_proximity():
     report = quick_run(
         InitialConditions(
-            T=ConstantProfile(0.2), N=ConstantProfile(0.5), Phi=ConstantProfile(0.5)
+            T=flat(0.2), N=flat(0.5), Phi=flat(0.5)
         ),
         tf=0.02,
     )
-    rep = envelope_check_near_K(report, PARAMS, 0.05)
+    rep = envelope_check_near_K(report, TABLE_BOUNDS, 0.05)
     assert not rep.applicable
     assert "K - eps" in rep.reason
 
@@ -195,11 +194,11 @@ def test_envelope_near_K_synthetic_run_holds():
     # room for the one-rounding lag of the implicit update per step.
     report = quick_run(
         InitialConditions(
-            T=GaussianProfile(width=0.15), N=ConstantProfile(0.95), Phi=ConstantProfile(0.5)
+            T=GaussianProfile(width=0.15), N=flat(0.95), Phi=flat(0.5)
         ),
         tf=0.5,
     )
-    rep = envelope_check_near_K(report, PARAMS, 0.08)
+    rep = envelope_check_near_K(report, TABLE_BOUNDS, 0.08)
     assert rep.applicable
     assert rep.holds
     # margins are zero at t = 0 by construction, strictly positive after
@@ -215,16 +214,16 @@ def test_envelope_near_K_at_eps_zero_uses_capacity_rates():
     # per step, so only the formula, not the sign, is asserted there).
     report = quick_run(
         InitialConditions(
-            T=ConstantProfile(0.0), N=ConstantProfile(1.0), Phi=ConstantProfile(0.5)
+            T=flat(0.0), N=flat(1.0), Phi=flat(0.5)
         ),
         tf=0.1,
     )
-    rep = envelope_check_near_K(report, PARAMS, 0.0)
+    rep = envelope_check_near_K(report, TABLE_BOUNDS, 0.0)
     assert rep.applicable
     assert np.allclose(rep.t_margins, 0.0, atol=1e-15)
     times = report.times()
     max_phi = np.array([d.max_phi for d in report.steps])
-    expected = 0.5 * np.exp(-PARAMS.beta2 * PARAMS.K * times) - max_phi
+    expected = 0.5 * np.exp(-TABLE_BOUNDS.beta2 * TABLE_BOUNDS.K * times) - max_phi
     assert np.allclose(rep.phi_margins, expected, rtol=0, atol=1e-15)
 
 
@@ -234,11 +233,11 @@ def test_envelope_near_K_applies_at_the_summary_eps(n0):
     # for 0.001 and 0.3 (not for 0.499); the check must accept its own regime.
     report = quick_run(
         InitialConditions(
-            T=ConstantProfile(0.2), N=ConstantProfile(n0), Phi=ConstantProfile(0.5)
+            T=flat(0.2), N=flat(n0), Phi=flat(0.5)
         ),
         tf=0.02,
     )
-    assert envelope_check_near_K(report, PARAMS, PARAMS.K - n0).applicable
+    assert envelope_check_near_K(report, TABLE_BOUNDS, TABLE_BOUNDS.K - n0).applicable
     assert any(line.startswith("envelope[near-K]: holds=")
                for line in run_summary_lines(report))
 
@@ -246,15 +245,15 @@ def test_envelope_near_K_applies_at_the_summary_eps(n0):
 def test_classify_equilibrium_labels():
     z = np.zeros(5)
     state = State(T=z, N=z, Phi=z, step=0, time=0.0)
-    assert classify_equilibrium(state, PARAMS, 1e-8).label == "P1"
+    assert classify_equilibrium(state, TABLE_BOUNDS, 1e-8).label == "P1"
     state = State(T=z, N=np.full(5, 0.3), Phi=z, step=0, time=0.0)
-    assert classify_equilibrium(state, PARAMS, 1e-8).label == "P2"
+    assert classify_equilibrium(state, TABLE_BOUNDS, 1e-8).label == "P2"
     state = State(T=z, N=z, Phi=np.full(5, 0.2), step=0, time=0.0)
-    assert classify_equilibrium(state, PARAMS, 1e-8).label == "P3"
+    assert classify_equilibrium(state, TABLE_BOUNDS, 1e-8).label == "P3"
     state = State(T=np.full(5, 0.4), N=z, Phi=z, step=0, time=0.0)
-    assert classify_equilibrium(state, PARAMS, 1e-8).label == "none"
+    assert classify_equilibrium(state, TABLE_BOUNDS, 1e-8).label == "none"
     with pytest.raises(ValueError):
-        classify_equilibrium(state, PARAMS, 0.0)
+        classify_equilibrium(state, TABLE_BOUNDS, 0.0)
 
 
 def test_classify_residuals_match_reactions_and_lipschitz_bound():
@@ -264,9 +263,9 @@ def test_classify_residuals_match_reactions_and_lipschitz_bound():
     N = rng.uniform(0.0, tol, 6)
     Phi = rng.uniform(0.0, tol, 6)
     state = State(T=T, N=N, Phi=Phi, step=0, time=0.0)
-    rep = classify_equilibrium(state, PARAMS, tol)
+    rep = classify_equilibrium(state, TABLE_BOUNDS, tol)
     assert rep.label == "P1"
-    f1, f2, f3 = reactions(T, N, Phi, PARAMS)
+    f1, f2, f3 = reactions(T, N, Phi, TABLE_BOUNDS)
     assert rep.residual_f1 == np.abs(f1).max()
     assert rep.residual_f2 == np.abs(f2).max()
     assert rep.residual_f3 == np.abs(f3).max()

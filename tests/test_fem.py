@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tumorfem.fem import build_context, norms
+from tumorfem.fem import FemContext, norms
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays
 
 from oracles import add_at_lumped, discrete_laplacian_apply, l2_and_h1, peak_bytes, unit_stiffness
@@ -19,14 +19,14 @@ def reference_triangle():
 
 
 def test_lumped_mass_reference_triangle():
-    m = build_context(reference_triangle()).lumped
+    m = FemContext(reference_triangle()).lumped
     assert np.allclose(m, 1.0 / 6.0, rtol=1e-15)
 
 
 def test_lumped_mass_interior_node_structured():
     h = 0.25
     mesh = build_structured_mesh(4, 4, 1.0, 1.0)
-    m = build_context(mesh).lumped
+    m = FemContext(mesh).lumped
     interior = [
         i for i, (x, y) in enumerate(mesh.nodes)
         if 0.0 < x < 1.0 and 0.0 < y < 1.0
@@ -38,30 +38,30 @@ def test_lumped_mass_interior_node_structured():
 def test_lumped_mass_partition_of_unity():
     for nx, ny, lx, ly in [(3, 4, 1.0, 1.0), (5, 2, 2.0, 0.7)]:
         mesh = build_structured_mesh(nx, ny, lx, ly)
-        assert build_context(mesh).lumped.sum() == pytest.approx(lx * ly, rel=1e-12)
+        assert FemContext(mesh).lumped.sum() == pytest.approx(lx * ly, rel=1e-12)
 
 
 @pytest.mark.parametrize("make_mesh", MESHES.values(), ids=MESHES.keys())
 def test_lumped_mass_equals_add_at(make_mesh):
     mesh = make_mesh()
-    assert np.array_equal(build_context(mesh).lumped, add_at_lumped(mesh))
+    assert np.array_equal(FemContext(mesh).lumped, add_at_lumped(mesh))
 
 
 def test_stiffness_zero_coefficient():
     mesh = build_structured_mesh(3, 3, 1.0, 1.0)
-    A = build_context(mesh).assemble(np.zeros(mesh.n_triangles))
+    A = FemContext(mesh).assemble(np.zeros(mesh.n_triangles))
     assert A.nnz == 0 or np.abs(A.data).max() == 0.0
 
 
 def test_stiffness_reference_local_matrix():
-    A = build_context(reference_triangle()).assemble([1.0]).toarray()
+    A = FemContext(reference_triangle()).assemble([1.0]).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(A, expected, rtol=0, atol=1e-15)
 
 
 def test_stiffness_constants_in_kernel_and_row_sums():
     mesh = build_structured_mesh(6, 5, 1.3, 0.9)
-    A = build_context(mesh).assemble(np.ones(mesh.n_triangles))
+    A = FemContext(mesh).assemble(np.ones(mesh.n_triangles))
     ones = np.ones(mesh.n_vertices)
     scale = np.abs(A.data).max()
     assert np.abs(A @ ones).max() <= 1e-12 * scale
@@ -70,7 +70,7 @@ def test_stiffness_constants_in_kernel_and_row_sums():
 
 def test_stiffness_rejects_negative_coefficients_and_bad_length():
     mesh = build_structured_mesh(2, 2, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     coeff = np.ones(mesh.n_triangles)
     coeff[0] = -1e-12
     with pytest.raises(ValueError, match="nonnegative"):
@@ -80,7 +80,7 @@ def test_stiffness_rejects_negative_coefficients_and_bad_length():
 
 
 def test_shape_errors_come_from_the_product_and_name_both_shapes():
-    ctx = build_context(build_structured_mesh(2, 2, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(2, 2, 1.0, 1.0))
     n, nt = ctx.mesh.n_vertices, ctx.mesh.n_triangles
     with pytest.raises(ValueError, match=rf"^dimension mismatch: matrix shape \({n}, {n}\), "
                                          r"vector shape \(\)$"):
@@ -97,7 +97,7 @@ def test_stiffness_m_matrix_sign_pattern():
         nx, ny = rng.integers(2, 9, size=2)
         mesh = build_structured_mesh(int(nx), int(ny), 1.0, 1.4)
         coeff = rng.uniform(0.0, 3.0, size=mesh.n_triangles)
-        A = build_context(mesh).assemble(coeff).tocoo()
+        A = FemContext(mesh).assemble(coeff).tocoo()
         scale = max(1.0, np.abs(A.data).max())
         off = A.data[A.row != A.col]
         diag = A.data[A.row == A.col]
@@ -108,7 +108,7 @@ def test_stiffness_m_matrix_sign_pattern():
 
 
 def test_consistent_mass_reference_block():
-    M = build_context(reference_triangle()).mass.toarray()
+    M = FemContext(reference_triangle()).mass.toarray()
     expected = np.full((3, 3), 1.0 / 24.0)
     np.fill_diagonal(expected, 1.0 / 12.0)
     assert np.allclose(M, expected, rtol=0, atol=1e-16)
@@ -117,7 +117,7 @@ def test_consistent_mass_reference_block():
 def test_consistent_row_sums_equal_lumped_and_total_area():
     for nx, ny, lx, ly in [(4, 4, 1.0, 1.0), (7, 3, 2.0, 0.5)]:
         mesh = build_structured_mesh(nx, ny, lx, ly)
-        ctx = build_context(mesh)
+        ctx = FemContext(mesh)
         M, lumped = ctx.mass, ctx.lumped
         rows = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(rows - lumped).max() <= 1e-12 * lx * ly
@@ -130,18 +130,18 @@ def test_context_build_memory_per_element_pair():
     # mesh-only operator in about 46 bytes per pair; a second COO assembly
     # for the mass takes it to 77.
     mesh = build_structured_mesh(120, 120, 1.0, 1.0)
-    assert peak_bytes(build_context, mesh) / (9 * mesh.n_triangles) < 60.0
+    assert peak_bytes(FemContext, mesh) / (9 * mesh.n_triangles) < 60.0
 
 
 def test_discrete_laplacian_kills_constants():
-    ctx = build_context(build_structured_mesh(5, 5, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(5, 5, 1.0, 1.0))
     v = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), np.full(ctx.mesh.n_vertices, 3.7))
     assert np.abs(v).max() <= 1e-12
 
 
 def test_discrete_laplacian_energy_identity():
     rng = np.random.default_rng(4)
-    ctx = build_context(build_structured_mesh(8, 6, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(8, 6, 1.0, 1.0))
     for _ in range(20):
         n = rng.standard_normal(ctx.mesh.n_vertices)
         lap = discrete_laplacian_apply(ctx.lumped, unit_stiffness(ctx), n)
@@ -157,7 +157,7 @@ def test_discrete_laplacian_inverse_inequality_constant_bounded():
 
     def fitted(nx):
         mesh = build_structured_mesh(nx, nx, 1.0, 1.0)
-        ctx = build_context(mesh)
+        ctx = FemContext(mesh)
         worst = 0.0
         for _ in range(30):
             n = rng.standard_normal(ctx.mesh.n_vertices)
@@ -174,7 +174,7 @@ def test_discrete_laplacian_inverse_inequality_constant_bounded():
 
 
 def test_norms_zero_and_constant():
-    ctx = build_context(build_structured_mesh(4, 4, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(4, 4, 1.0, 1.0))
     assert l2_and_h1(ctx, np.zeros(ctx.mesh.n_vertices)) == (0.0, 0.0)
     f = np.full(ctx.mesh.n_vertices, -2.5)
     norm_h = float(np.sqrt(ctx.lumped @ (f * f)))
@@ -186,7 +186,7 @@ def test_norms_zero_and_constant():
 
 def test_norm_equivalence_lumped_vs_l2():
     rng = np.random.default_rng(8)
-    ctx = build_context(build_structured_mesh(7, 7, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(7, 7, 1.0, 1.0))
     for _ in range(30):
         f = rng.standard_normal(ctx.mesh.n_vertices)
         norm_h = float(np.sqrt(ctx.lumped @ (f * f)))
@@ -197,7 +197,7 @@ def test_norm_equivalence_lumped_vs_l2():
 
 def test_galerkin_interpolated_linear_function():
     mesh = build_structured_mesh(6, 6, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     f = 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1] + 1.0
     residual = unit_stiffness(ctx) @ f
     interior = [
@@ -212,7 +212,7 @@ def test_energy_form_is_squared_l2_plus_h1(make_mesh):
     # One form with M + A_1 against two forms, two roots and two squares:
     # the same exact sum rounded in another order. 2e-15 is 9 units in the
     # last place; the largest difference seen on these fields is 8.8e-16.
-    ctx = build_context(make_mesh())
+    ctx = FemContext(make_mesh())
     rng = np.random.default_rng(6)
     for f in [*rng.uniform(0.0, 1.0, (20, ctx.mesh.n_vertices)),
               *rng.standard_normal((20, ctx.mesh.n_vertices))]:

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from tumorfem import linalg
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.linalg import CgError, bicgstab_solve, cg_solve
 from tumorfem.mesh import build_structured_mesh
 
@@ -134,7 +134,7 @@ def textbook_cg(A, b, tol, maxit, x0):
 
 def tumor_system(nx, seed):
     """A lumped tumor system: stiffness with random coefficients plus a scaled lumped mass."""
-    ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(nx, nx, 1.0, 1.0))
     rng = np.random.default_rng(seed)
     A = ctx.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
     A.data[ctx.diagonal_slots] += ctx.lumped * rng.uniform(10.0, 100.0)
@@ -143,7 +143,7 @@ def tumor_system(nx, seed):
 
 def consistent_tumor_system(nx, seed):
     """A consistent-mass tumor system: mass / dt, stiffness and mass times a nodal decay."""
-    ctx = build_context(build_structured_mesh(nx, nx, 1.0, 1.0))
+    ctx = FemContext(build_structured_mesh(nx, nx, 1.0, 1.0))
     rng = np.random.default_rng(seed)
     A = ctx.assemble(rng.uniform(1e-3, 1e-1, ctx.mesh.n_triangles))
     decay = rng.uniform(0.0, 2.0, ctx.mesh.n_vertices)

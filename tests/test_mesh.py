@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tumorfem.mesh as mesh_module
-from tumorfem.fem import build_context
+from tumorfem.fem import FemContext
 from tumorfem.mesh import (
     audit_angles,
     build_structured_mesh,
@@ -184,7 +184,7 @@ def test_each_mesh_forms_its_edge_array_once(monkeypatch, tmp_path):
     assert len(edge_arrays_formed) == 2
     assert peak_bytes(audit_angles, mesh) < 1024
     # The FEM context forms the second and last one of a run.
-    build_context(mesh)
+    FemContext(mesh)
     assert len(edge_arrays_formed) == 3
 
 

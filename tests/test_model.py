@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from tumorfem.cli import TABLE_BOUNDS
 from tumorfem.model import (
     ModelParams,
     imex_coefficients_T,
@@ -13,11 +14,6 @@ from tumorfem.model import (
 )
 
 from oracles import gronwall_constants, imex_reactions
-
-TABLE_BOUNDS = ModelParams(
-    kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
-    gamma=0.008, delta=0.8, K=1.0,
-)
 
 
 # The split formulas take the vascular factors of the old state; these

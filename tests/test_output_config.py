@@ -1,6 +1,7 @@
 import ast
 import gc
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,6 @@ import pytest
 
 from tumorfem.config import (
     ConfigError,
-    ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
@@ -20,7 +20,7 @@ from tumorfem.config import (
     parse_config,
     parse_config_file,
 )
-from tumorfem.cli import main
+from tumorfem.cli import TABLE_BOUNDS, main
 from tumorfem.mesh import build_structured_mesh
 from tumorfem.model import State
 from tumorfem.output import (
@@ -32,28 +32,22 @@ from tumorfem.output import (
     write_vtk,
 )
 from tumorfem.scheme import run
-from tumorfem.model import ModelParams
 
 from oracles import serialize_config, write_config_file
 from test_assembly_equivalence import graded_mesh
-
-PARAMS = ModelParams(
-    kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
-    gamma=0.008, delta=0.8, K=1.0,
-)
 
 
 def tiny_config(**kw):
     defaults = dict(
         mesh=MeshSpec(nx=4, ny=4, lx=1.0, ly=1.0),
-        params=PARAMS,
+        params=TABLE_BOUNDS,
         dt=1e-2,
         tf=0.03,
         variant=SchemeVariant.IMEX_LUMPED,
         initial=InitialConditions(
             T=GaussianProfile(base=0.0, amplitude=1.0, center=(0.5, 0.5), width=0.2),
             N=GaussianProfile(base=1.0, amplitude=-0.05, center=(0.5, 0.5), width=0.1),
-            Phi=ConstantProfile(value=0.5),
+            Phi=GaussianProfile(base=0.5, amplitude=0.0),
         ),
         solver=SolverOptions(tol=1e-12),
     )
@@ -197,12 +191,12 @@ def oracle_write_compare_csv(report_a, report_b, path: str) -> None:
 
 # Values whose shortest and 17-digit forms differ, signed zero, a subnormal,
 # the capacity, the fine-imex undershoot, and values with few digits.
-AWKWARD = [-2.8e-99, -0.0, 1.0 / 3.0, PARAMS.K, 5e-324, 0.1, 1.0]
+AWKWARD = [-2.8e-99, -0.0, 1.0 / 3.0, TABLE_BOUNDS.K, 5e-324, 0.1, 1.0]
 
 
 def awkward_field(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, PARAMS.K, n)
+    values = rng.uniform(0.0, TABLE_BOUNDS.K, n)
     values[: len(AWKWARD)] = AWKWARD
     return rng.permutation(values)
 
@@ -321,7 +315,7 @@ def test_parse_errors_are_informative():
     with pytest.raises(ConfigError, match="^tf must be zero or at least dt$"):
         parse_config(cfg_text.replace("tf = 0.03", "tf = 0.005"))
     with pytest.raises(ConfigError, match="profile"):
-        parse_config(cfg_text.replace("Phi_profile = constant", "Phi_profile = blob"))
+        parse_config(readme_config_example(("Phi_profile = constant", "Phi_profile = blob")))
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file("/nonexistent/path.cfg")
     with pytest.raises(ConfigError, match=r"^missing key 'nx' in section \[mesh\]$"):
@@ -343,7 +337,8 @@ def test_parse_errors_are_informative():
     ("Phi_value = 0.5", "Phi_value = nan", "must be finite"),
 ], ids=["zero-width", "negative-width", "nan-amplitude", "inf-center", "nan-value"])
 def test_parse_rejects_bad_profiles(old, new, match):
-    text = serialize_config(tiny_config())
+    # Configs are serialized with Gaussian profiles only; the README's Phi is constant.
+    text = readme_config_example() if old.startswith("Phi_value") else serialize_config(tiny_config())
     assert old in text
     with pytest.raises(ConfigError, match=match):
         parse_config(text.replace(old, new))
@@ -385,7 +380,8 @@ def test_parse_rejects_unknown_sections_and_keys(old, new, match):
 SWEEP_BASES = {
     "structured": tiny_config(),
     "file-mesh": tiny_config(mesh=MeshSpec(path="mesh.txt")),
-    "constant-T": tiny_config(initial=replace(tiny_config().initial, T=ConstantProfile(0.3))),
+    "constant-T": tiny_config(initial=replace(
+        tiny_config().initial, T=GaussianProfile(base=0.3, amplitude=0.0))),
     "gaussian-T": tiny_config(initial=replace(
         tiny_config().initial, T=GaussianProfile(base=0.1, center=(0.2, 0.7), width=0.3))),
 }
@@ -443,7 +439,6 @@ def test_every_key_or_section_parsing_does_not_read_is_unknown(base):
     other_branch = [
         ("type = file\n", "[mesh]\n", "nx = 4\n", "nx"),
         ("type = structured\n", "[mesh]\n", "path = mesh.txt\n", "path"),
-        ("T_profile = constant\n", "[initial]\n", "T_base = 0.0\n", "T_base"),
         ("T_profile = gaussian\n", "[initial]\n", "T_value = 0.5\n", "T_value"),
     ]
     added = 0
@@ -498,6 +493,30 @@ def readme_config_example(*edits: tuple[str, str]) -> str:
 def test_readme_config_example_parses():
     cfg = parse_config(readme_config_example())
     assert (cfg.variant, cfg.label, cfg.mesh.nx) == (SchemeVariant.IMEX_LUMPED, "demo", 40)
+
+
+def test_constant_profile_is_the_clipped_value_everywhere():
+    # A constant profile is read as the Gaussian of amplitude 0. Its field is
+    # np.full(n, min(max(value, 0), K)) bit for bit, except at -0.0.
+    nodes = build_structured_mesh(4, 4, 1.0, 1.0).nodes
+    K = parse_config(readme_config_example()).params.K
+
+    def phi(value):
+        cfg = parse_config(readme_config_example(("Phi_value = 0.5", f"Phi_value = {value!r}")))
+        return cfg.initial.Phi.evaluate(nodes, K)
+
+    for value in (-1.0, 0.0, 0.3, K, K + 1.0):
+        assert phi(value).tobytes() == np.full(len(nodes), min(max(value, 0.0), K)).tobytes(), value
+    # min(max(-0.0, 0.0), K) keeps the sign; the flat Gaussian gives +0.0, as np.clip does.
+    assert math.copysign(1.0, min(max(-0.0, 0.0), K)) == -1.0
+    assert phi(-0.0).tobytes() == np.zeros(len(nodes)).tobytes()
+
+
+def test_constant_profile_reads_its_value_and_no_gaussian_key():
+    with pytest.raises(ConfigError, match=r"^missing key 'Phi_value' in section \[initial\]$"):
+        parse_config(readme_config_example(("Phi_value = 0.5", "")))
+    with pytest.raises(ConfigError, match=r"^unknown key 'Phi_base' in section \[initial\]$"):
+        parse_config(readme_config_example(("Phi_value = 0.5", "Phi_value = 0.5\nPhi_base = 0.0")))
 
 
 def test_param_key_case_preserved():

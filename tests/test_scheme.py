@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from tumorfem import scheme
-from tumorfem.cli import build_preset
+from tumorfem.cli import TABLE_BOUNDS, build_preset
 from tumorfem.config import (
-    ConstantProfile,
     GaussianProfile,
     InitialConditions,
     MeshSpec,
@@ -18,7 +17,7 @@ from tumorfem.config import (
     SchemeVariant,
     SolverOptions,
 )
-from tumorfem.fem import build_context, norms
+from tumorfem.fem import FemContext, norms
 from tumorfem.linalg import CgError, bicgstab_solve, cg_solve
 from tumorfem.mesh import audit_angles, build_structured_mesh, triangulation_from_arrays
 from tumorfem.model import ModelParams, State
@@ -34,10 +33,6 @@ from tumorfem.scheme import (
 from oracles import peak_bytes
 from test_assembly_equivalence import acute_mesh
 
-PARAMS = ModelParams(
-    kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
-    gamma=0.008, delta=0.8, K=1.0,
-)
 NO_REACTIONS = ModelParams(
     kappa1=8e-4, kappa0=8e-4, rho=0.0, alpha=0.0, beta1=0.0, beta2=0.0,
     gamma=0.0, delta=0.0, K=1.0,
@@ -50,14 +45,14 @@ imex_consistent = functools.partial(step, variant=SchemeVariant.IMEX_CONSISTENT)
 def small_config(variant=SchemeVariant.IMEX_LUMPED, nx=6, dt=1e-2, tf=0.05, **kw):
     defaults = dict(
         mesh=MeshSpec(nx=nx, ny=nx, lx=1.0, ly=1.0),
-        params=PARAMS,
+        params=TABLE_BOUNDS,
         dt=dt,
         tf=tf,
         variant=variant,
         initial=InitialConditions(
             T=GaussianProfile(base=0.0, amplitude=1.0, center=(0.5, 0.5), width=0.25),
             N=GaussianProfile(base=0.3, amplitude=0.5, center=(0.5, 0.5), width=0.25),
-            Phi=ConstantProfile(value=0.5),
+            Phi=GaussianProfile(base=0.5, amplitude=0.0),
         ),
         solver=SolverOptions(tol=1e-12),
     )
@@ -92,10 +87,10 @@ def test_solver_options_validation(kwargs, match):
 @pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: f"step_{v.name.lower()}")
 def test_zero_state_is_a_fixed_point(variant):
     mesh = build_structured_mesh(5, 5, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = zero_state(mesh.n_vertices)
     for _ in range(3):
-        state, diag = scheme._STEPPERS[variant](state, ctx, PARAMS, 1e-2)
+        state, diag = scheme._STEPPERS[variant](state, ctx, TABLE_BOUNDS, 1e-2)
         assert np.all(state.T == 0.0)
         assert np.all(state.N == 0.0)
         assert np.all(state.Phi == 0.0)
@@ -112,7 +107,7 @@ def test_uniform_capacity_tumor_follows_closed_recursion():
         gamma=0.008, delta=0.8, K=1.0,
     )
     mesh = build_structured_mesh(8, 8, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     n = mesh.n_vertices
     state = State(T=np.full(n, 1.0), N=np.zeros(n), Phi=np.zeros(n), step=0, time=0.0)
     dt = 1e-2
@@ -129,7 +124,7 @@ def test_explicit_equals_imex_without_reactions():
     # Without reactions both schemes solve the same system with the same CG
     # run; imex-lumped then returns one monotone sweep of that solution.
     mesh = build_structured_mesh(7, 7, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     rng = np.random.default_rng(5)
     T0 = rng.uniform(0.0, 1.0, mesh.n_vertices)
     state = State(T=T0, N=np.zeros(mesh.n_vertices), Phi=np.full(mesh.n_vertices, 0.5),
@@ -153,7 +148,7 @@ def test_monotone_sweep_writes_over_the_system_values():
     # writes min(B, 0) over them, so all it allocates, a few vectors, stays
     # below one copy of those values.
     mesh = acute_mesh(24, 24)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     rng = np.random.default_rng(3)
     B = ctx.assemble(rng.uniform(0.5, 2.0, mesh.n_triangles))
     B.data[ctx.diagonal_slots] += ctx.lumped / 1e-2
@@ -168,13 +163,13 @@ def test_monotone_sweep_writes_over_the_system_values():
 
 def test_consistent_equals_lumped_on_single_element_constant_fields():
     mesh = triangulation_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     mk = lambda: State(
         T=np.full(3, 0.4), N=np.full(3, 0.2), Phi=np.full(3, 0.5), step=0, time=0.0
     )
     solver = SolverOptions(tol=1e-14)
-    s_lumped, _ = imex_lumped(mk(), ctx, PARAMS, 1e-2, solver=solver)
-    s_cons, _ = imex_consistent(mk(), ctx, PARAMS, 1e-2, solver=solver)
+    s_lumped, _ = imex_lumped(mk(), ctx, TABLE_BOUNDS, 1e-2, solver=solver)
+    s_cons, _ = imex_consistent(mk(), ctx, TABLE_BOUNDS, 1e-2, solver=solver)
     assert np.abs(s_lumped.T - s_cons.T).max() <= 1e-12
     assert np.abs(s_lumped.N - s_cons.N).max() <= 1e-12
     assert np.abs(s_lumped.Phi - s_cons.Phi).max() <= 1e-12
@@ -182,14 +177,14 @@ def test_consistent_equals_lumped_on_single_element_constant_fields():
 
 def test_element_diffusivity_range():
     mesh = build_structured_mesh(6, 6, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     rng = np.random.default_rng(1)
     T = rng.uniform(0, 1, mesh.n_vertices)
     Phi = rng.uniform(0, 1, mesh.n_vertices)
-    coeff = element_diffusivity(ctx, T, Phi, PARAMS)
+    coeff = element_diffusivity(ctx, T, Phi, TABLE_BOUNDS)
     assert coeff.shape == (mesh.n_triangles,)
-    assert coeff.min() >= PARAMS.kappa0
-    assert coeff.max() <= PARAMS.kappa1 + PARAMS.kappa0
+    assert coeff.min() >= TABLE_BOUNDS.kappa0
+    assert coeff.max() <= TABLE_BOUNDS.kappa1 + TABLE_BOUNDS.kappa0
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)
@@ -200,22 +195,22 @@ def test_step_system_residual_self_check(variant):
     from tumorfem.model import imex_coefficients_T, reactions, vascular_factors
 
     mesh = build_structured_mesh(10, 10, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     cfg = small_config(nx=10)
     state = initial_state(cfg, mesh)
-    new, diag = step(state, ctx, PARAMS, cfg.dt, solver=cfg.solver, variant=variant)
+    new, diag = step(state, ctx, TABLE_BOUNDS, cfg.dt, solver=cfg.solver, variant=variant)
     lumped, split = variant.lumped, variant.split
-    A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, PARAMS))
+    A = ctx.assemble(element_diffusivity(ctx, state.T, state.Phi, TABLE_BOUNDS))
     m, M = ctx.lumped, ctx.mass
     if split:
-        P, root = vascular_factors(state.Phi, state.T, PARAMS.K)
-        src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, PARAMS)
+        P, root = vascular_factors(state.Phi, state.T, TABLE_BOUNDS.K)
+        src, dec = imex_coefficients_T(state.T, state.N, state.Phi, P, root, TABLE_BOUNDS)
     if lumped and split:
         B = (sp.diags(m / cfg.dt) + A + sp.diags(m * dec)).tocsr()
         rhs = m * (state.T / cfg.dt + src)
     elif lumped:
         B = (sp.diags(m / cfg.dt) + A).tocsr()
-        rhs = m * state.T / cfg.dt + M @ reactions(state.T, state.N, state.Phi, PARAMS)[0]
+        rhs = m * state.T / cfg.dt + M @ reactions(state.T, state.N, state.Phi, TABLE_BOUNDS)[0]
     else:
         B = (M / cfg.dt + A + M @ sp.diags(dec)).tocsr()
         rhs = M @ (state.T / cfg.dt + src)
@@ -318,10 +313,10 @@ def test_certificate_rejects_obtuse_lumped_system(stepper):
     # Stepping directly skips the angle audit in run(); the certificate
     # still refuses the system before it is solved.
     mesh = obtuse_mesh()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = State(T=np.full(4, 0.5), N=np.full(4, 0.2), Phi=np.full(4, 0.5), step=0, time=0.0)
     with pytest.raises(SchemeError, match="step 1: .*positive off-diagonal entry in row 1"):
-        stepper(state, ctx, PARAMS, 1e-2)
+        stepper(state, ctx, TABLE_BOUNDS, 1e-2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -330,7 +325,7 @@ def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
     # Each new field is replaced by a copy of its old value, except that the
     # field under test gets one bad entry, so no other field is touched by it.
     mesh = build_structured_mesh(6, 6, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(small_config(), mesh)
 
     def spoiled(values):
@@ -353,7 +348,7 @@ def test_non_finite_field_raises_naming_it(monkeypatch, field, bad):
     monkeypatch.setattr(scheme.model, "update_n_node",
                         lambda *a: spoiled(state.N) if field == "N" else state.N.copy())
     with pytest.raises(SchemeError, match=f"step 1: non-finite values in {field}$"):
-        imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
+        imex_lumped(state, ctx, TABLE_BOUNDS, 1e-2, SolverOptions(tol=1e-12))
 
 
 @pytest.mark.parametrize("field", ["T", "N", "Phi"])
@@ -362,7 +357,7 @@ def test_negative_field_raises_naming_it(monkeypatch, field):
     # under test at -1e-300. The comparison schemes report such values instead
     # (test_acceptance, criteria 2 and 3).
     mesh = build_structured_mesh(6, 6, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(small_config(), mesh)
 
     def new_value(name):
@@ -376,14 +371,14 @@ def test_negative_field_raises_naming_it(monkeypatch, field):
     monkeypatch.setattr(scheme.model, "update_n_node", lambda *a: new_value("N"))
     with pytest.raises(SchemeError,
                        match=rf"^step 1: {field} breaks its lower bound 0 \(min -1\.000e-300\)$"):
-        imex_lumped(state, ctx, PARAMS, 1e-2, SolverOptions(tol=1e-12))
+        imex_lumped(state, ctx, TABLE_BOUNDS, 1e-2, SolverOptions(tol=1e-12))
 
 
 def test_falling_necrosis_raises_naming_its_first_node(monkeypatch):
     # Without reactions N^{k+1} equals N^k. One ulp less at two nodes, both
     # still above the lower bound 0, is a fall, and the step names the first.
     mesh = build_structured_mesh(6, 6, 1.0, 1.0)
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(small_config(), mesh)
     assert state.N.min() > 0.0
     update = scheme.model.update_n_node
@@ -509,7 +504,7 @@ def test_step_errors_survive_a_pickle_round_trip(exc, attrs, text):
 def steps_started_from_the_current_field(cfg):
     """run()'s per-step diagnostics, with every solve started from T^k."""
     mesh = cfg.mesh.build()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(cfg, mesh)
     stepper = scheme._STEPPERS[cfg.variant]
     diags, energy = [], 0.0
@@ -587,7 +582,7 @@ def test_run_starts_each_solve_from_the_extrapolated_fields(monkeypatch):
 def test_non_finite_guess_starts_from_the_current_field(stepper, bad):
     cfg = small_config()
     mesh = cfg.mesh.build()
-    ctx = build_context(mesh)
+    ctx = FemContext(mesh)
     state = initial_state(cfg, mesh)
     guess = 2.0 * state.T
     guess[3] = bad
