@@ -101,9 +101,12 @@ def build_preset(name: str) -> list[RunConfig]:
 
 
 def _with_output(cfg: RunConfig, directory: str, args) -> RunConfig:
-    """``cfg`` writing into ``directory``, snapshotting every ``--snapshot-every`` steps if given."""
+    """``cfg`` writing into ``directory``, snapshotting every ``--snapshot-every`` steps if
+    given. The directory is created here, so an unusable one fails before any run."""
     every = cfg.output.snapshot_every if args.snapshot_every is None else args.snapshot_every
-    return replace(cfg, output=replace(cfg.output, directory=directory, snapshot_every=every))
+    cfg = replace(cfg, output=replace(cfg.output, directory=directory, snapshot_every=every))
+    os.makedirs(cfg.output.directory, exist_ok=True)
+    return cfg
 
 
 def _run_and_summarize(cfg: RunConfig):
@@ -174,10 +177,9 @@ def _cmd_compare(args) -> int:
         print("error: configs use different time grids", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.output_dir or "."
-    report_a, report_b = (
-        _run_and_summarize(_with_output(cfg, os.path.join(out_dir, f"{cfg.label}-{side}"), args))
-        for cfg, side in ((cfg_a, "a"), (cfg_b, "b"))
-    )
+    sides = [_with_output(cfg, os.path.join(out_dir, f"{cfg.label}-{side}"), args)
+             for cfg, side in ((cfg_a, "a"), (cfg_b, "b"))]
+    report_a, report_b = map(_run_and_summarize, sides)
     joined = os.path.join(out_dir, "compare.csv")
     output_mod.write_compare_csv(report_a, report_b, joined)
     print(f"wrote {joined}")

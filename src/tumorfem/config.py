@@ -16,6 +16,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,21 +102,19 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class OutputOptions:
+    """A run writes every file into ``directory``, under the fixed names below;
+    the snapshot of step k is the prefix followed by ``_<k:06d>.vtk``."""
+
     directory: str = "."  # "" (a config's empty value) is read as "."
-    csv_name: str = "per_step.csv"
-    summary_name: str = "summary.txt"
     snapshot_every: int = 0  # 0 disables VTK snapshots
-    vtk_prefix: str = "snapshot"
+    csv_name: ClassVar[str] = "per_step.csv"
+    summary_name: ClassVar[str] = "summary.txt"
+    vtk_prefix: ClassVar[str] = "snapshot"
 
     def __post_init__(self):
         object.__setattr__(self, "directory", self.directory or ".")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative (0 disables snapshots)")
-        for name in (self.csv_name, self.summary_name):
-            if os.path.basename(name) in ("", ".", ".."):
-                raise ValueError(f"output file name {name!r} does not name a file")
-        if os.path.normpath(self.summary_name) == os.path.normpath(self.csv_name):
-            raise ValueError(f"csv and summary are both written to {self.csv_name!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,9 @@ class RunConfig:
         steps = self.tf / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"tf/dt = {steps} is not an integer step count")
+        # compare and the presets name a run's directory after its label
+        if self.label in ("", ".", "..") or os.path.basename(self.label) != self.label:
+            raise ValueError(f"label {self.label!r} must be one path component")
 
     @property
     def n_steps(self) -> int:
@@ -236,11 +238,9 @@ def _parse_profile(r: _Reader, name: str):
 
 
 def _parse_options(r: _Reader, section: str, cls):
-    """``cls`` read from ``section``: one key per field, in field order, typed like
-    the field's default and defaulting to it. ``csv_name`` is read as ``csv``,
-    ``summary_name`` as ``summary``."""
-    return cls(**{f.name: r.get(section, f.name.removesuffix("_name"), type(f.default), f.default)
-                  for f in fields(cls)})
+    """``cls`` read from ``section``: one key per field, named and typed like the
+    field and defaulting to its default."""
+    return cls(**{f.name: r.get(section, f.name, type(f.default), f.default) for f in fields(cls)})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -272,6 +272,6 @@ def parse_config_file(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -4,24 +4,23 @@ Floats are written with 17 significant digits so files round-trip exactly;
 plots are produced externally from these files, the package itself draws
 nothing. Each file is rendered to one string and written with one call;
 each CSV row, and each VTK block of n values, is one ``%`` format.
-``prepare_outputs(config)`` returns the ``on_step`` that writes a run's
-snapshots over one VTK geometry; ``write_run_outputs`` writes the rest.
+A run writes into its one directory under the fixed names of
+``OutputOptions``. ``prepare_outputs(config)`` creates that directory and
+returns the ``on_step`` that writes the run's snapshots over one VTK
+geometry; ``write_run_outputs`` writes the rest.
 """
 
 from __future__ import annotations
 
 import os
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diagnostics
+from .config import OutputOptions, RunConfig
 from .mesh import Triangulation
-
-if TYPE_CHECKING:
-    from .config import OutputOptions, RunConfig
-    from .scheme import RunReport
+from .scheme import RunReport
 
 # per_step.csv's columns, each with the StepDiagnostics field it holds; a
 # %.17g row writes the integer columns' digits as they are
@@ -85,25 +84,17 @@ def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> No
     _write_text(path, "".join(rows))
 
 
-def write_snapshot(directory: str, prefix: str, geometry: str, state) -> None:
+def write_snapshot(directory: str, geometry: str, state) -> None:
     """Write ``state``'s fields on the mesh whose ``vtk_geometry`` is given."""
-    path = os.path.join(directory, f"{prefix}_{state.step:06d}.vtk")
+    path = os.path.join(directory, f"{OutputOptions.vtk_prefix}_{state.step:06d}.vtk")
     write_vtk(path, geometry, {"T": state.T, "N": state.N, "Phi": state.Phi})
 
 
-def _make_directories(out: OutputOptions, *names: str) -> None:
-    """Create ``out.directory`` and the directories the CSV and summary names,
-    and any further ``names``, lead into."""
-    os.makedirs(out.directory, exist_ok=True)
-    for name in (out.csv_name, out.summary_name, *names):
-        os.makedirs(os.path.dirname(os.path.join(out.directory, name)), exist_ok=True)
-
-
 def prepare_outputs(config: RunConfig):
-    """Create the directories of all ``config``'s files; return the ``on_step`` that
-    writes a snapshot every ``snapshot_every`` steps and at the last, or ``None``."""
+    """Create ``config``'s output directory; return the ``on_step`` that writes a
+    snapshot every ``snapshot_every`` steps and at the last, or ``None``."""
     out = config.output
-    _make_directories(out, *((out.vtk_prefix,) if out.snapshot_every else ()))
+    os.makedirs(out.directory, exist_ok=True)
     if not out.snapshot_every:
         return None
     geometry = ""
@@ -113,7 +104,7 @@ def prepare_outputs(config: RunConfig):
         nonlocal geometry
         geometry = geometry or vtk_geometry(mesh)
         if state.step % out.snapshot_every == 0 or state.step == config.n_steps:
-            write_snapshot(out.directory, out.vtk_prefix, geometry, state)
+            write_snapshot(out.directory, geometry, state)
 
     return on_step
 
@@ -121,7 +112,7 @@ def prepare_outputs(config: RunConfig):
 def write_run_outputs(report: RunReport) -> None:
     """Write the per-step CSV and the full summary; snapshots need ``prepare_outputs``."""
     out = report.config.output
-    _make_directories(out)
+    os.makedirs(out.directory, exist_ok=True)
     write_csv(report, os.path.join(out.directory, out.csv_name))
     summary = "".join(line + "\n" for line in diagnostics.run_summary_lines(report))
     _write_text(os.path.join(out.directory, out.summary_name), summary)

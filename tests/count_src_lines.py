@@ -1,9 +1,10 @@
 """Count the lines of ``src/tumorfem``: all of them, and the code lines.
 
 Run it as ``python tests/count_src_lines.py`` from any directory. It
-prints two totals over the package's ``.py`` files: every line, as
-``wc -l`` counts them, and the code lines, which leave out blank lines,
-comment lines and the lines of module, class and function docstrings.
+prints two counts for each of the package's ``.py`` files, one row per
+module, and then their totals: every line, as ``wc -l`` counts them, and
+the code lines, which leave out blank lines, comment lines and the lines
+of module, class and function docstrings.
 Only the standard library is used, so the count needs no install.
 """
 
@@ -45,8 +46,10 @@ def main() -> None:
     total = code = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
-        total += source.count("\n")
-        code += code_lines(source)
+        lines, module_code = source.count("\n"), code_lines(source)
+        print(f"src/tumorfem/{path.name}: {lines:,} lines, {module_code:,} code lines")
+        total += lines
+        code += module_code
     print(f"src/tumorfem: {total:,} lines (wc -l), {code:,} code lines")
 
 

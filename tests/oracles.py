@@ -246,10 +246,7 @@ def serialize_config(config: RunConfig) -> str:
     w(f"maxit = {config.solver.maxit}\n")
     w("\n[output]\n")
     w(f"directory = {config.output.directory}\n")
-    w(f"csv = {config.output.csv_name}\n")
-    w(f"summary = {config.output.summary_name}\n")
     w(f"snapshot_every = {config.output.snapshot_every}\n")
-    w(f"vtk_prefix = {config.output.vtk_prefix}\n")
     return buf.getvalue()
 
 

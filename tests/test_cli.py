@@ -1,12 +1,16 @@
 import csv
+import re
 from dataclasses import replace
 
 import pytest
 
 from tumorfem.cli import build_preset, main
-from tumorfem.config import ConfigError, GaussianProfile, MeshSpec, SchemeVariant, parse_config
+from tumorfem.config import (
+    ConfigError, GaussianProfile, MeshSpec, SchemeVariant, parse_config, parse_config_file,
+)
 from tumorfem.mesh import build_structured_mesh, triangulation_from_arrays, write_mesh
 
+import count_src_lines
 from count_src_lines import code_lines
 from oracles import serialize_config, write_config_file
 from test_assembly_equivalence import acute_mesh
@@ -424,36 +428,34 @@ def test_library_writer_default_directory_matches_cli(tmp_path, monkeypatch):
 
 def test_library_snapshots_match_cli(tmp_path):
     # run(cfg, on_step=prepare_outputs(cfg)) and write_run_outputs write the
-    # files `tumorfem run` writes, snapshots under a nested prefix included.
+    # files `tumorfem run` writes, snapshots included.
     from tumorfem.config import OutputOptions
     from tumorfem.output import prepare_outputs, write_run_outputs
     from tumorfem.scheme import run
 
-    out = OutputOptions(directory=str(tmp_path / "library"), summary_name="sub/s.txt",
-                        snapshot_every=3, vtk_prefix="vtk/snap")
+    out = OutputOptions(directory=str(tmp_path / "library"), snapshot_every=3)
     cfg = tiny_config(tf=0.04, output=out)
     write_run_outputs(run(cfg, on_step=prepare_outputs(cfg)))
     write_config_file(cfg, str(tmp_path / "run.cfg"))
     assert main(["run", str(tmp_path / "run.cfg"), "--output-dir", str(tmp_path / "cli")]) == 0
     library = _files(tmp_path / "library")
-    assert sorted(library) == ["per_step.csv", "sub/s.txt", "vtk/snap_000000.vtk",
-                               "vtk/snap_000003.vtk", "vtk/snap_000004.vtk"]
+    assert sorted(library) == ["per_step.csv", "snapshot_000000.vtk", "snapshot_000003.vtk",
+                               "snapshot_000004.vtk", "summary.txt"]
     assert library == _files(tmp_path / "cli")
 
 
 def test_readme_library_example_writes_the_tree_of_the_console_script(tmp_path, monkeypatch):
     # The README's python block on the README config with snapshots every 50
-    # steps under a nested prefix, run as a script with the config path as
-    # its argument.
+    # steps, run as a script with the config path as its argument.
     cfg_path = tmp_path / "library.cfg"
     cfg_path.write_text(readme_config_example(
         ("directory = out", f"directory = {tmp_path / 'library'}"),
-        ("snapshot_every = 0", "snapshot_every = 50"), ("vtk_prefix = snapshot", "vtk_prefix = vtk/snap")))
+        ("snapshot_every = 0", "snapshot_every = 50")))
     monkeypatch.setattr("sys.argv", ["library.py", str(cfg_path)])
     exec(compile(readme_block("python"), "library.py", "exec"), {"__name__": "__main__"})
     assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "console")]) == 0
     library = _files(tmp_path / "library")
-    assert "vtk/snap_000100.vtk" in library
+    assert "snapshot_000100.vtk" in library
     assert library == _files(tmp_path / "console")
 
 
@@ -491,6 +493,15 @@ docstring"""
     assert code_lines(source) == 7
 
 
+def test_line_count_rows_per_module_sum_to_the_total(capsys):
+    count_src_lines.main()
+    *rows, total = capsys.readouterr().out.splitlines()
+    modules = sorted(count_src_lines.PACKAGE.glob("*.py"))
+    assert [row.split(":")[0] for row in rows] == [f"src/tumorfem/{p.name}" for p in modules]
+    lines, code = (sum(int(row.split()[i].replace(",", "")) for row in rows) for i in (1, 3))
+    assert total == f"src/tumorfem: {lines:,} lines (wc -l), {code:,} code lines"
+
+
 def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path):
     from tumorfem.config import OutputOptions
     from tumorfem.output import write_run_outputs
@@ -498,7 +509,7 @@ def test_library_run_without_snapshot_writer_leaves_no_prefix_directory(tmp_path
 
     out_dir = tmp_path / "out"
     write_run_outputs(run(tiny_config(output=OutputOptions(
-        directory=str(out_dir), snapshot_every=1, vtk_prefix="vtk/snap"))))
+        directory=str(out_dir), snapshot_every=1))))
     assert sorted(p.name for p in out_dir.iterdir()) == ["per_step.csv", "summary.txt"]
 
 
@@ -628,62 +639,65 @@ def test_gaussian_width_with_subnormal_square_evaluates_without_warning(tmp_path
     assert capsys.readouterr().err == ""
 
 
-def test_output_names_under_a_new_directory(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(readme_config_example(("summary = summary.txt", "summary = sub/s.txt"),
-                                              ("csv = per_step.csv", "csv = a/b/steps.csv")))
-    out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
-    assert capsys.readouterr().err == ""
-    assert (out_dir / "sub" / "s.txt").read_text().startswith("label=demo\n")
-    assert (out_dir / "a" / "b" / "steps.csv").exists()
-
-
-def test_vtk_prefix_under_a_new_directory(tmp_path, monkeypatch, capsys):
-    # The prefix's directory is created with the output directory, before
-    # the mesh is built, as for the csv and summary names.
-    from tumorfem import cli
-
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(readme_config_example(("snapshot_every = 0", "snapshot_every = 50"),
-                                              ("vtk_prefix = snapshot", "vtk_prefix = sub/snap")))
-    out_dir = tmp_path / "out"
-    real_run = cli.run
-
-    def run_after_directories(cfg, **kwargs):
-        assert (out_dir / "sub").is_dir()
-        return real_run(cfg, **kwargs)
-
-    monkeypatch.setattr(cli, "run", run_after_directories)
-    assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 0
-    assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in (out_dir / "sub").iterdir()) == [
-        "snap_000000.vtk", "snap_000050.vtk", "snap_000100.vtk"]
-
-
-@pytest.mark.parametrize("old, new, match", [
-    ("csv = per_step.csv", "csv =", r"^output file name '' does not name a file$"),
-    ("summary = summary.txt", "summary = .", r"^output file name '\.' does not name a file$"),
-    ("csv = per_step.csv", "csv = sub/..", r"^output file name 'sub/\.\.' does not name a file$"),
-    ("summary = summary.txt", "summary = per_step.csv",
-     r"^csv and summary are both written to 'per_step\.csv'$"),
-    ("summary = summary.txt", "summary = ./per_step.csv",
-     r"^csv and summary are both written to 'per_step\.csv'$"),
-], ids=["empty-csv", "dot-summary", "dot-dot-csv", "summary-is-csv", "summary-is-csv-dotted"])
-def test_unusable_output_file_names_are_config_errors(tmp_path, run_calls, capsys,
-                                                      old, new, match):
-    text = serialize_config(tiny_config())
-    assert f"\n{old}\n" in text
-    text = text.replace(f"\n{old}\n", f"\n{new}\n")
-    with pytest.raises(ConfigError, match=match):
+@pytest.mark.parametrize("key", ["csv", "summary", "vtk_prefix"])
+def test_output_file_names_are_fixed_and_their_old_keys_unknown(tmp_path, run_calls, capsys, key):
+    text = readme_config_example(("snapshot_every = 0", f"snapshot_every = 0\n{key} = renamed"))
+    with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in section \[output\]$"):
         parse_config(text)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg_path), "--output-dir", str(out_dir)]) == 2
-    assert "error: " in capsys.readouterr().err
+    assert f"error: unknown key '{key}' in section [output]" in capsys.readouterr().err
     assert run_calls == []
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run-preset", "compare"])
+def test_every_run_directory_exists_before_the_first_step(tmp_path, run_calls, capsys, command):
+    # The second run's directory is a file: neither run may start.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if command == "compare":
+        cfg_path = tmp_path / "run.cfg"
+        write_config_file(tiny_config(), str(cfg_path))
+        argv = ["compare", str(cfg_path), str(cfg_path)]
+        (out_dir / "run-b").write_text("")
+    else:
+        argv = ["run", "--preset", "lumping-comparison"]
+        (out_dir / "lumping-imex-consistent").write_text("")
+    assert main([*argv, "--output-dir", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_calls == []
+    assert not list(tmp_path.rglob("per_step.csv"))
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "sub/run", "run/", "/abs"])
+def test_label_must_be_one_path_component(label):
+    match = rf"^label {re.escape(repr(label))} must be one path component$"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(readme_config_example(("label = demo", f"label = {label}")))
+
+
+def test_compare_writes_nothing_outside_the_output_directory(tmp_path, run_calls, capsys):
+    cfg_path = tmp_path / "escape.cfg"
+    cfg_path.write_text(readme_config_example(("label = demo", "label = ../escaped"),
+                                              ("tf = 1.0", "tf = 0.02")))
+    out_dir = tmp_path / "out"
+    assert main(["compare", str(cfg_path), str(cfg_path), "--output-dir", str(out_dir)]) == 2
+    assert "error: label '../escaped' must be one path component" in capsys.readouterr().err
+    assert run_calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["escape.cfg"]
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, run_calls, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"; caf\xe9\n" + readme_config_example().encode("ascii"))
+    with pytest.raises(ConfigError, match=rf"^cannot read config {re.escape(str(cfg_path))}: "):
+        parse_config_file(str(cfg_path))
+    assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg_path}: ")
+    assert run_calls == []
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant), ids=lambda v: v.value)

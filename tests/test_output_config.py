@@ -217,8 +217,8 @@ def test_vtk_bytes_equal_per_line_oracle(tmp_path, mesh):
     geometry = vtk_geometry(mesh)
     write_vtk(str(tmp_path / "new.vtk"), geometry, fields)
     assert (tmp_path / "new.vtk").read_bytes() == expected
-    write_snapshot(str(tmp_path), "snap", geometry, state)
-    assert (tmp_path / "snap_000007.vtk").read_bytes() == expected
+    write_snapshot(str(tmp_path), geometry, state)
+    assert (tmp_path / "snapshot_000007.vtk").read_bytes() == expected
 
 
 def awkward_report(cfg):
@@ -388,8 +388,7 @@ SWEEP_BASES = {
 # Every optional key is set away from its default, so dropping it shows.
 SWEEP_OPTIONAL = dict(
     solver=SolverOptions(tol=1e-9, maxit=50),
-    output=OutputOptions(directory="out", csv_name="c.csv", summary_name="s.txt",
-                         snapshot_every=3, vtk_prefix="v"),
+    output=OutputOptions(directory="out", snapshot_every=3),
     label="sweep",
 )
 
@@ -399,8 +398,7 @@ def _with_default(cfg, section, key):
     if key == "label":
         return replace(cfg, label="run")
     options = getattr(cfg, section)
-    field = {"csv": "csv_name", "summary": "summary_name"}.get(key, key)
-    return replace(cfg, **{section: replace(options, **{field: getattr(type(options), field)})})
+    return replace(cfg, **{section: replace(options, **{key: getattr(type(options), key)})})
 
 
 def _sweep_base(name):

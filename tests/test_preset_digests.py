@@ -135,13 +135,13 @@ def test_preset_output_matches_recorded_digests(tmp_path, preset, every):
 def test_one_ulp_in_one_snapshot_fails_the_comparison(tmp_path, monkeypatch):
     write_snapshot = output.write_snapshot
 
-    def nudged(directory, prefix, geometry, state):
+    def nudged(directory, geometry, state):
         # one node of T, one ulp up, in the step-50 snapshot of one run
         if state.step == 50 and directory.endswith("lumping-imex-lumped"):
             T = state.T.copy()
             T[60] = np.nextafter(T[60], np.inf)
             state = replace(state, T=T)
-        write_snapshot(directory, prefix, geometry, state)
+        write_snapshot(directory, geometry, state)
 
     monkeypatch.setattr(output, "write_snapshot", nudged)
     actual = preset_digests("lumping-comparison", 10, tmp_path)
