@@ -40,7 +40,8 @@ from .mesh import Triangulation, element_areas_and_gradients
 
 
 class FemContext:
-    """The mesh-only operators, built once per mesh and shared by steppers and norms.
+    """The mesh-only operators, built once per mesh and shared by steppers, norms
+    and runs on the mesh; every array they hold is read-only.
 
     ``lumped[a]`` is the integral of basis function a, area/3 summed over
     the elements touching node a in element order. ``mass`` is the
@@ -116,9 +117,6 @@ class FemContext:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(stiffness_rows, minlength=n), out=indptr[1:])
         self.diagonal_slots = np.flatnonzero(stiffness_rows == indices)
-        # Every assembled matrix shares the pattern; a structural change in place raises.
-        indices.flags.writeable = False
-        indptr.flags.writeable = False
         # The pattern-only matrix that assemble copies. Its data is one zero
         # seen through a zero stride, so it holds no value per entry.
         self._template = sp.csr_matrix(
@@ -139,6 +137,13 @@ class FemContext:
             shape=(nt, n),
         )
         self.mesh = mesh
+        # Runs on one mesh share its context, and every assembled matrix its
+        # stiffness pattern, so a write or an in-place structural change raises.
+        shared = [self.lumped, self.mass_slots, self.diagonal_slots]
+        for m in (self.mass, self.energy, self.vertex_sum, self._scatter, self._template):
+            shared += [m.data, m.indices, m.indptr]
+        for array in shared:
+            array.flags.writeable = False
 
     def assemble(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness matrix with nonnegative coefficient ``coeff[t]`` on element t.

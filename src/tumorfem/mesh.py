@@ -18,7 +18,8 @@ rows of length nt. Validation forms it once and takes from it the checks,
 the orientation, ``h`` and the angle audit, which the mesh keeps;
 ``element_areas_and_gradients`` forms it again and may return a view.
 
-Meshes are immutable after construction and safe to share across threads.
+Meshes are immutable after construction, their arrays read-only, and safe
+to share across runs and threads.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def triangulation_from_arrays(nodes, triangles) -> Triangulation:
         lo, hi = divmod(int(keys[np.argmax(shared)]), n)
         raise ValueError(f"edge ({lo}, {hi}) shared by more than two elements")
 
+    # Runs share meshes, so the mesh's own views of both arrays are read-only.
+    nodes, triangles = nodes.view(), triangles.view()
+    nodes.flags.writeable = triangles.flags.writeable = False
     return Triangulation(nodes=nodes, triangles=triangles, h=h, angles=angles)
 
 

@@ -36,7 +36,7 @@ Identical configs produce bit-identical reports.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import model
-# MeshSpec is imported only for perfbench, which times scheme.MeshSpec.build.
+# perfbench imports MeshSpec from here and times MeshSpec.build.
 from .config import MeshSpec, RunConfig, SchemeVariant, SolverOptions
 from .fem import FemContext, build_context, norms
 from .linalg import CgError, bicgstab_solve, cg_solve, csr_product
@@ -339,23 +339,40 @@ def initial_state(config: RunConfig, mesh: Triangulation) -> State:
     return State(T=T0, N=N0, Phi=Phi0, step=0, time=0.0)
 
 
+@lru_cache(maxsize=1)
+def _discretize(spec: MeshSpec) -> tuple[Triangulation, FemContext]:
+    """The mesh and FEM context of a structured ``spec``, kept until a run on another mesh.
+
+    Both are read-only, so runs share them. A spec with a path is never
+    passed here: its file may change between runs.
+    """
+    mesh = spec.build()
+    return mesh, build_context(mesh)
+
+
 def run(
     config: RunConfig, on_step: Callable[[Triangulation, State], None] | None = None
 ) -> RunReport:
     """Execute the configured number of steps and collect per-step diagnostics.
 
     The accumulated energy is dt * sum_k T^k . (M + A_1) T^k, the squared
-    H1 norms of the computed steps. Lumped variants refuse meshes that fail
-    the non-obtuse audit. The solve of step k + 1 starts from
-    ``3T^k - 3T^{k-1} + T^{k-2}`` (step 2 from ``2T^1 - T^0``, step 1 from
-    ``T^0``). For that the loop keeps two arrays of its own, the last two
-    differences of the tumor field, and forms each start over the older one.
+    H1 norms of the computed steps. A structured mesh and its FEM context
+    come from a one-entry memo, so consecutive runs on one structured mesh
+    build them once and share them read-only; a mesh file is read, and its
+    context built, on every run, as the file may change between runs.
+    Lumped variants refuse meshes that fail the non-obtuse audit, on every
+    run and, for a file mesh, before its context is built. The solve of
+    step k + 1 starts from ``3T^k - 3T^{k-1} + T^{k-2}`` (step 2 from
+    ``2T^1 - T^0``, step 1 from ``T^0``). For that the loop keeps two
+    arrays of its own, the last two differences of the tumor field, and
+    forms each start over the older one.
     ``on_step(mesh, state)``, when given, sees the initial state and the
     state after every step. No file is written here: the caller passes
     ``on_step=output.prepare_outputs(config)`` for the snapshots and calls
     ``output.write_run_outputs(report)``.
     """
-    mesh = config.mesh.build()
+    spec = config.mesh
+    mesh, ctx = (spec.build(), None) if spec.path else _discretize(spec)
     report_angles = audit_angles(mesh)
     if config.variant.lumped and not report_angles.non_obtuse:
         raise ValueError(
@@ -363,7 +380,8 @@ def run(
             f"{config.variant.value} scheme: element {report_angles.worst_element} "
             f"has an angle with cosine {-report_angles.max_neg_cosine:.6f}"
         )
-    ctx = build_context(mesh)
+    if ctx is None:
+        ctx = build_context(mesh)
     state = initial_state(config, mesh)
     if on_step is not None:
         on_step(mesh, state)

@@ -21,7 +21,7 @@ from tumorfem.config import (
     parse_config_file,
 )
 from tumorfem.cli import TABLE_BOUNDS, main
-from tumorfem.mesh import build_structured_mesh
+from tumorfem.mesh import build_structured_mesh, write_mesh
 from tumorfem.model import State
 from tumorfem.output import (
     CSV_HEADER,
@@ -277,6 +277,31 @@ def test_cli_runs_on_two_meshes_write_their_own_geometry(tmp_path, monkeypatch, 
         assert len(snapshots) == 4
         for path in snapshots:
             assert path.read_text().startswith(geometry)
+
+
+def test_a_mesh_file_rewritten_between_runs_is_read_again(tmp_path):
+    # One path, the same counts, moved coordinates, one process: each run
+    # must see the file as it is, so runs on a mesh file are never memoised.
+    # Each file holds a structured mesh bit for bit, so its run must match
+    # that mesh's, computed first: nothing runs between the two file runs.
+    expected = []
+    for i, lx in enumerate((1.0, 1.5)):
+        expected.append(tmp_path / f"expected{i}.csv")
+        write_csv(run(tiny_config(mesh=MeshSpec(nx=4, ny=4, lx=lx, ly=1.0))), str(expected[i]))
+    mesh_path, cfg_path = tmp_path / "mesh.txt", tmp_path / "run.cfg"
+    write_config_file(tiny_config(mesh=MeshSpec(path=str(mesh_path))), str(cfg_path))
+    for i, lx in enumerate((1.0, 1.5)):
+        mesh = build_structured_mesh(4, 4, lx, 1.0)
+        write_mesh(mesh, mesh_path)
+        out_dir = tmp_path / f"out{i}"
+        assert main(["run", str(cfg_path), "--output-dir", str(out_dir), "--snapshot-every", "1"]) == 0
+        oracle_write_vtk(str(tmp_path / "geometry.vtk"), mesh, {})
+        geometry = (tmp_path / "geometry.vtk").read_text()
+        snapshots = sorted(out_dir.glob("*.vtk"))
+        assert len(snapshots) == 4
+        for path in snapshots:
+            assert path.read_text().startswith(geometry)
+        assert (out_dir / "per_step.csv").read_bytes() == expected[i].read_bytes()
 
 
 def test_config_round_trip_is_exact(tmp_path):

@@ -1,5 +1,7 @@
 import functools
+import gc
 import pickle
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -590,3 +592,68 @@ def test_non_finite_guess_starts_from_the_current_field(stepper, bad):
     want, want_d = stepper(state, ctx, cfg.params, cfg.dt, solver=cfg.solver)
     assert np.array_equal(got.T, want.T)
     assert got_d == want_d
+
+
+def _record_contexts(monkeypatch, record):
+    """Make every stepper pass the context it steps with to ``record``."""
+    for variant, stepper in list(scheme._STEPPERS.items()):
+        def recording(state, ctx, *args, _stepper=stepper, **kwargs):
+            record(ctx)
+            return _stepper(state, ctx, *args, **kwargs)
+
+        monkeypatch.setitem(scheme._STEPPERS, variant, recording)
+
+
+def test_runs_on_one_structured_mesh_build_its_discretization_once(monkeypatch):
+    from tumorfem import mesh as mesh_module
+
+    edge_arrays_formed = []
+    form = mesh_module._edges
+    monkeypatch.setattr(mesh_module, "_edges",
+                        lambda *a: edge_arrays_formed.append(1) or form(*a))
+    cfg = small_config()
+    run(cfg)
+    run(replace(cfg, variant=SchemeVariant.IMEX_CONSISTENT))
+    # one for the mesh's validation, one for its context
+    assert len(edge_arrays_formed) == 2
+
+
+def test_runs_on_alternating_meshes_match_runs_from_an_empty_memo():
+    a = small_config()
+    b = small_config(nx=5, variant=SchemeVariant.EXPLICIT_LUMPED)
+    configs = [a, b, replace(a, variant=SchemeVariant.IMEX_CONSISTENT)]
+    reports = [run(cfg) for cfg in configs]
+    for cfg, report in zip(configs, reports):
+        scheme._discretize.cache_clear()
+        fresh = run(cfg)
+        assert report.steps == fresh.steps
+        for name in ("T", "N", "Phi"):
+            assert np.array_equal(getattr(report.final_state, name),
+                                  getattr(fresh.final_state, name))
+
+
+def test_a_run_on_another_mesh_frees_the_last_discretization(monkeypatch):
+    seen = []
+    _record_contexts(monkeypatch, lambda ctx: seen.append(weakref.ref(ctx)))
+    run(small_config(tf=0.01))
+    run(small_config(nx=5, tf=0.01))
+    gc.collect()
+    assert seen[0]() is None and seen[1]() is not None
+
+
+@pytest.mark.parametrize("array_of", [
+    lambda report, ctx: report.mesh.nodes,
+    lambda report, ctx: report.mesh.triangles,
+    lambda report, ctx: ctx.lumped,
+    lambda report, ctx: ctx.mass.data,
+    lambda report, ctx: ctx.energy.data,
+    lambda report, ctx: ctx.vertex_sum.indices,
+    lambda report, ctx: ctx.diagonal_slots,
+], ids=["nodes", "triangles", "lumped", "mass", "energy", "vertex_sum", "diagonal_slots"])
+def test_a_shared_discretization_refuses_writes(monkeypatch, array_of):
+    seen = []
+    _record_contexts(monkeypatch, seen.append)
+    report = run(small_config(tf=0.01))
+    array = array_of(report, seen[0])
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[0]
