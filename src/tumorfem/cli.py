@@ -28,7 +28,6 @@ from .config import (
     GaussianProfile,
     InitialConditions,
     MeshSpec,
-    OutputOptions,
     RunConfig,
     SchemeVariant,
     SolverOptions,
@@ -53,7 +52,7 @@ _PRESET_INITIAL = InitialConditions(
     Phi=GaussianProfile(base=0.5, amplitude=0.0),
 )
 
-_PRESET_SOLVER = SolverOptions(tol=1e-12, maxit=0)
+_PRESET_SOLVER = SolverOptions(tol=1e-12)
 
 TABLE_BOUNDS = ModelParams(
     kappa1=8e-5, kappa0=8e-5, rho=1.0, alpha=0.8, beta1=0.8, beta2=0.8,
@@ -93,7 +92,7 @@ def build_preset(name: str) -> list[RunConfig]:
     mesh = MeshSpec(nx=cells, ny=cells, lx=1.0, ly=1.0)
     return [
         RunConfig(mesh=mesh, params=params, dt=tf / steps, tf=tf, variant=variant,
-                  initial=_PRESET_INITIAL, solver=_PRESET_SOLVER, output=OutputOptions(),
+                  initial=_PRESET_INITIAL, solver=_PRESET_SOLVER,
                   label=f"{prefix}-{variant.value}" + (f"-Kf{steps:03d}" if sweep else ""))
         for steps in (ENERGY_SWEEP_STEPS if sweep else (100,))
         for variant in variants
@@ -123,14 +122,7 @@ def _run_line(cfg: RunConfig) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.preset:
-        configs = build_preset(args.preset)
-    else:
-        if not args.config:
-            print("error: need a config path or --preset", file=sys.stderr)
-            return EXIT_CONFIG
-        configs = [parse_config_file(args.config)]
-
+    configs = build_preset(args.preset) if args.preset else [parse_config_file(args.config)]
     prepared = []
     for cfg in configs:
         if len(configs) > 1:
@@ -205,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[common], help="execute a run or preset")
     p_run.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                        help="worker processes for preset bundles, at most one per run (default 1)")
-    source = p_run.add_mutually_exclusive_group()
+    source = p_run.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?", default="", help="config file path")
     source.add_argument("--preset", choices=PRESET_NAMES, default="",
                         help="run a bundled experiment instead of a config file")

@@ -149,8 +149,6 @@ class RunConfig:
         return int(round(self.tf / self.dt))
 
 
-_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-_FIELDS = ("T", "N", "Phi")
 _VARIANTS = [v.value for v in SchemeVariant]
 _NO_DEFAULT = object()
 _KIND = {float: "a number", int: "an integer"}
@@ -199,12 +197,9 @@ class _Reader:
 def _parse_mesh(r: _Reader) -> MeshSpec:
     kind = r.get("mesh", "type").strip()
     if kind == "structured":
-        return MeshSpec(
-            nx=r.get("mesh", "nx", int),
-            ny=r.get("mesh", "ny", int),
-            lx=r.get("mesh", "lx", float),
-            ly=r.get("mesh", "ly", float),
-        )
+        # required, unlike the [solver] and [output] keys, but typed alike
+        return MeshSpec(**{f.name: r.get("mesh", f.name, type(f.default))
+                           for f in fields(MeshSpec) if f.name != "path"})
     if kind == "file":
         path = r.get("mesh", "path").strip()
         if not path:
@@ -251,9 +246,11 @@ def parse_config(text: str) -> RunConfig:
     try:
         config = RunConfig(
             mesh=_parse_mesh(r),
-            params=ModelParams(**{k: r.get("params", k, float) for k in _PARAM_KEYS}),
+            params=ModelParams(**{f.name: r.get("params", f.name, float)
+                                 for f in fields(ModelParams)}),
             variant=_parse_variant(r),
-            initial=InitialConditions(**{name: _parse_profile(r, name) for name in _FIELDS}),
+            initial=InitialConditions(**{f.name: _parse_profile(r, f.name)
+                                         for f in fields(InitialConditions)}),
             solver=_parse_options(r, "solver", SolverOptions),
             output=_parse_options(r, "output", OutputOptions),
             dt=r.get("time", "dt", float),

@@ -6,16 +6,16 @@ nothing. Each file is rendered to one string and written with one call;
 each CSV row, and each VTK block of n values, is one ``%`` format.
 A run writes into its one directory under the fixed names of
 ``OutputOptions``. ``prepare_outputs(config)`` creates that directory and
-returns the ``on_step`` that writes the run's snapshots over one VTK
-geometry; ``write_run_outputs`` writes the rest.
+returns the ``on_step`` that writes the run's snapshots with
+``write_snapshot``, the one VTK writer, over one ``vtk_geometry`` text;
+``write_run_outputs`` writes the rest.
 """
 
 from __future__ import annotations
 
 import os
 from operator import attrgetter
-
-import numpy as np
+from pathlib import Path
 
 from . import diagnostics
 from .config import OutputOptions, RunConfig
@@ -34,17 +34,12 @@ CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 _COMPARED = [c for c in _COLUMNS[2:] if not c[0].startswith("cg_")]
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(text)
-
-
 def write_csv(report: RunReport, path: str) -> None:
     """One row per recorded step (step 0 holds the initial diagnostics)."""
     row = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
     values = attrgetter(*(field for _, field in _COLUMNS))
     rows = "".join(row % values(d) for d in report.steps)
-    _write_text(path, f"{CSV_HEADER}\n{rows}")
+    Path(path).write_text(f"{CSV_HEADER}\n{rows}", encoding="ascii")
 
 
 def vtk_geometry(mesh: Triangulation) -> str:
@@ -60,15 +55,6 @@ def vtk_geometry(mesh: Triangulation) -> str:
     )
 
 
-def write_vtk(path: str, geometry: str, fields: dict[str, np.ndarray]) -> None:
-    """Legacy VTK file: ``vtk_geometry`` text followed by nodal scalar fields."""
-    blocks = [geometry]
-    for name, values in fields.items():
-        blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        blocks.append(("%.17g\n" * len(values)) % tuple(values.tolist()))
-    _write_text(path, "".join(blocks))
-
-
 def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> None:
     """Joined per-step CSV for side-by-side plotting of two runs on one grid."""
     if len(report_a.steps) != len(report_b.steps):
@@ -81,18 +67,25 @@ def write_compare_csv(report_a: RunReport, report_b: RunReport, path: str) -> No
         if da.step != db.step or da.time != db.time:
             raise ValueError(f"time grids differ at step {da.step}")
         rows.append(row % (da.step, da.time, *values(da), *values(db)))
-    _write_text(path, "".join(rows))
+    Path(path).write_text("".join(rows), encoding="ascii")
 
 
 def write_snapshot(directory: str, geometry: str, state) -> None:
-    """Write ``state``'s fields on the mesh whose ``vtk_geometry`` is given."""
-    path = os.path.join(directory, f"{OutputOptions.vtk_prefix}_{state.step:06d}.vtk")
-    write_vtk(path, geometry, {"T": state.T, "N": state.N, "Phi": state.Phi})
+    """Write the legacy VTK snapshot of ``state``: the ``vtk_geometry`` text of
+    its mesh, then one block of nodal values for each of T, N and Phi."""
+    values = "%.17g\n" * len(state.T)
+    blocks = [geometry]
+    for name in ("T", "N", "Phi"):
+        blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        blocks.append(values % tuple(getattr(state, name).tolist()))
+    path = Path(directory, f"{OutputOptions.vtk_prefix}_{state.step:06d}.vtk")
+    path.write_text("".join(blocks), encoding="ascii")
 
 
 def prepare_outputs(config: RunConfig):
-    """Create ``config``'s output directory; return the ``on_step`` that writes a
-    snapshot every ``snapshot_every`` steps and at the last, or ``None``."""
+    """Create ``config``'s output directory; return the ``on_step`` that calls
+    ``write_snapshot``, the one VTK writer, every ``snapshot_every`` steps and at
+    the last, or ``None``."""
     out = config.output
     os.makedirs(out.directory, exist_ok=True)
     if not out.snapshot_every:
@@ -115,4 +108,4 @@ def write_run_outputs(report: RunReport) -> None:
     os.makedirs(out.directory, exist_ok=True)
     write_csv(report, os.path.join(out.directory, out.csv_name))
     summary = "".join(line + "\n" for line in diagnostics.run_summary_lines(report))
-    _write_text(os.path.join(out.directory, out.summary_name), summary)
+    Path(out.directory, out.summary_name).write_text(summary, encoding="ascii")

@@ -26,7 +26,7 @@ from tumorfem.model import ModelParams, State
 from tumorfem.scheme import SchemeError, step
 
 from oracles import gronwall_constants, unit_stiffness
-from test_assembly_equivalence import graded_mesh, random_state, right_angled_mesh
+from test_assembly_equivalence import acute_mesh, graded_mesh, random_state, right_angled_mesh
 
 
 def oracle_m_matrix(B, step):
@@ -187,15 +187,46 @@ ADMISSIBLE_PARAMS = st.builds(
 )
 
 
-@given(
-    mesh=right_angled_meshes(),
+@st.composite
+def jittered_acute_meshes(draw):
+    """``acute_mesh`` lattices with every node moved by up to 0.07 in each
+    coordinate, then scaled.
+
+    The lattice's angles are 58.1 and 61.0 degrees, and its shortest edge is
+    1. Each node moves by less than 0.1, which turns an edge by less than
+    asin(0.2), 11.6 degrees, so an angle changes by less than 23.1 degrees:
+    every mesh drawn is strictly acute by construction.
+    """
+    lattice = acute_mesh(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    jitter = draw(hnp.arrays(np.float64, lattice.nodes.shape, elements=st.floats(-0.07, 0.07)))
+    scale = draw(st.floats(0.05, 1.0))
+    return triangulation_from_arrays(scale * (lattice.nodes + jitter), lattice.triangles)
+
+
+ADMISSIBLE_RUN = dict(
     p=ADMISSIBLE_PARAMS,
     dt=st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
     tol=st.floats(1e-12, 1e-4),
     split=st.booleans(),
     data=st.data(),
 )
+
+
+@given(mesh=right_angled_meshes(), **ADMISSIBLE_RUN)
 def test_certificate_holds_on_random_admissible_runs(mesh, p, dt, tol, split, data):
+    check_admissible_run(mesh, p, dt, tol, split, data)
+
+
+@given(mesh=jittered_acute_meshes(), **ADMISSIBLE_RUN)
+def test_certificate_holds_on_random_acute_runs(mesh, p, dt, tol, split, data):
+    assert audit_angles(mesh).strictly_acute
+    check_admissible_run(mesh, p, dt, tol, split, data)
+
+
+def check_admissible_run(mesh, p, dt, tol, split, data):
+    """Five steps from random data in [0, K]: the bounds hold at every step,
+    and the certificate catches one off-diagonal slot of the last system
+    flipped positive."""
     # The bound proof puts no limit on dt. The explicit reactions of the
     # comparison scheme grow without bound for large dt until they overflow.
     assume(split or dt <= 0.5)

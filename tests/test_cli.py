@@ -367,8 +367,11 @@ def test_readme_config_example_runs(tmp_path, capsys):
 
 
 def test_run_missing_config_is_error(capsys):
-    assert main(["run"]) == 2
-    assert "config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "--preset" in err
 
 
 def test_run_bad_config_is_error(tmp_path, capsys):

@@ -29,7 +29,6 @@ from tumorfem.output import (
     write_compare_csv,
     write_csv,
     write_snapshot,
-    write_vtk,
 )
 from tumorfem.scheme import run
 
@@ -76,9 +75,8 @@ def test_vtk_snapshot_structure(tmp_path):
         "N": np.zeros(mesh.n_vertices),
         "Phi": np.full(mesh.n_vertices, 0.5),
     }
-    path = tmp_path / "snap.vtk"
-    write_vtk(str(path), vtk_geometry(mesh), fields)
-    text = path.read_text().splitlines()
+    write_snapshot(str(tmp_path), vtk_geometry(mesh), State(**fields, step=3, time=0.03))
+    text = (tmp_path / "snapshot_000003.vtk").read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert f"POINTS {mesh.n_vertices} double" in text
@@ -214,10 +212,7 @@ def test_vtk_bytes_equal_per_line_oracle(tmp_path, mesh):
     fields = {"T": state.T, "N": state.N, "Phi": state.Phi}
     oracle_write_vtk(str(tmp_path / "oracle.vtk"), mesh, fields)
     expected = (tmp_path / "oracle.vtk").read_bytes()
-    geometry = vtk_geometry(mesh)
-    write_vtk(str(tmp_path / "new.vtk"), geometry, fields)
-    assert (tmp_path / "new.vtk").read_bytes() == expected
-    write_snapshot(str(tmp_path), geometry, state)
+    write_snapshot(str(tmp_path), vtk_geometry(mesh), state)
     assert (tmp_path / "snapshot_000007.vtk").read_bytes() == expected
 
 
